@@ -134,8 +134,12 @@ func BenchmarkTable3WholeGenome(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4Verification regenerates Table 4's quantity: banded-DP
-// verification cost on unfiltered vs filtered candidate streams.
+// BenchmarkTable4Verification regenerates Table 4's quantity: verification
+// cost on unfiltered vs filtered candidate streams. The plain rows go through
+// the align.DistanceBanded wrapper (pooled verifier); the -verifier rows hold
+// one align.Verifier the way a mapper worker does. Every pair here is its own
+// read, so both prepare per pair — the mapper's amortized cost (one Prepare
+// per read, many windows) is internal/align's "prepared" benchmark.
 func BenchmarkTable4Verification(b *testing.B) {
 	pairs := benchPairs(b, "set3", 3_000)
 	kern := filter.NewKernel(filter.ModeGPU, 100, 5)
@@ -145,8 +149,8 @@ func BenchmarkTable4Verification(b *testing.B) {
 			filtered = append(filtered, p)
 		}
 	}
-	verify := func(b *testing.B, ps []gkgpu.Pair) {
-		b.Helper()
+	wrapper := func(b *testing.B, ps []gkgpu.Pair) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, p := range ps {
 				align.DistanceBanded(p.Read, p.Ref, 5)
@@ -154,8 +158,21 @@ func BenchmarkTable4Verification(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(ps)), "pairs/op")
 	}
-	b.Run("unfiltered", func(b *testing.B) { verify(b, pairs) })
-	b.Run("filtered", func(b *testing.B) { verify(b, filtered) })
+	held := func(b *testing.B, ps []gkgpu.Pair) {
+		var v align.Verifier
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range ps {
+				v.Prepare(p.Read)
+				v.Distance(p.Ref, 5)
+			}
+		}
+		b.ReportMetric(float64(len(ps)), "pairs/op")
+	}
+	b.Run("unfiltered", func(b *testing.B) { wrapper(b, pairs) })
+	b.Run("filtered", func(b *testing.B) { wrapper(b, filtered) })
+	b.Run("unfiltered-verifier", func(b *testing.B) { held(b, pairs) })
+	b.Run("filtered-verifier", func(b *testing.B) { held(b, filtered) })
 }
 
 // BenchmarkTable5Overall regenerates Table 5's quantity: the full mapping

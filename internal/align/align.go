@@ -2,13 +2,11 @@
 // reproduction. The paper uses Edlib's global alignment as ground truth for
 // every accuracy experiment; Edlib is an implementation of Myers' 1999
 // bit-vector algorithm, which this package reimplements (blocked variant for
-// sequences longer than one machine word, per Hyyrö 2003). A banded
-// dynamic-programming Levenshtein (Ukkonen) serves as the mapper's
-// verification kernel, and a plain quadratic DP acts as the reference
-// implementation in tests.
+// sequences longer than one machine word, per Hyyrö 2003). Verifier, the
+// same recurrence thresholded at e inside an Ukkonen band over reusable
+// scratch, is the mapper's verification kernel, and a plain quadratic DP acts
+// as the reference implementation in tests.
 package align
-
-import "math"
 
 const (
 	wordBits = 64
@@ -106,88 +104,9 @@ func buildPeq(pattern []byte, blocks int) [256][]uint64 {
 	return peq
 }
 
-// DistanceBanded computes the global edit distance between a and b if it
-// does not exceed maxDist, using Ukkonen's banded DP in O((max+1)·len) time.
-// It returns (distance, true) when distance ≤ maxDist and (0, false)
-// otherwise. This is the mapper's verification kernel — the
-// computationally-expensive stage the pre-alignment filter protects.
-func DistanceBanded(a, b []byte, maxDist int) (int, bool) {
-	m, n := len(a), len(b)
-	if maxDist < 0 {
-		return 0, false
-	}
-	if abs(m-n) > maxDist {
-		return 0, false
-	}
-	if m == 0 {
-		return n, n <= maxDist
-	}
-	if n == 0 {
-		return m, m <= maxDist
-	}
-	// Band half-width: cells with |i-j| > maxDist can never contribute.
-	const inf = math.MaxInt32
-	width := 2*maxDist + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
-	// Row 0: D[0][j] = j for j in [0, maxDist].
-	for k := 0; k < width; k++ {
-		j := k - maxDist // column offset relative to diagonal of row 0
-		if j >= 0 && j <= n && j <= maxDist {
-			prev[k] = j
-		} else {
-			prev[k] = inf
-		}
-	}
-	for i := 1; i <= m; i++ {
-		rowMin := inf
-		for k := 0; k < width; k++ {
-			j := i + k - maxDist
-			if j < 0 || j > n {
-				cur[k] = inf
-				continue
-			}
-			best := inf
-			if j == 0 {
-				best = i
-			} else {
-				// Substitution / match: prev row, same k (diagonal).
-				if prev[k] != inf {
-					cost := 1
-					if a[i-1] == b[j-1] {
-						cost = 0
-					}
-					best = prev[k] + cost
-				}
-				// Deletion from a: prev row, k+1.
-				if k+1 < width && prev[k+1] != inf && prev[k+1]+1 < best {
-					best = prev[k+1] + 1
-				}
-				// Insertion into a: current row, k-1.
-				if k-1 >= 0 && cur[k-1] != inf && cur[k-1]+1 < best {
-					best = cur[k-1] + 1
-				}
-			}
-			cur[k] = best
-			if best < rowMin {
-				rowMin = best
-			}
-		}
-		if rowMin > maxDist {
-			return 0, false
-		}
-		prev, cur = cur, prev
-	}
-	k := n - m + maxDist
-	if k < 0 || k >= width || prev[k] > maxDist {
-		return 0, false
-	}
-	return prev[k], true
-}
-
 // DistanceDP is the plain quadratic Levenshtein DP. It exists as the
 // unambiguous reference implementation for property tests and worked
-// examples; production paths use Distance or DistanceBanded.
+// examples; production paths use Distance or a Verifier.
 func DistanceDP(a, b []byte) int {
 	m, n := len(a), len(b)
 	prev := make([]int, n+1)
@@ -231,6 +150,7 @@ func HammingDistance(a, b []byte) int {
 	return d
 }
 
+//gk:noalloc
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -206,13 +206,3 @@ func BenchmarkDistance100bp(b *testing.B) {
 		Distance(x, y)
 	}
 }
-
-func BenchmarkDistanceBanded100bp(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	x := dna.RandomSeq(rng, 100)
-	y := dna.MutateSubstitutions(rng, x, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DistanceBanded(x, y, 5)
-	}
-}

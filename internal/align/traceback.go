@@ -1,8 +1,8 @@
 package align
 
 import (
-	"fmt"
-	"strings"
+	"math"
+	"strconv"
 )
 
 // Op is one alignment operation in CIGAR vocabulary.
@@ -44,7 +44,8 @@ func renderCigar(ops []Op, classify func(Op) byte) string {
 	if len(ops) == 0 {
 		return "*"
 	}
-	var sb strings.Builder
+	var arr [32]byte // most CIGARs fit: the string is then the only allocation
+	buf := arr[:0]
 	runClass := classify(ops[0])
 	runLen := 1
 	for _, op := range ops[1:] {
@@ -53,115 +54,113 @@ func renderCigar(ops []Op, classify func(Op) byte) string {
 			runLen++
 			continue
 		}
-		fmt.Fprintf(&sb, "%d%c", runLen, runClass)
+		buf = append(strconv.AppendInt(buf, int64(runLen), 10), runClass)
 		runClass, runLen = c, 1
 	}
-	fmt.Fprintf(&sb, "%d%c", runLen, runClass)
-	return sb.String()
+	buf = append(strconv.AppendInt(buf, int64(runLen), 10), runClass)
+	return string(buf)
 }
 
-// Align computes a global alignment of a (the read) against b within a
-// banded edit-distance budget, returning the distance and traceback. It
-// returns ok=false when the distance exceeds maxDist. The full DP band is
-// materialized for traceback, so memory is O((2·maxDist+1)·len(a)).
+// Align computes a global alignment of a (the read) against b within an
+// edit-distance budget, returning the distance and traceback. It returns
+// ok=false when the distance exceeds maxDist. Like DistanceBanded it prepares
+// a pooled Verifier per call; hold a Verifier to align one read against many
+// windows.
 func Align(a, b []byte, maxDist int) (Alignment, bool) {
-	m, n := len(a), len(b)
-	if maxDist < 0 || abs(m-n) > maxDist {
+	v := verifiers.Get().(*Verifier)
+	v.Prepare(a)
+	al, ok := v.Align(b, maxDist)
+	verifiers.Put(v)
+	return al, ok
+}
+
+// Align computes the global alignment of the prepared read against window
+// when their distance is at most e. Distance answers first, so a miss costs
+// no DP; on a hit the band that is filled for the traceback has half-width d,
+// the distance just found, not e — every cell of every optimal path lies
+// within d of the main diagonal, so the traceback (diagonal before insertion
+// before deletion) takes the steps it would take in any wider band. The band
+// lives in the verifier's reusable buffer; only Ops is allocated.
+func (v *Verifier) Align(window []byte, e int) (Alignment, bool) {
+	d, ok := v.Distance(window, e)
+	if !ok {
 		return Alignment{}, false
 	}
-	const inf = int(^uint(0) >> 2)
-	width := 2*maxDist + 1
-	// rows[i][k] is D[i][j] with j = i + k - maxDist.
-	rows := make([][]int, m+1)
-	for i := range rows {
-		rows[i] = make([]int, width)
-		for k := range rows[i] {
-			rows[i][k] = inf
-		}
+	a, b := v.pat, window
+	m, n := len(a), len(b)
+	// Out-of-band and out-of-matrix cells hold inf (or a little more); the
+	// path's own cells are ≤ d, so the equalities below never match one.
+	const inf = math.MaxInt32 / 2
+	width := 2*d + 1
+	if need := (m + 1) * width; cap(v.band) < need {
+		v.band = make([]int32, need)
 	}
+	// rows[i*width+k] is D[i][j] with j = i + k - d.
+	rows := v.band[:(m+1)*width]
 	for k := 0; k < width; k++ {
-		if j := k - maxDist; j >= 0 && j <= n && j <= maxDist {
-			rows[0][k] = j
+		if j := k - d; j >= 0 && j <= n {
+			rows[k] = int32(j)
+		} else {
+			rows[k] = inf
 		}
 	}
 	for i := 1; i <= m; i++ {
-		rowMin := inf
-		for k := 0; k < width; k++ {
-			j := i + k - maxDist
-			if j < 0 || j > n {
+		prev, cur := rows[(i-1)*width:i*width], rows[i*width:(i+1)*width]
+		for k := range cur {
+			j := i + k - d
+			switch {
+			case j < 0 || j > n:
+				cur[k] = inf
+				continue
+			case j == 0:
+				cur[k] = int32(i)
 				continue
 			}
-			best := inf
-			if j == 0 {
-				best = i
-			} else {
-				if rows[i-1][k] != inf {
-					cost := 1
-					if a[i-1] == b[j-1] {
-						cost = 0
-					}
-					best = rows[i-1][k] + cost
-				}
-				if k+1 < width && rows[i-1][k+1] != inf && rows[i-1][k+1]+1 < best {
-					best = rows[i-1][k+1] + 1
-				}
-				if k-1 >= 0 && rows[i][k-1] != inf && rows[i][k-1]+1 < best {
-					best = rows[i][k-1] + 1
-				}
+			best := prev[k] // substitution / match
+			if a[i-1] != b[j-1] {
+				best++
 			}
-			rows[i][k] = best
-			if best < rowMin {
-				rowMin = best
+			if k+1 < width { // read base against a gap
+				best = min(best, prev[k+1]+1)
 			}
+			if k > 0 { // reference base against a gap
+				best = min(best, cur[k-1]+1)
+			}
+			cur[k] = best
 		}
-		if rowMin > maxDist {
-			return Alignment{}, false
-		}
-	}
-	endK := n - m + maxDist
-	if endK < 0 || endK >= width || rows[m][endK] > maxDist {
-		return Alignment{}, false
 	}
 
 	// Traceback from (m, n).
-	var ops []Op
-	i, k := m, endK
+	ops := make([]Op, 0, m+d)
+	i, k := m, n-m+d
 	for {
-		j := i + k - maxDist
+		j := i + k - d
 		if i == 0 && j == 0 {
 			break
 		}
-		cur := rows[i][k]
+		cur := rows[i*width+k]
 		switch {
-		case i > 0 && j > 0 && rows[i-1][k] != inf &&
-			((a[i-1] == b[j-1] && rows[i-1][k] == cur) ||
-				(a[i-1] != b[j-1] && rows[i-1][k]+1 == cur)):
-			if a[i-1] == b[j-1] {
-				ops = append(ops, OpMatch)
-			} else {
-				ops = append(ops, OpMismatch)
-			}
+		case i > 0 && j > 0 && a[i-1] == b[j-1] && rows[(i-1)*width+k] == cur:
+			ops = append(ops, OpMatch)
 			i--
-		case i > 0 && k+1 < width && rows[i-1][k+1] != inf && rows[i-1][k+1]+1 == cur:
+		case i > 0 && j > 0 && a[i-1] != b[j-1] && rows[(i-1)*width+k]+1 == cur:
+			ops = append(ops, OpMismatch)
+			i--
+		case i > 0 && k+1 < width && rows[(i-1)*width+k+1]+1 == cur:
 			// Consumed a read base without a reference base.
 			ops = append(ops, OpIns)
 			i--
 			k++
-		case j > 0 && k-1 >= 0 && rows[i][k-1] != inf && rows[i][k-1]+1 == cur:
+		case j > 0 && k > 0 && rows[i*width+k-1]+1 == cur:
 			ops = append(ops, OpDel)
 			k--
-		case j == 0:
-			ops = append(ops, OpIns)
-			i--
-			k++
 		default:
-			// Unreachable when the DP is consistent.
-			return Alignment{}, false
+			panic("align: traceback found no predecessor in the band")
 		}
 	}
 	// Reverse into read-major order.
 	for lo, hi := 0, len(ops)-1; lo < hi; lo, hi = lo+1, hi-1 {
 		ops[lo], ops[hi] = ops[hi], ops[lo]
 	}
-	return Alignment{Distance: rows[m][endK], Ops: ops}, true
+	return Alignment{Distance: d, Ops: ops}, true
 }

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -78,31 +79,9 @@ func TestAlignOpsReconstructSequences(t *testing.T) {
 		if !ok {
 			continue
 		}
-		ai, bi, edits := 0, 0, 0
-		for _, op := range al.Ops {
-			switch op {
-			case OpMatch, OpMismatch:
-				if a[ai] == b[bi] != (op == OpMatch) {
-					t.Fatalf("trial %d: op %c misclassifies a[%d]=%c vs b[%d]=%c",
-						trial, op, ai, a[ai], bi, b[bi])
-				}
-				if op == OpMismatch {
-					edits++
-				}
-				ai++
-				bi++
-			case OpIns:
-				ai++
-				edits++
-			case OpDel:
-				bi++
-				edits++
-			default:
-				t.Fatalf("unknown op %c", op)
-			}
-		}
-		if ai != len(a) || bi != len(b) {
-			t.Fatalf("trial %d: ops consumed %d/%d read and %d/%d ref", trial, ai, len(a), bi, len(b))
+		out, edits, legal := replayOps(a, b, al.Ops)
+		if !legal || !bytes.Equal(out, b) {
+			t.Fatalf("trial %d: ops %s do not replay the read into the reference\na=%q\nb=%q", trial, al.CIGAR(), a, b)
 		}
 		if edits != al.Distance {
 			t.Fatalf("trial %d: ops imply %d edits, distance says %d", trial, edits, al.Distance)

@@ -37,13 +37,20 @@ var Alphabet = [4]byte{'A', 'C', 'G', 'T'}
 // filter does not recognize (including 'N').
 var codeTable [256]byte
 
+// complementTable maps an ASCII byte to its upper-case Watson-Crick
+// complement, or 'N' for anything that is not a base.
+var complementTable [256]byte
+
 func init() {
 	for i := range codeTable {
 		codeTable[i] = 0xFF
+		complementTable[i] = 'N'
 	}
 	for code, b := range Alphabet {
 		codeTable[b] = byte(code)
 		codeTable[b+'a'-'A'] = byte(code)
+		complementTable[b] = Alphabet[3-code] // A<->T, C<->G: codes sum to 3
+		complementTable[b+'a'-'A'] = Alphabet[3-code]
 	}
 }
 
@@ -151,26 +158,13 @@ func BaseAt(words []uint64, i int) byte {
 
 // Complement returns the Watson-Crick complement of a single base. Unknown
 // bases map to 'N'.
-func Complement(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return 'T'
-	case 'C', 'c':
-		return 'G'
-	case 'G', 'g':
-		return 'C'
-	case 'T', 't':
-		return 'A'
-	default:
-		return 'N'
-	}
-}
+func Complement(b byte) byte { return complementTable[b] }
 
 // ReverseComplement returns the reverse complement of seq as a new slice.
 func ReverseComplement(seq []byte) []byte {
 	out := make([]byte, len(seq))
 	for i, b := range seq {
-		out[len(seq)-1-i] = Complement(b)
+		out[len(seq)-1-i] = complementTable[b]
 	}
 	return out
 }

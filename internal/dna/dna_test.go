@@ -140,6 +140,37 @@ func TestComplementUnknown(t *testing.T) {
 	}
 }
 
+// TestComplementTable pins the lookup table to the per-byte switch it
+// replaced, for every byte value, through both entry points.
+func TestComplementTable(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	rc := ReverseComplement(all)
+	for i, b := range all {
+		var want byte
+		switch b {
+		case 'A', 'a':
+			want = 'T'
+		case 'C', 'c':
+			want = 'G'
+		case 'G', 'g':
+			want = 'C'
+		case 'T', 't':
+			want = 'A'
+		default:
+			want = 'N'
+		}
+		if got := Complement(b); got != want {
+			t.Errorf("Complement(%#x) = %q, want %q", b, got, want)
+		}
+		if got := rc[255-i]; got != want {
+			t.Errorf("ReverseComplement placed %q for byte %#x, want %q", got, b, want)
+		}
+	}
+}
+
 func TestUpper(t *testing.T) {
 	got := Upper([]byte("acGt"))
 	if string(got) != "ACGT" {

@@ -318,14 +318,14 @@ func runTable4(o Options) error {
 	tb.Add("achieved DP speedup", fmt.Sprintf("%.1fx", achieved), "3.7x")
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintln(o.Out, "\nShape check: achieved speedup is well below theoretical — the surviving")
-	fmt.Fprintln(o.Out, "pairs are the similar ones, whose banded DP cannot terminate early.")
+	fmt.Fprintln(o.Out, "pairs are the similar ones, whose verification cannot terminate early.")
 	return nil
 }
 
 func runTable5(o Options) error {
 	nReads := o.scaled(2_500)
-	tb := metrics.NewTable("setup", "filt+DP speedup", "overall speedup",
-		"paper filt+DP", "paper overall")
+	tb := metrics.NewTable("setup", "measured host filt+DP", "measured host overall",
+		"modelled device filt+DP", "kernel model (s)", "paper filt+DP", "paper overall")
 	paper := map[string][2]string{
 		"Setup 1": {"2.9x", "1.3-1.4x"},
 		"Setup 2": {"1.6-1.7x", "1.2x"},
@@ -339,22 +339,30 @@ func runTable5(o Options) error {
 		if err != nil {
 			return err
 		}
-		// The paper's accounting: "For filtering time, we consider the
-		// kernel time for GateKeeper-GPU" — the GPU runs filtrations in
-		// parallel at negligible device time, so the filtering cost added
-		// to the pipeline is the modelled kernel time, not this
-		// simulation's single-core wall time for executing the kernel.
-		filtDP := metrics.Speedup(base.stats.VerifySeconds,
-			filt.stats.FilterKernelModel+filt.stats.VerifySeconds)
-		filtOverall := filt.stats.TotalSeconds - filt.stats.FilterWallSeconds + filt.stats.FilterKernelModel
-		overall := metrics.Speedup(base.stats.TotalSeconds, filtOverall)
+		// Measured host: wall clocks of this machine only, the simulated
+		// kernel's host execution included. Modelled device: the paper's
+		// accounting ("for filtering time, we consider the kernel time"),
+		// where the device filters off the host's critical path in the
+		// modelled kernel time shown beside it, so the DP stage shrinks by
+		// the verification-pair ratio. No modelled clock is added to, or
+		// divided by, a wall clock; a faster verifier moves only the
+		// measured columns.
+		hostFiltDP := metrics.Speedup(base.stats.VerifySeconds,
+			filt.stats.FilterWallSeconds+filt.stats.VerifySeconds)
+		hostOverall := metrics.Speedup(base.stats.TotalSeconds, filt.stats.TotalSeconds)
+		deviceFiltDP := float64(base.stats.VerificationPairs) / float64(max(filt.stats.VerificationPairs, 1))
 		p := paper[ss.setup.Name]
 		tb.Add(ss.setup.Name,
-			fmt.Sprintf("%.1fx", filtDP), fmt.Sprintf("%.1fx", overall), p[0], p[1])
+			fmt.Sprintf("%.1fx", hostFiltDP), fmt.Sprintf("%.1fx", hostOverall),
+			fmt.Sprintf("%.1fx", deviceFiltDP), fmt.Sprintf("%.4f", filt.stats.FilterKernelModel),
+			p[0], p[1])
 	}
 	fmt.Fprint(o.Out, tb.String())
-	fmt.Fprintln(o.Out, "\nPaper also reports GateKeeper-FPGA at 41x (Setup-independent, FPGA platform);")
-	fmt.Fprintln(o.Out, "shape check: filtering+verification speedup > 1 and overall speedup smaller but > 1.")
+	fmt.Fprintln(o.Out, "\nmeasured host: wall/wall on this machine, where the simulated kernel runs on the CPU;")
+	fmt.Fprintln(o.Out, "modelled device: verification-pair ratio, the device's modelled kernel time listed, not added.")
+	fmt.Fprintln(o.Out, "Paper also reports GateKeeper-FPGA at 41x (Setup-independent, FPGA platform);")
+	fmt.Fprintln(o.Out, "shape check: modelled-device speedup > 1; the measured-host columns say whether a")
+	fmt.Fprintln(o.Out, "host-executed filter pays for itself against this host's verifier.")
 	return nil
 }
 
@@ -369,14 +377,16 @@ func runSimSet(o Options, profile simdata.ReadProfile, e int, paperReduction flo
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable("config", "Mappings", "Verification pairs", "Rejected (reduction)", "filt+DP vs DP")
+	tb := metrics.NewTable("config", "Mappings", "Verification pairs", "Rejected (reduction)",
+		"measured host filt+DP (s)", "modelled device kernel (s)")
 	tb.Add("No Filter", metrics.FmtInt(base.stats.Mappings),
 		metrics.FmtInt(base.stats.VerificationPairs), "NA",
-		fmt.Sprintf("%.3fs", base.stats.VerifySeconds))
+		fmt.Sprintf("%.3f", base.stats.VerifySeconds), "NA")
 	tb.Add("GateKeeper-GPU", metrics.FmtInt(filt.stats.Mappings),
 		metrics.FmtInt(filt.stats.VerificationPairs),
 		fmt.Sprintf("%s (%.0f%%)", metrics.FmtInt(filt.stats.RejectedPairs), 100*filt.stats.Reduction()),
-		fmt.Sprintf("%.3fs", filt.stats.FilterKernelModel+filt.stats.VerifySeconds))
+		fmt.Sprintf("%.3f", filt.stats.FilterWallSeconds+filt.stats.VerifySeconds),
+		fmt.Sprintf("%.4f", filt.stats.FilterKernelModel))
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintf(o.Out, "\npaper: %.0f%% reduction; %s\n", 100*paperReduction, paperNote)
 	if filt.mappings != base.mappings {

@@ -5,8 +5,9 @@ package lint
 // analyzer and the runtime AllocsPerRun guards. gklint fails if the
 // annotations in the tree and this list ever differ (in either direction),
 // and the alloc tests (internal/filter/alloc_test.go,
-// internal/mapper/index_test.go) assert that the functions they exercise are
-// registered here, so the static and runtime checks cannot drift apart.
+// internal/align/verifier_test.go, internal/mapper/index_test.go) assert
+// that the functions they exercise are registered here, so the static and
+// runtime checks cannot drift apart.
 //
 // Keys are FuncKey form: pkgpath.Func, or pkgpath.Recv.Method with the
 // receiver's pointer stripped.
@@ -31,6 +32,10 @@ var NoAllocRegistry = []string{
 	"repro/internal/dna.IsACGT",
 	"repro/internal/dna.WordsFor",
 	"repro/internal/dna.TryEncodeInto",
+
+	// The bit-vector verifier: one thresholded distance on prepared masks.
+	"repro/internal/align.Verifier.Distance",
+	"repro/internal/align.abs",
 
 	// CSR seed index lookup and the contig-coordinate accessors every
 	// candidate's boundary check goes through.

@@ -3,8 +3,8 @@
 // GateKeeper-GPU into: a k-mer hash index over the reference, pigeonhole
 // seeding (e+1 non-overlapping seeds, so any alignment with at most e edits
 // preserves one seed exactly), candidate extension, optional pre-alignment
-// filtering between seeding and verification, and banded dynamic-programming
-// verification — the expensive stage the filter protects.
+// filtering between seeding and verification, and thresholded edit-distance
+// verification (align.Verifier) — the expensive stage the filter protects.
 //
 // The reference is multi-contig (mapper.Reference): a whole-genome FASTA's
 // chromosomes live concatenated in one sequence with a contig table mapping
@@ -213,18 +213,27 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 		pos:     make([]int64, n),
 	}
 
-	// Pass 1 (parallel per shard): count entries per (shard, bucket).
+	// Pass 1 (parallel per shard): count entries per (shard, bucket). The
+	// last shard counts straight into offsets[1:]: the merge turns its count
+	// for bucket b into its start cursor, pass 2 advances that cursor to the
+	// end of bucket b, and the end of bucket b is offsets[b+1] — so the
+	// offsets fall out of the placement and a single-shard build needs no
+	// count array of its own (as large as offsets, and as cold).
 	counts := make([][]uint64, len(shards))
 	forEachShard(shards, func(s int, sh contigShard) {
-		cs := make([]uint64, nBuckets)
+		cs := idx.offsets[1:]
+		if s < len(shards)-1 {
+			cs = make([]uint64, nBuckets)
+		}
 		idx.countShard(sh.lo, sh.hi, cs)
 		counts[s] = cs
 	})
 
-	// Merge: turn the per-shard counts into per-shard start cursors and the
-	// global bucket offsets. Bucket b's entries are laid out shard by shard,
-	// and shards hold contigs in reference order, so each bucket's entries
-	// stay in ascending position order — exactly the sequential layout.
+	// Merge: turn the per-shard counts into per-shard start cursors (the
+	// last shard's live in offsets[1:]). Bucket b's entries are laid out
+	// shard by shard, and shards hold contigs in reference order, so each
+	// bucket's entries stay in ascending position order — exactly the
+	// sequential layout.
 	// The merge itself is O(nBuckets·shards), which at whole-genome bucket
 	// counts would serialize between the two parallel passes, so it runs
 	// per bucket range: each range's entry total is summed in parallel, a
@@ -233,15 +242,17 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 	// bit-identical to the sequential walk.
 	ranges := splitRange(nBuckets, runtime.GOMAXPROCS(0))
 	rangeTotal := make([]uint64, len(ranges))
-	forEachRange(ranges, func(ri int, lo, hi int) {
-		var t uint64
-		for b := lo; b < hi; b++ {
-			for _, cs := range counts {
-				t += cs[b]
+	if len(ranges) > 1 { // a lone range starts at 0: nothing to sum
+		forEachRange(ranges, func(ri int, lo, hi int) {
+			var t uint64
+			for b := lo; b < hi; b++ {
+				for _, cs := range counts {
+					t += cs[b]
+				}
 			}
-		}
-		rangeTotal[ri] = t
-	})
+			rangeTotal[ri] = t
+		})
+	}
 	base := uint64(0)
 	for ri, t := range rangeTotal {
 		rangeTotal[ri] = base
@@ -255,13 +266,13 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 				cs[b] = running // becomes shard s's cursor for bucket b
 				running += c
 			}
-			idx.offsets[b+1] = running
 		}
 	})
 
 	// Pass 2 (parallel per shard): place (key, pos) at the shard's cursors.
 	// Within a shard the reference scans left to right, keeping each
-	// (shard, bucket) run in ascending position order.
+	// (shard, bucket) run in ascending position order. The last shard's
+	// cursors end as the bucket ends: offsets is complete after this pass.
 	forEachShard(shards, func(s int, sh contigShard) {
 		idx.placeShard(sh.lo, sh.hi, counts[s])
 	})

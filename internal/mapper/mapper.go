@@ -1,9 +1,10 @@
 package mapper
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,7 +106,7 @@ type Stats struct {
 	FilterKernelModel  float64 // modelled device kernel seconds
 	FilterModelSeconds float64 // modelled end-to-end filter seconds
 	FilterPrepModel    float64 // modelled host encode/fill seconds
-	VerifySeconds      float64 // wall: banded-DP verification
+	VerifySeconds      float64 // wall: edit-distance verification
 	TotalSeconds       float64
 
 	// Streaming-pipeline metrics, populated by MapStream and MapPairs only.
@@ -325,7 +326,7 @@ func (m *Mapper) candidates(read []byte, e int) []int64 {
 	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	dedup := out[:1]
 	for _, p := range out[1:] {
 		if p != dedup[len(dedup)-1] {
@@ -355,20 +356,21 @@ func (m *Mapper) workerCount(n int) int {
 // grain-sized blocks off a shared cursor (the same dynamic schedule as the
 // batch filter front end, and channel-free by design: the block index fully
 // determines each worker's writes, so indexed slices are the only shared
-// state). body must touch only its [lo, hi) slots.
-func parallelFor(workers, n, grain int, body func(lo, hi int)) {
+// state). body must touch only its [lo, hi) slots; w names the calling
+// worker, in [0, workers), so a body can keep per-worker scratch.
+func parallelFor(workers, n, grain int, body func(w, lo, hi int)) {
 	if n == 0 {
 		return
 	}
 	if workers == 1 || n <= grain {
-		body(0, n)
+		body(0, 0, n)
 		return
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				hi := int(cursor.Add(int64(grain)))
@@ -379,9 +381,9 @@ func parallelFor(workers, n, grain int, body func(lo, hi int)) {
 				if hi > n {
 					hi = n
 				}
-				body(lo, hi)
+				body(w, lo, hi)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }
@@ -441,7 +443,7 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			pos   int64
 		}
 		perQuery := make([][]int64, len(batch))
-		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(lo, hi int) {
+		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(_, lo, hi int) {
 			for qi := lo; qi < hi; qi++ {
 				perQuery[qi] = m.candidates(batch[qi], e)
 			}
@@ -499,29 +501,39 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			}
 		}
 
-		// Verification: banded edit distance for surviving pairs, fanned out
-		// across the worker pool into per-candidate slots; the serial pass
+		// Verification: thresholded edit distance for surviving pairs, fanned
+		// out across the worker pool into per-candidate slots; the serial pass
 		// below tallies stats and appends surviving mappings in candidate
 		// order, so the mapping list equals the serial walk's before the
-		// final canonical sort.
+		// final canonical sort. Each worker holds one verifier and prepares a
+		// query's masks once: candidates are query-ordered, so all of a
+		// query's candidates inside a claimed block share them.
 		verifyStart := time.Now()
 		slots := make([]Mapping, len(cands))
 		kept := make([]bool, len(cands))
-		parallelFor(m.workerCount(len(cands)), len(cands), 32, func(lo, hi int) {
+		verifyWorkers := m.workerCount(len(cands))
+		verifiers := make([]align.Verifier, verifyWorkers)
+		parallelFor(verifyWorkers, len(cands), 32, func(w, lo, hi int) {
+			v := &verifiers[w]
+			prepared := -1
 			for i := lo; i < hi; i++ {
 				if !verdicts[i].Accept {
 					continue
 				}
 				c := cands[i]
+				if c.query != prepared {
+					v.Prepare(batch[c.query])
+					prepared = c.query
+				}
 				q := queries[c.query]
 				ci, rel := m.ref.Locate(int(c.pos))
 				if m.cfg.Traceback {
-					if al, ok := align.Align(pairs[i].Read, pairs[i].Ref, e); ok {
+					if al, ok := v.Align(pairs[i].Ref, e); ok {
 						slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
 							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
 						kept[i] = true
 					}
-				} else if d, ok := align.DistanceBanded(pairs[i].Read, pairs[i].Ref, e); ok {
+				} else if d, ok := v.Distance(pairs[i].Ref, e); ok {
 					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
 						Distance: d, Reverse: q.reverse}
 					kept[i] = true
@@ -545,12 +557,9 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 	}
 
 	// Recompute aggregate counters from the mapping list (cheap and exact).
+	sortMappings(mappings)
 	st.Mappings = int64(len(mappings))
-	mapped := make(map[int]bool, len(reads))
-	for _, m := range mappings {
-		mapped[m.ReadID] = true
-	}
-	st.MappedReads = int64(len(mapped))
+	st.MappedReads = countMappedReads(mappings)
 	st.Reads = int64(len(reads))
 	if eng, ok := m.cfg.Filter.(*gkgpu.Engine); ok {
 		st.FilterKernelModel = eng.Stats().KernelSeconds
@@ -562,8 +571,6 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 		st.FilterModelSeconds = eng.Stats().FilterSeconds
 	}
 	st.TotalSeconds = time.Since(totalStart).Seconds()
-
-	sortMappings(mappings)
 	return mappings, st, nil
 }
 
@@ -574,16 +581,34 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 // byte-identical output — even for the rare read whose forward and
 // reverse-complement queries map at the same position.
 func sortMappings(mappings []Mapping) {
-	sort.Slice(mappings, func(i, j int) bool {
-		if mappings[i].ReadID != mappings[j].ReadID {
-			return mappings[i].ReadID < mappings[j].ReadID
+	slices.SortFunc(mappings, func(a, b Mapping) int {
+		if c := cmp.Compare(a.ReadID, b.ReadID); c != 0 {
+			return c
 		}
-		if mappings[i].Contig != mappings[j].Contig {
-			return mappings[i].Contig < mappings[j].Contig
+		if c := cmp.Compare(a.Contig, b.Contig); c != 0 {
+			return c
 		}
-		if mappings[i].Pos != mappings[j].Pos {
-			return mappings[i].Pos < mappings[j].Pos
+		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+			return c
 		}
-		return !mappings[i].Reverse && mappings[j].Reverse
+		switch {
+		case a.Reverse == b.Reverse:
+			return 0
+		case b.Reverse:
+			return -1
+		}
+		return 1
 	})
+}
+
+// countMappedReads counts the distinct reads in a mapping list already in
+// sortMappings order, where a read's mappings are adjacent.
+func countMappedReads(mappings []Mapping) int64 {
+	var n int64
+	for i := range mappings {
+		if i == 0 || mappings[i].ReadID != mappings[i-1].ReadID {
+			n++
+		}
+	}
+	return n
 }

@@ -82,7 +82,7 @@ func (m *metaQueue) pop() candMeta {
 	return c
 }
 
-// verifyJob is one accepted candidate awaiting banded-DP verification.
+// verifyJob is one accepted candidate awaiting verification.
 type verifyJob struct {
 	q         streamQuery
 	pos       int64
@@ -93,7 +93,7 @@ type verifyJob struct {
 // MapPairStream: a pool of seeding workers consumes oriented queries from
 // feed, candidates flow through the configured filter's streaming path, and
 // a verification pool consumes accepted candidates concurrently, so seeding,
-// pre-alignment filtering, and banded-DP verification overlap instead of
+// pre-alignment filtering, and bit-vector verification overlap instead of
 // running as synchronized phases.
 //
 // feed runs in its own goroutine and must send every query with a select on
@@ -165,7 +165,7 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 	var timeMu sync.Mutex
 	var seedBusy, verifyBusy, inlineFilterBusy float64
 
-	// Verification pool: accepted candidates to banded DP, mappings into
+	// Verification pool: accepted candidates to the verifier, mappings into
 	// per-worker slices merged (and sorted) at the end.
 	verifyJobs := make(chan verifyJob, 4*workers)
 	perWorker := make([][]Mapping, workers)
@@ -176,20 +176,28 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 			defer verifyWg.Done()
 			var local []Mapping
 			var busy float64
+			// One verifier per worker; a query's masks are rebuilt only when
+			// the job's query differs from the last one this worker saw.
+			var v align.Verifier
+			preparedID, preparedRev := -1, false
 			for j := range verifyJobs {
 				t0 := time.Now()
 				verifCount.Add(1)
 				if j.undefined {
 					undefCount.Add(1)
 				}
+				if j.q.readID != preparedID || j.q.reverse != preparedRev {
+					v.Prepare(j.q.seq)
+					preparedID, preparedRev = j.q.readID, j.q.reverse
+				}
 				window := ref[j.pos : int(j.pos)+L]
 				ci, rel := m.ref.Locate(int(j.pos))
 				if m.cfg.Traceback {
-					if al, ok := align.Align(j.q.seq, window, e); ok {
+					if al, ok := v.Align(window, e); ok {
 						local = append(local, Mapping{ReadID: j.q.readID, Contig: ci, Pos: rel,
 							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: j.q.reverse})
 					}
-				} else if d, ok := align.DistanceBanded(j.q.seq, window, e); ok {
+				} else if d, ok := v.Distance(window, e); ok {
 					local = append(local, Mapping{ReadID: j.q.readID, Contig: ci, Pos: rel,
 						Distance: d, Reverse: j.q.reverse})
 				}
@@ -377,11 +385,7 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 	st.VerificationPairs = verifCount.Load()
 	st.UndefinedPairs = undefCount.Load()
 	st.Mappings = int64(len(mappings))
-	mapped := make(map[int]bool)
-	for _, mp := range mappings {
-		mapped[mp.ReadID] = true
-	}
-	st.MappedReads = int64(len(mapped))
+	st.MappedReads = countMappedReads(mappings)
 	st.SeedSeconds = seedBusy
 	st.VerifySeconds = verifyBusy
 	st.FilterWallSeconds = inlineFilterBusy
