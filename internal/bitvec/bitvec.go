@@ -38,6 +38,8 @@ const CharsPerEncodedWord = 32
 const CharsPerMaskWord = 64
 
 // EncodedWords returns the number of encoded words for n bases.
+//
+//gk:noalloc
 func EncodedWords(n int) int { return (n + CharsPerEncodedWord - 1) / CharsPerEncodedWord }
 
 // MaskWords returns the number of mask words for n bases.
@@ -103,6 +105,8 @@ func shiftBitsDown(dst, src []uint64, n uint) {
 // candidate reference segment out of the unified-memory encoded reference
 // ("each thread executes a single comparison, starting with extracting the
 // relevant reference segment based on the index", Section 3.5).
+//
+//gk:noalloc
 func ExtractChars(dst, src []uint64, start, n int) {
 	wordOff := start / CharsPerEncodedWord
 	bitOff := uint(start%CharsPerEncodedWord) * 2

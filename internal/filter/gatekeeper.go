@@ -114,6 +114,8 @@ func (k *Kernel) SetAblation(a Ablation) { k.ablate = a }
 func (k *Kernel) SetExactEstimate(exact bool) { k.exact = exact }
 
 // ReadLen returns the configured read length.
+//
+//gk:noalloc
 func (k *Kernel) ReadLen() int { return k.readLen }
 
 // MaxE returns the configured maximum error threshold.

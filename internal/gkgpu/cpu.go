@@ -2,10 +2,12 @@ package gkgpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/cuda"
 	"repro/internal/filter"
 )
@@ -35,8 +37,13 @@ type CPUEngine struct {
 
 	mu      sync.Mutex
 	kernels []*filter.Kernel
-	refSeq  []byte
-	stats   Stats
+	windows [][]uint64 // per-worker reference-window buffer, beside kernels
+	ref     *packedRef // loaded by SetReference for the index-named path
+	// Candidate-path scratch, reused across calls: every read of the call
+	// encoded once, and whether it holds an unknown base.
+	readWords []uint64
+	readHasN  []bool
+	stats     Stats
 }
 
 // NewCPUEngine builds the baseline for one geometry and logical core count.
@@ -57,20 +64,20 @@ func NewCPUEngine(readLen, maxE, cores int, setup Setup, model cuda.CostModel) (
 }
 
 // workersFor bounds a call's fan-out by the configured core count, the
-// machine width, and the work available, and makes sure a persistent kernel
-// exists for every worker slot. Kernels survive across calls — the
-// read-length-keyed scratch is the expensive part, and reusing it is what
-// keeps the per-call steady state allocation-free inside the workers.
+// machine width, and the work available (in claimable blocks: a worker
+// beyond them would find the cursor spent), and makes sure a persistent
+// kernel and window buffer exist for every worker slot. Both survive across
+// calls — the read-length-keyed scratch is the expensive part, and reusing
+// it is what keeps the per-call steady state allocation-free inside the
+// workers.
 func (c *CPUEngine) workersFor(n int) int {
-	workers := cuda.MaxWorkers(n)
+	workers := cuda.MaxWorkers((n + cpuGrain - 1) / cpuGrain)
 	if workers > c.cores {
 		workers = c.cores
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	for len(c.kernels) < workers {
 		c.kernels = append(c.kernels, filter.NewKernel(filter.ModeGPU, c.readLen, c.maxE))
+		c.windows = append(c.windows, make([]uint64, bitvec.EncodedWords(c.readLen)))
 	}
 	return workers
 }
@@ -78,17 +85,18 @@ func (c *CPUEngine) workersFor(n int) int {
 // runWidth fans out over [0, n) with dynamic grain-sized claiming: workers
 // pull the next block off a shared cursor, so a block of early-sealed
 // accepts doesn't leave its worker idle while another grinds through
-// exhaustive rejects. Worker w runs body on its private persistent kernel.
-func (c *CPUEngine) runWidth(workers, n int, body func(kern *filter.Kernel, lo, hi int)) {
+// exhaustive rejects. Worker w runs body with its own index, which names its
+// private persistent kernel and window buffer.
+func (c *CPUEngine) runWidth(workers, n int, body func(w, lo, hi int)) {
 	if workers == 1 {
-		body(c.kernels[0], 0, n)
+		body(0, 0, n)
 		return
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(kern *filter.Kernel) {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				hi := int(cursor.Add(cpuGrain))
@@ -99,9 +107,9 @@ func (c *CPUEngine) runWidth(workers, n int, body func(kern *filter.Kernel, lo, 
 				if hi > n {
 					hi = n
 				}
-				body(kern, lo, hi)
+				body(w, lo, hi)
 			}
-		}(c.kernels[w])
+		}(w)
 	}
 	wg.Wait()
 }
@@ -118,8 +126,8 @@ func (c *CPUEngine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error
 	defer c.mu.Unlock()
 	start := time.Now()
 	workers := c.workersFor(len(pairs))
-	c.runWidth(workers, len(pairs), func(kern *filter.Kernel, lo, hi int) {
-		cpuFilterRange(kern, pairs[lo:hi], results[lo:hi], errThreshold)
+	c.runWidth(workers, len(pairs), func(w, lo, hi int) {
+		cpuFilterRange(c.kernels[w], pairs[lo:hi], results[lo:hi], errThreshold)
 	})
 
 	w := cuda.Workload{Pairs: len(pairs), ReadLen: c.readLen, E: errThreshold, DeviceEncoded: true}
@@ -152,28 +160,29 @@ func cpuFilterRange(kern *filter.Kernel, pairs []Pair, out []Result, errThreshol
 }
 
 // SetReference loads the reference the index-named candidate path filters
-// against. Unlike the GPU engine there is nothing to encode up front: the
-// host kernel encodes each candidate's window on demand (and that encode
-// doubles as the window's 'N' scan), so the engine just keeps a private
-// copy of the sequence.
+// against: like the GPU engine it encodes seq once, up front, and keeps only
+// the packed form (2-bit codes plus the 'N' bitmap, 0.375 B/base) — seq itself
+// is not retained.
 func (c *CPUEngine) SetReference(seq []byte) error {
 	if len(seq) < c.readLen {
 		return fmt.Errorf("gkgpu: reference (%d) shorter than read length (%d)", len(seq), c.readLen)
 	}
+	ref := packReference(seq)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refSeq = append(c.refSeq[:0], seq...)
+	c.ref = ref
 	return nil
 }
 
 // FilterCandidates filters index-named candidates against the loaded
 // reference on the host, with the same validation, undefined semantics, and
 // result ordering as the GPU engine's FilterCandidates: decisions are
-// identical on both engines for the same inputs.
+// identical on both engines for the same inputs. Each distinct read is
+// encoded once per call, however many candidate locations it has.
 func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.refSeq == nil {
+	if c.ref == nil {
 		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
 	}
 	if errThreshold < 0 || errThreshold > c.maxE {
@@ -189,16 +198,21 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 		if cd.ReadID < 0 || int(cd.ReadID) >= len(reads) {
 			return nil, fmt.Errorf("gkgpu: candidate %d references read %d of %d", i, cd.ReadID, len(reads))
 		}
-		if cd.Pos < 0 || int(cd.Pos)+L > len(c.refSeq) {
+		if cd.Pos < 0 || int(cd.Pos)+L > c.ref.length {
 			return nil, fmt.Errorf("gkgpu: candidate %d window [%d,%d) outside reference of %d",
-				i, cd.Pos, int(cd.Pos)+L, len(c.refSeq))
+				i, cd.Pos, int(cd.Pos)+L, c.ref.length)
 		}
 	}
 	results := make([]Result, len(cands))
 	start := time.Now()
+	encWords := bitvec.EncodedWords(L)
+	c.readWords = slices.Grow(c.readWords[:0], len(reads)*encWords)[:len(reads)*encWords]
+	c.readHasN = slices.Grow(c.readHasN[:0], len(reads))[:len(reads)]
+	encodeReads(c.readWords, c.readHasN, reads, encWords)
 	workers := c.workersFor(len(cands))
-	c.runWidth(workers, len(cands), func(kern *filter.Kernel, lo, hi int) {
-		cpuCandidateRange(kern, c.refSeq, L, reads, cands[lo:hi], results[lo:hi], errThreshold)
+	c.runWidth(workers, len(cands), func(w, lo, hi int) {
+		cpuCandidateRange(c.kernels[w], c.ref, c.windows[w], c.readWords, c.readHasN,
+			cands[lo:hi], results[lo:hi], errThreshold)
 	})
 
 	// Timing model: the index path matches the GPU engine's host-encoded
@@ -212,25 +226,29 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 	return results, nil
 }
 
-// cpuCandidateRange is cpuFilterRange for index-named candidates: each
-// candidate's reference window is a subslice of the resident reference, and
-// FilterChecked's encode pass detects an 'N' in the read or the window —
-// exactly the readHasN/windowHasN conditions the GPU engine flags — so the
-// undefined decisions agree without a recorded N-position index.
+// cpuCandidateRange is cpuFilterRange for index-named candidates, the host
+// form of the GPU engine's candidate kernel: a candidate whose read (readHasN,
+// set by the call's one encode walk) or reference window (the packed
+// reference's 'N' bitmap) holds an unknown base is Undefined+Accept without
+// touching the kernel; any other has its window extracted from the packed
+// reference into the worker's window buffer (len(window) words per sequence)
+// and filtered in encoded form against the read's slot of readWords.
 //
 //gk:noalloc
-func cpuCandidateRange(kern *filter.Kernel, ref []byte, L int,
-	reads [][]byte, cands []Candidate, out []Result, errThreshold int) {
+func cpuCandidateRange(kern *filter.Kernel, ref *packedRef, window []uint64,
+	readWords []uint64, readHasN []bool, cands []Candidate, out []Result, errThreshold int) {
 
+	L, encWords := kern.ReadLen(), len(window)
 	for i := range cands {
 		cd := cands[i]
-		window := ref[cd.Pos : int(cd.Pos)+L]
-		d, err := kern.FilterChecked(reads[cd.ReadID], window, errThreshold)
-		if err != nil {
+		if readHasN[cd.ReadID] || ref.hasN(cd.Pos, L) {
 			out[i] = Result{Accept: true, Undefined: true}
 			continue
 		}
-		out[i] = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
+		bitvec.ExtractChars(window, ref.words, int(cd.Pos), L)
+		read := readWords[int(cd.ReadID)*encWords:][:encWords]
+		est, accept := kern.FilterEncoded(read, window, errThreshold)
+		out[i] = Result{Accept: accept, Estimate: uint16(est)}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/cuda"
 	"repro/internal/dna"
 	"repro/internal/filter"
@@ -235,17 +236,25 @@ func TestCPUFilterRangeZeroAllocs(t *testing.T) {
 }
 
 // TestCPUCandidateRangeZeroAllocs guards the candidate path's steady state:
-// window extraction is a subslice and the encode is in-kernel scratch, so a
-// claimed block must not allocate either.
+// the 'N' test reads the bitmap, window extraction fills the worker's own
+// buffer and the kernel runs on encoded words, so a claimed block (clean,
+// N-window and N-read candidates alike) must not allocate.
 func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
-	if !lint.IsNoAlloc("repro/internal/gkgpu", "cpuCandidateRange") {
-		t.Fatal("cpuCandidateRange is not in lint.NoAllocRegistry; static and runtime guards have drifted")
+	for _, fn := range []string{"cpuCandidateRange", "packedRef.hasN"} {
+		if !lint.IsNoAlloc("repro/internal/gkgpu", fn) {
+			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
+		}
+	}
+	if !lint.IsNoAlloc("repro/internal/bitvec", "ExtractChars") {
+		t.Fatal("bitvec.ExtractChars is not in lint.NoAllocRegistry; static and runtime guards have drifted")
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	rng := rand.New(rand.NewSource(15))
 	genome := dna.RandomSeq(rng, 10_000)
+	genome[5_000] = 'N'
+	ref := packReference(genome)
 	var reads [][]byte
 	var cands []Candidate
 	for i := 0; i < 32; i++ {
@@ -253,11 +262,21 @@ func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
 		reads = append(reads, dna.MutateSubstitutions(rng, genome[pos:pos+100], rng.Intn(8)))
 		cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(pos)})
 	}
+	reads[7][3] = 'N'
+	cands = append(cands, Candidate{ReadID: 0, Pos: 4_950})
+	encWords := bitvec.EncodedWords(100)
+	readWords := make([]uint64, len(reads)*encWords)
+	readHasN := make([]bool, len(reads))
+	encodeReads(readWords, readHasN, reads, encWords)
 	out := make([]Result, len(cands))
+	window := make([]uint64, encWords)
 	kern := filter.NewKernel(filter.ModeGPU, 100, 5)
 	if allocs := testing.AllocsPerRun(200, func() {
-		cpuCandidateRange(kern, genome, 100, reads, cands, out, 5)
+		cpuCandidateRange(kern, ref, window, readWords, readHasN, cands, out, 5)
 	}); allocs != 0 {
 		t.Fatalf("cpuCandidateRange allocated %.1f allocs/op, want 0", allocs)
+	}
+	if !out[7].Undefined || !out[len(out)-1].Undefined || out[0].Undefined {
+		t.Fatalf("undefined flags wrong: N read %+v, N window %+v, clean %+v", out[7], out[len(out)-1], out[0])
 	}
 }

@@ -1,0 +1,340 @@
+package gkgpu
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/bitvec"
+	"repro/internal/cuda"
+	"repro/internal/dna"
+	"repro/internal/filter"
+)
+
+// checkedOracle is the packed candidate path's reference semantics: the
+// kernel's own checked entry point on the ASCII bytes of each candidate.
+func checkedOracle(kern *filter.Kernel, genome []byte, L int, reads [][]byte, cands []Candidate, e int) []Result {
+	want := make([]Result, len(cands))
+	for i, c := range cands {
+		d, err := kern.FilterChecked(reads[c.ReadID], genome[c.Pos:int(c.Pos)+L], e)
+		if err != nil {
+			panic(err) // geometry is the test's own
+		}
+		want[i] = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
+	}
+	return want
+}
+
+func requireSameResults(t *testing.T, label string, cands []Candidate, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: candidate %d (read %d pos %d): got %+v, want %+v",
+				label, i, cands[i].ReadID, cands[i].Pos, got[i], want[i])
+		}
+	}
+}
+
+// lowerSome lower-cases a random quarter of seq in place: case is not a
+// decision input on any path.
+func lowerSome(rng *rand.Rand, seq []byte) {
+	for i := range seq {
+		if rng.Intn(4) == 0 {
+			seq[i] |= 0x20
+		}
+	}
+}
+
+// TestPackedCandidatesIdentity pins the packed candidate path to the ASCII
+// semantics it replaced: CPUEngine.FilterCandidates must equal
+// Kernel.FilterChecked on the window's bytes — Accept, Undefined and
+// Estimate, with the early accept and with exact estimates — and equal
+// Engine.FilterCandidates, over read lengths on and off the 32-base word
+// size, every window phase, both reference ends, a reference that ends
+// inside an nMask word, lower-case bases, and an 'N' at, just inside and just
+// outside each window edge and in the read.
+func TestPackedCandidatesIdentity(t *testing.T) {
+	for _, tc := range []struct{ L, e int }{{50, 2}, {100, 5}, {300, 15}} {
+		t.Run(fmt.Sprintf("L%d", tc.L), func(t *testing.T) {
+			L, e := tc.L, tc.e
+			rng := rand.New(rand.NewSource(int64(L)))
+			genome := dna.RandomSeq(rng, 64*90+37) // not a multiple of 64 (nor 32)
+			lowerSome(rng, genome)
+			const nAt = 3_000
+			genome[nAt] = 'N'
+			last := len(genome) - L
+
+			var reads [][]byte
+			var cands []Candidate
+			// add names one read against its source window and a decoy.
+			add := func(pos int, read []byte) {
+				reads = append(reads, read)
+				id := int64(len(reads) - 1)
+				cands = append(cands, Candidate{ReadID: id, Pos: int64(pos)},
+					Candidate{ReadID: id, Pos: int64(rng.Intn(last + 1))})
+			}
+			mutated := func(pos int) []byte {
+				read := dna.MutateSubstitutions(rng, genome[pos:pos+L], rng.Intn(2*e+2))
+				lowerSome(rng, read)
+				return read
+			}
+			// Every phase of the window start inside a code word and an
+			// nMask word, clear of the N.
+			for phase := 0; phase < 64; phase++ {
+				add(640+phase, mutated(640+phase))
+			}
+			// Both ends of the reference.
+			add(0, mutated(0))
+			add(last, mutated(last))
+			// The N as the window's first base, its last, one before the
+			// window and one after it. The reads are N-free copies of clean
+			// sequence, so only the window decides.
+			for _, pos := range []int{nAt, nAt - L + 1, nAt + 1, nAt - L} {
+				add(pos, mutated(640))
+			}
+			// An N in the read, first and last base.
+			for _, at := range []int{0, L - 1} {
+				read := mutated(1_280)
+				read[at] = 'n'
+				add(1_280, read)
+			}
+
+			oracle := filter.NewKernel(filter.ModeGPU, L, e)
+			want := checkedOracle(oracle, genome, L, reads, cands, e)
+			var undefined, accepted, rejected int
+			for _, r := range want {
+				switch {
+				case r.Undefined:
+					undefined++
+				case r.Accept:
+					accepted++
+				default:
+					rejected++
+				}
+			}
+			// N window first/last (2) + both N reads with both candidates (4);
+			// a random decoy may add more.
+			if undefined < 6 || accepted == 0 || rejected == 0 {
+				t.Fatalf("table is not discriminating: %d undefined, %d accepted, %d rejected",
+					undefined, accepted, rejected)
+			}
+
+			for _, cores := range []int{1, 12} {
+				cpu, err := NewCPUEngine(L, e, cores, Setup1(), cuda.DefaultCostModel())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cpu.SetReference(genome); err != nil {
+					t.Fatal(err)
+				}
+				got, err := cpu.FilterCandidates(reads, cands, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResults(t, fmt.Sprintf("cores=%d vs FilterChecked", cores), cands, got, want)
+
+				// Exact estimates: the warm call above built every kernel this
+				// candidate count fans out to.
+				oracle.SetExactEstimate(true)
+				for _, k := range cpu.kernels {
+					k.SetExactEstimate(true)
+				}
+				got, err = cpu.FilterCandidates(reads, cands, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResults(t, fmt.Sprintf("cores=%d exact vs FilterChecked", cores), cands, got,
+					checkedOracle(oracle, genome, L, reads, cands, e))
+				oracle.SetExactEstimate(false)
+			}
+
+			gpu, err := NewEngine(Config{ReadLen: L, MaxE: e, MaxBatchPairs: 64},
+				cuda.NewUniformContext(2, cuda.GTX1080Ti()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gpu.Close()
+			if err := gpu.SetReference(genome); err != nil {
+				t.Fatal(err)
+			}
+			got, err := gpu.FilterCandidates(reads, cands, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, "Engine vs FilterChecked", cands, got, want)
+		})
+	}
+}
+
+// TestPackedCandidatesIdentityProperty is the randomized half: references of
+// arbitrary length with 'N's and lower case sprinkled in, candidates anywhere,
+// reads drawn from the reference (so 'N's arrive in reads too).
+func TestPackedCandidatesIdentityProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1313))
+	for iter := 0; iter < 60; iter++ {
+		L := []int{50, 100, 300}[iter%3]
+		e := L / 20
+		genome := dna.RandomSeq(rng, L+1+rng.Intn(3_000))
+		lowerSome(rng, genome)
+		for n := rng.Intn(4); n > 0; n-- {
+			genome[rng.Intn(len(genome))] = "Nn-"[rng.Intn(3)]
+		}
+		var reads [][]byte
+		var cands []Candidate
+		for i := 0; i < 40; i++ {
+			src := rng.Intn(len(genome) - L + 1)
+			reads = append(reads, dna.MutateSubstitutions(rng, genome[src:src+L], rng.Intn(2*e+2)))
+			for _, pos := range []int{src, rng.Intn(len(genome) - L + 1)} {
+				cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(pos)})
+			}
+		}
+		cpu, err := NewCPUEngine(L, e, 12, Setup1(), cuda.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.SetReference(genome); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cpu.FilterCandidates(reads, cands, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := checkedOracle(filter.NewKernel(filter.ModeGPU, L, e), genome, L, reads, cands, e)
+		requireSameResults(t, fmt.Sprintf("iter %d (L=%d, reference %d)", iter, L, len(genome)), cands, got, want)
+	}
+}
+
+// FuzzPackedReference checks the packed reference against the codec it
+// replaces a per-candidate call of, for any sequence, window and length:
+// hasN is dna.HasN of the window, and the extracted window is the encoding of
+// its bytes (an unknown base packs as code 0, which is 'A').
+func FuzzPackedReference(f *testing.F) {
+	f.Add([]byte("ACGTACGTNACGTacgtn"), uint(3), uint(8))
+	f.Add([]byte(strings.Repeat("ACGT", 40)+"N"+strings.Repeat("TTGA", 40)), uint(97), uint(64))
+	f.Add([]byte(strings.Repeat("G", 129)), uint(128), uint(1))
+	f.Fuzz(func(t *testing.T, raw []byte, pos, n uint) {
+		if len(raw) == 0 {
+			return
+		}
+		// Mostly bases (either case), now and then whatever byte came in.
+		seq := make([]byte, len(raw))
+		for i, b := range raw {
+			seq[i] = b
+			if b < 240 {
+				seq[i] = "ACGTacgt"[b%8]
+			}
+		}
+		L := 1 + int(n%uint(len(seq)))
+		start := int(pos % uint(len(seq)-L+1))
+		window := seq[start : start+L]
+
+		p := packReference(seq)
+		if p.length != len(seq) || len(p.words) != bitvec.EncodedWords(len(seq)) ||
+			len(p.nMask) != bitvec.MaskWords(len(seq)) {
+			t.Fatalf("packed %d bases as length %d, %d code words, %d mask words",
+				len(seq), p.length, len(p.words), len(p.nMask))
+		}
+		if got, want := p.hasN(int64(start), L), dna.HasN(window); got != want {
+			t.Fatalf("hasN(%d,%d) = %v, dna.HasN = %v (window %q)", start, L, got, want, window)
+		}
+		known := slices.Clone(window)
+		for i, b := range known {
+			if !dna.IsACGT(b) {
+				known[i] = 'A'
+			}
+		}
+		want := make([]uint64, dna.WordsFor(L))
+		if at := dna.TryEncodeInto(want, known); at >= 0 {
+			t.Fatalf("oracle window still holds an unknown base at %d", at)
+		}
+		got := make([]uint64, bitvec.EncodedWords(L))
+		bitvec.ExtractChars(got, p.words, start, L)
+		if !slices.Equal(got, want) {
+			t.Fatalf("extract(%d,%d) = %x, encoding of the window = %x (window %q)", start, L, got, want, window)
+		}
+	})
+}
+
+// TestSetReferenceRacesFilterCandidates is the regression for the reference
+// check made outside the engine's lock: with one goroutine swapping a long
+// and a short reference and others filtering windows only the long one has,
+// every call must either fail validation (the short reference was loaded) or
+// return the long reference's decisions — never index past the loaded
+// reference, which is what a check against the previous reference's length
+// allowed. Run under -race, which also flags the unlocked read itself.
+func TestSetReferenceRacesFilterCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	long := dna.RandomSeq(rng, 20_000)
+	short := long[:3_000]
+	var reads [][]byte
+	var cands []Candidate
+	for i := 0; i < 40; i++ {
+		pos := 10_000 + rng.Intn(9_900)
+		reads = append(reads, dna.MutateSubstitutions(rng, long[pos:pos+100], rng.Intn(10)))
+		cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(pos)})
+	}
+	want := checkedOracle(filter.NewKernel(filter.ModeGPU, 100, 5), long, 100, reads, cands, 5)
+
+	type engine interface {
+		SetReference(seq []byte) error
+		FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error)
+	}
+	for _, tc := range []struct {
+		name string
+		eng  engine
+	}{
+		{"gpu", newTestEngine(t, EncodeOnHost, 2)},
+		{"cpu", newTestCPUEngine(t, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.eng.SetReference(long); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						got, err := tc.eng.FilterCandidates(reads, cands, 5)
+						if err != nil {
+							if !strings.Contains(err.Error(), "outside reference") {
+								t.Errorf("FilterCandidates: %v", err)
+								return
+							}
+							continue
+						}
+						if !slices.Equal(got, want) {
+							t.Errorf("decisions drifted under reference reload")
+							return
+						}
+					}
+				}()
+			}
+			for i := 0; i < 150; i++ {
+				seq := long
+				if i%2 == 0 {
+					seq = short
+				}
+				if err := tc.eng.SetReference(seq); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,29 +26,110 @@ type Candidate struct {
 	Pos    int64
 }
 
-// reference is the per-engine encoded reference state.
-type reference struct {
+// packedRef is the encoded reference both engines filter against, built once
+// per SetReference (Section 3.5: the reference is encoded up front and every
+// filtration extracts its window by index): the bases as 2-bit codes, 32 per
+// word, plus one bit per base marking unknown base calls. At 0.375 B/base it
+// is what stays resident instead of the ASCII sequence.
+type packedRef struct {
 	length int
-	// nPositions are the sorted offsets of unknown base calls, recorded
-	// during encoding (Section 3.5): windows overlapping them bypass
-	// filtration as undefined.
-	nPositions []int64
-	// encoded reference words, one unified-memory copy per device.
+	// words holds the 2-bit codes (dna.Encode's layout); an unknown base
+	// encodes as 0 and is told apart by nMask alone.
+	words []uint64
+	// nMask has bit i%64 of word i/64 set when base i is not A/C/G/T
+	// (either case): windows overlapping one bypass filtration as undefined.
+	nMask []uint64
+}
+
+// packReference encodes seq in one parallel walk (multithreaded, as the
+// paper does with OpenMP). Worker chunks are cut on 64-base multiples — one
+// nMask word, two code words — so no two workers ever write the same word.
+func packReference(seq []byte) *packedRef {
+	words, maskWords := bitvec.EncodedWords(len(seq)), bitvec.MaskWords(len(seq))
+	p := &packedRef{length: len(seq), words: make([]uint64, words), nMask: make([]uint64, maskWords)}
+	workers := cuda.MaxWorkers(maskWords)
+	chunk := 2 * ((maskWords + workers - 1) / workers) // code words per worker
+	var wg sync.WaitGroup
+	for lo := 0; lo < words; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for wi := lo; wi < hi; wi++ {
+				codes, unknown := packWord(seq[wi*dna.BasesPerWord : min((wi+1)*dna.BasesPerWord, len(seq))])
+				p.words[wi] = codes
+				p.nMask[wi/2] |= unknown << uint(wi%2*dna.BasesPerWord)
+			}
+		}(lo, min(lo+chunk, words))
+	}
+	wg.Wait()
+	return p
+}
+
+// packWord encodes up to 32 bases into one code word and the bitmap of the
+// unknown ones among them.
+func packWord(bases []byte) (codes, unknown uint64) {
+	for i, b := range bases {
+		code, ok := dna.Code(b)
+		if !ok {
+			unknown |= 1 << uint(i)
+			continue
+		}
+		codes |= uint64(code) << uint(2*i)
+	}
+	return codes, unknown
+}
+
+// hasN reports whether the window [start, start+n) holds an unknown base:
+// the two end words of nMask masked to the window, the ones between whole.
+// The window must lie inside the reference with n > 0.
+//
+//gk:noalloc
+func (p *packedRef) hasN(start int64, n int) bool {
+	first, last := uint64(start), uint64(start)+uint64(n)-1
+	lo, hi := first/bitvec.CharsPerMaskWord, last/bitvec.CharsPerMaskWord
+	head := ^uint64(0) << (first % bitvec.CharsPerMaskWord)
+	tail := ^uint64(0) >> (bitvec.CharsPerMaskWord - 1 - last%bitvec.CharsPerMaskWord)
+	if lo == hi {
+		return p.nMask[lo]&head&tail != 0
+	}
+	acc := p.nMask[lo]&head | p.nMask[hi]&tail
+	for _, w := range p.nMask[lo+1 : hi] {
+		acc |= w
+	}
+	return acc != 0
+}
+
+// encodeReads packs each read once into its encWords-word slot of words —
+// "it is sufficient to copy a single read only once to GPU memory for its
+// multiple candidate reference segments" — and records in hasN whether the
+// read holds an unknown base (the encode walk doubles as the 'N' scan; such
+// a read's slot is garbage and never filtered).
+func encodeReads(words []uint64, hasN []bool, reads [][]byte, encWords int) {
+	for i, r := range reads {
+		hasN[i] = dna.TryEncodeInto(words[i*encWords:(i+1)*encWords], r) >= 0
+	}
+}
+
+// reference is the GPU engine's loaded reference: the packed form's length
+// and 'N' bitmap on the host, and its code words in unified memory, one copy
+// per device (the host-side words are dropped once the buffers are filled).
+type reference struct {
+	*packedRef
 	bufs []*cuda.UMBuffer
 }
 
-// SetReference encodes seq (multithreaded, as the paper does with OpenMP)
-// and loads it into every device's unified memory, recording 'N' locations.
-// It must be called before FilterCandidates and may be called again to
-// replace the reference; it waits for any in-progress filtering call or
-// active stream, so the old reference is never freed under a running kernel.
+// SetReference encodes seq and loads it into every device's unified memory,
+// keeping the 'N' bitmap on the host. It must be called before
+// FilterCandidates and may be called again to replace the reference; it
+// waits for any in-progress filtering call or active stream, so the old
+// reference is never freed under a running kernel.
 func (e *Engine) SetReference(seq []byte) error {
 	if len(seq) < e.cfg.ReadLen {
 		return fmt.Errorf("gkgpu: reference (%d) shorter than read length (%d)", len(seq), e.cfg.ReadLen)
 	}
-	// Replacing the reference must wait out running kernels; holding runMu
-	// across the parallel encode's wg.Wait is that waiting, by design.
-	//gk:allow lockcheck: runMu serializes reference replacement against running rounds and streams
+	// Packing touches no engine state, so it runs before runMu is taken;
+	// the swap itself waits under runMu for running rounds and streams.
+	ref := &reference{packedRef: packReference(seq)}
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	if len(e.states) == 0 {
@@ -57,61 +137,14 @@ func (e *Engine) SetReference(seq []byte) error {
 	}
 	e.clearReference()
 
-	words := bitvec.EncodedWords(len(seq))
-	encoded := make([]uint64, words)
-	var nMu sync.Mutex
-	var nPositions []int64
-
-	// Parallel encode: each worker packs a disjoint word range. 'N' (or any
-	// unknown byte) encodes as 0 and its position is recorded.
-	workers := cuda.MaxWorkers(words)
-	var wg sync.WaitGroup
-	chunk := (words + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= words {
-			break
-		}
-		hi := lo + chunk
-		if hi > words {
-			hi = words
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var local []int64
-			for wi := lo; wi < hi; wi++ {
-				var word uint64
-				base := wi * dna.BasesPerWord
-				for b := 0; b < dna.BasesPerWord && base+b < len(seq); b++ {
-					code, ok := dna.Code(seq[base+b])
-					if !ok {
-						local = append(local, int64(base+b))
-						continue
-					}
-					word |= uint64(code) << uint(2*b)
-				}
-				encoded[wi] = word
-			}
-			if len(local) > 0 {
-				nMu.Lock()
-				nPositions = append(nPositions, local...)
-				nMu.Unlock()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	sort.Slice(nPositions, func(i, j int) bool { return nPositions[i] < nPositions[j] })
-
-	ref := &reference{length: len(seq), nPositions: nPositions}
 	for _, st := range e.states {
-		buf, err := st.dev.AllocUnified(words * 8)
+		buf, err := st.dev.AllocUnified(len(ref.words) * 8)
 		if err != nil {
 			ref.free()
 			return fmt.Errorf("gkgpu: reference buffer: %w", allocFault(st.dev, err))
 		}
 		raw := buf.Bytes()
-		for i, v := range encoded {
+		for i, v := range ref.words {
 			binary.LittleEndian.PutUint64(raw[i*8:], v)
 		}
 		buf.HostWrite(0, len(raw))
@@ -119,6 +152,7 @@ func (e *Engine) SetReference(seq []byte) error {
 		buf.PrefetchAsync(st.sets[0].streams[1])
 		ref.bufs = append(ref.bufs, buf)
 	}
+	ref.words = nil // the unified-memory buffers are the engine's copy now
 	e.ref = ref
 	return nil
 }
@@ -138,21 +172,12 @@ func (r *reference) free() {
 	r.bufs = nil
 }
 
-// windowHasN reports whether [start, start+n) overlaps a recorded 'N'.
-func (r *reference) windowHasN(start int64, n int) bool {
-	i := sort.Search(len(r.nPositions), func(i int) bool { return r.nPositions[i] >= start })
-	return i < len(r.nPositions) && r.nPositions[i] < start+int64(n)
-}
-
 // FilterCandidates filters index-named candidates against the loaded
 // reference. Each distinct read is encoded and copied to the device once,
 // however many candidate locations it has; the kernel extracts each
 // reference segment from the encoded reference by index. Results are
 // returned in candidate order.
 func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
-	if e.ref == nil {
-		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
-	}
 	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
 	}
@@ -161,6 +186,19 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 		if len(r) != L {
 			return nil, fmt.Errorf("gkgpu: read %d has length %d; engine compiled for %d", i, len(r), L)
 		}
+	}
+	// As in FilterPairs, rounds run under runMu by design. The reference is
+	// checked under it too: SetReference frees and replaces e.ref under
+	// runMu, so a check made any earlier could pass against a reference that
+	// is gone (or of another length) by the time the round runs.
+	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
+	e.runMu.Lock()
+	defer e.runMu.Unlock()
+	if len(e.states) == 0 {
+		return nil, fmt.Errorf("gkgpu: engine is closed")
+	}
+	if e.ref == nil {
+		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
 	}
 	for i, c := range cands {
 		if c.ReadID < 0 || int(c.ReadID) >= len(reads) {
@@ -171,29 +209,13 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 				i, c.Pos, int(c.Pos)+L, e.ref.length)
 		}
 	}
-	// As in FilterPairs, rounds run under runMu by design.
-	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if len(e.states) == 0 {
-		return nil, fmt.Errorf("gkgpu: engine is closed")
-	}
 	wallStart := time.Now()
 
-	// Encode every read once ("it is sufficient to copy a single read only
-	// once to GPU memory for its multiple candidate reference segments").
+	// Encode every read once, whatever its number of candidate locations.
 	encWords := bitvec.EncodedWords(L)
 	readWords := make([]uint64, len(reads)*encWords)
 	readHasN := make([]bool, len(reads))
-	for i, r := range reads {
-		if dna.HasN(r) {
-			readHasN[i] = true
-			continue
-		}
-		if err := dna.EncodeInto(readWords[i*encWords:(i+1)*encWords], r); err != nil {
-			readHasN[i] = true
-		}
-	}
+	encodeReads(readWords, readHasN, reads, encWords)
 
 	results := make([]Result, len(cands))
 	roundCap := e.liveRoundCap()
@@ -339,7 +361,7 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 				// errors) and 'N'-touched candidates both flag undefined:
 				// the former defensively, the latter by design.
 				if len(c.Read) != L || c.Pos < 0 || int(c.Pos)+L > ref.length ||
-					ref.windowHasN(c.Pos, L) || dna.TryEncodeInto(words, c.Read) >= 0 {
+					ref.hasN(c.Pos, L) || dna.TryEncodeInto(words, c.Read) >= 0 {
 					flags[i] = 1
 					continue
 				}
@@ -421,7 +443,7 @@ func (e *Engine) runCandidateBatch(st *deviceState, devIdx int, chunk []Candidat
 	}
 	return st.dev.Launch(lc, n, func(worker, tid int) {
 		c := chunk[tid]
-		if readHasN[c.ReadID] || e.ref.windowHasN(c.Pos, L) {
+		if readHasN[c.ReadID] || e.ref.hasN(c.Pos, L) {
 			out[tid] = Result{Accept: true, Undefined: true}
 			return
 		}

@@ -1,9 +1,11 @@
 package gkgpu
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/cuda"
 	"repro/internal/dna"
 )
@@ -154,7 +156,8 @@ func TestSetReferenceReplacesAndCloses(t *testing.T) {
 func TestReferenceNRecording(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	genome := dna.RandomSeq(rng, 3_000)
-	for _, p := range []int{0, 777, 1_500, 2_999} {
+	nAt := []int{0, 777, 1_500, 2_999}
+	for _, p := range nAt {
 		genome[p] = 'N'
 	}
 	eng := newTestEngine(t, EncodeOnDevice, 1)
@@ -162,8 +165,25 @@ func TestReferenceNRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := eng.ref
-	if len(r.nPositions) != 4 {
-		t.Fatalf("recorded %d N positions, want 4", len(r.nPositions))
+	if r.length != len(genome) || len(r.nMask) != bitvec.MaskWords(len(genome)) {
+		t.Fatalf("packed %d bases in %d mask words, want %d in %d",
+			r.length, len(r.nMask), len(genome), bitvec.MaskWords(len(genome)))
+	}
+	if r.words != nil {
+		t.Fatal("GPU engine kept a host copy of the code words beside its unified-memory buffers")
+	}
+	// Exactly the four N bits are set, each at bit p%64 of word p/64.
+	set := 0
+	for _, w := range r.nMask {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(nAt) {
+		t.Fatalf("nMask has %d bits set, want %d", set, len(nAt))
+	}
+	for _, p := range nAt {
+		if !bitvec.Bit(r.nMask, p) {
+			t.Errorf("nMask bit %d not set", p)
+		}
 	}
 	for _, tc := range []struct {
 		start int64
@@ -171,8 +191,8 @@ func TestReferenceNRecording(t *testing.T) {
 	}{
 		{0, true}, {1, false}, {700, true}, {778, false}, {1_401, true}, {1_501, false}, {2_900, true},
 	} {
-		if got := r.windowHasN(tc.start, 100); got != tc.want {
-			t.Errorf("windowHasN(%d,100) = %v, want %v", tc.start, got, tc.want)
+		if got := r.hasN(tc.start, 100); got != tc.want {
+			t.Errorf("hasN(%d,100) = %v, want %v", tc.start, got, tc.want)
 		}
 	}
 }

@@ -19,8 +19,11 @@ var NoAllocRegistry = []string{
 	"repro/internal/filter.Kernel.maskPassPair",
 	"repro/internal/filter.Kernel.windowEstimate",
 	"repro/internal/filter.Kernel.countErrors",
+	"repro/internal/filter.Kernel.ReadLen",
 
 	// Bit-vector primitives the kernel leans on.
+	"repro/internal/bitvec.EncodedWords",
+	"repro/internal/bitvec.ExtractChars",
 	"repro/internal/bitvec.extractEven",
 	"repro/internal/bitvec.CollapsePair",
 	"repro/internal/bitvec.CountWindowsWord",
@@ -47,9 +50,11 @@ var NoAllocRegistry = []string{
 	"repro/internal/mapper.Reference.WindowContig",
 
 	// The CPU baseline's per-worker steady states: one claimed block of a
-	// pair batch or an index-named candidate batch on a persistent kernel.
+	// pair batch or an index-named candidate batch on a persistent kernel,
+	// and the packed reference's window 'N' test the candidate block runs.
 	"repro/internal/gkgpu.cpuFilterRange",
 	"repro/internal/gkgpu.cpuCandidateRange",
+	"repro/internal/gkgpu.packedRef.hasN",
 
 	// The streaming pipeline's steady-state per-batch accounting: runStream
 	// recycles batches through a pool, and these are the helpers that run

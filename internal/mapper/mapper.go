@@ -22,11 +22,12 @@ type PreFilter interface {
 }
 
 // CandidateFilter extends PreFilter with the paper's actual mrFAST
-// integration (Section 3.5): the encoded reference lives in unified memory
-// and candidates are named by (read, location) indices, so each read is
-// copied to the device once and the kernel extracts reference segments
-// itself. gkgpu.Engine implements it; the mapper uses this path whenever
-// available.
+// integration (Section 3.5): the filter holds the encoded reference (in
+// unified memory on the device engine) and candidates are named by (read,
+// location) indices, so each read is encoded and shipped once and the filter
+// extracts reference segments itself. Both gkgpu.Engine and gkgpu.CPUEngine
+// implement it; both mapper cores — MapReads and the streaming pipeline's
+// inline dispatcher — use this path whenever available.
 type CandidateFilter interface {
 	PreFilter
 	SetReference(seq []byte) error
@@ -408,6 +409,7 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 	var st Stats
 	var mappings []Mapping
 	totalStart := time.Now()
+	filterBefore := m.filterStats()
 	L := m.cfg.ReadLen
 	ref := m.idx.seq
 
@@ -461,44 +463,41 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 		}
 
 		// Preprocessing: fill the filtering buffers ("we fill the buffers
-		// with multiple reads and their candidate location indices").
-		prepStart := time.Now()
-		pairs := make([]gkgpu.Pair, len(cands))
-		for i, c := range cands {
-			pairs[i] = gkgpu.Pair{
-				Read: batch[c.query],
-				Ref:  ref[c.pos : int(c.pos)+L],
-			}
-		}
-		st.PreprocessSeconds += time.Since(prepStart).Seconds()
-
-		// Pre-alignment filtering: index-named when supported, otherwise
-		// over materialized pairs.
-		verdicts := make([]gkgpu.Result, len(pairs))
-		if m.candFilter != nil {
-			filtStart := time.Now()
+		// with multiple reads and their candidate location indices") — the
+		// (read, location) indices when the filter takes them, materialized
+		// pairs otherwise. Pre-alignment filtering then runs on whichever was
+		// filled; verdicts stays nil without a filter (every candidate goes
+		// to verification).
+		var verdicts []gkgpu.Result
+		var err error
+		switch {
+		case m.candFilter != nil:
+			prepStart := time.Now()
 			gcands := make([]gkgpu.Candidate, len(cands))
 			for i, c := range cands {
 				gcands[i] = gkgpu.Candidate{ReadID: int64(c.query), Pos: c.pos}
 			}
-			res, err := m.candFilter.FilterCandidates(batch, gcands, e)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
-			}
-			copy(verdicts, res)
-			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		} else if m.cfg.Filter != nil {
+			st.PreprocessSeconds += time.Since(prepStart).Seconds()
 			filtStart := time.Now()
-			res, err := m.cfg.Filter.FilterPairs(pairs, e)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
-			}
-			copy(verdicts, res)
+			verdicts, err = m.candFilter.FilterCandidates(batch, gcands, e)
 			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		} else {
-			for i := range verdicts {
-				verdicts[i].Accept = true
+		case m.cfg.Filter != nil:
+			prepStart := time.Now()
+			pairs := make([]gkgpu.Pair, len(cands))
+			for i, c := range cands {
+				pairs[i] = gkgpu.Pair{Read: batch[c.query], Ref: ref[c.pos : int(c.pos)+L]}
 			}
+			st.PreprocessSeconds += time.Since(prepStart).Seconds()
+			filtStart := time.Now()
+			verdicts, err = m.cfg.Filter.FilterPairs(pairs, e)
+			st.FilterWallSeconds += time.Since(filtStart).Seconds()
+		}
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
+		}
+		if verdicts != nil && len(verdicts) != len(cands) {
+			return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter returned %d results for %d candidates",
+				len(verdicts), len(cands))
 		}
 
 		// Verification: thresholded edit distance for surviving pairs, fanned
@@ -517,7 +516,7 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			v := &verifiers[w]
 			prepared := -1
 			for i := lo; i < hi; i++ {
-				if !verdicts[i].Accept {
+				if verdicts != nil && !verdicts[i].Accept {
 					continue
 				}
 				c := cands[i]
@@ -526,14 +525,15 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 					prepared = c.query
 				}
 				q := queries[c.query]
+				window := ref[c.pos : int(c.pos)+L]
 				ci, rel := m.ref.Locate(int(c.pos))
 				if m.cfg.Traceback {
-					if al, ok := v.Align(pairs[i].Ref, e); ok {
+					if al, ok := v.Align(window, e); ok {
 						slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
 							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
 						kept[i] = true
 					}
-				} else if d, ok := v.Distance(pairs[i].Ref, e); ok {
+				} else if d, ok := v.Distance(window, e); ok {
 					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
 						Distance: d, Reverse: q.reverse}
 					kept[i] = true
@@ -541,12 +541,14 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			}
 		})
 		for i := range cands {
-			if !verdicts[i].Accept {
-				st.RejectedPairs++
-				continue
-			}
-			if verdicts[i].Undefined {
-				st.UndefinedPairs++
+			if verdicts != nil {
+				if !verdicts[i].Accept {
+					st.RejectedPairs++
+					continue
+				}
+				if verdicts[i].Undefined {
+					st.UndefinedPairs++
+				}
 			}
 			st.VerificationPairs++
 			if kept[i] {
@@ -561,17 +563,27 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 	st.Mappings = int64(len(mappings))
 	st.MappedReads = countMappedReads(mappings)
 	st.Reads = int64(len(reads))
-	if eng, ok := m.cfg.Filter.(*gkgpu.Engine); ok {
-		st.FilterKernelModel = eng.Stats().KernelSeconds
-		st.FilterModelSeconds = eng.Stats().FilterSeconds
-		st.FilterPrepModel = eng.Stats().HostPrepSeconds
-	}
-	if eng, ok := m.cfg.Filter.(*gkgpu.CPUEngine); ok {
-		st.FilterKernelModel = eng.Stats().KernelSeconds
-		st.FilterModelSeconds = eng.Stats().FilterSeconds
-	}
+	st.setFilterModel(filterBefore, m.filterStats())
 	st.TotalSeconds = time.Since(totalStart).Seconds()
 	return mappings, st, nil
+}
+
+// filterStats snapshots the configured filter's accumulated measurements —
+// both engines keep them; a filter that does not reads as zero.
+func (m *Mapper) filterStats() gkgpu.Stats {
+	if f, ok := m.cfg.Filter.(interface{ Stats() gkgpu.Stats }); ok {
+		return f.Stats()
+	}
+	return gkgpu.Stats{}
+}
+
+// setFilterModel reports the modelled filter clocks of one run: what the
+// filter's lifetime counters gained between the run's two snapshots, so a
+// mapper (or an engine) used for several runs reports each run's own share.
+func (st *Stats) setFilterModel(before, after gkgpu.Stats) {
+	st.FilterKernelModel = after.KernelSeconds - before.KernelSeconds
+	st.FilterModelSeconds = after.FilterSeconds - before.FilterSeconds
+	st.FilterPrepModel = after.HostPrepSeconds - before.HostPrepSeconds
 }
 
 // sortMappings puts a mapping list into the mapper's canonical report order:

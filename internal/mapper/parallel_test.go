@@ -1,6 +1,9 @@
 package mapper
 
 import (
+	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cuda"
@@ -129,5 +132,151 @@ func TestMapReadsUsesCandidatePathOnCPUEngine(t *testing.T) {
 	}
 	if stCPU.RejectedPairs != stGPU.RejectedPairs || stCPU.UndefinedPairs != stGPU.UndefinedPairs {
 		t.Fatalf("filter counters diverge: CPU %+v, GPU %+v", stCPU, stGPU)
+	}
+}
+
+// simulatedSeqs draws n Illumina-like 100 bp reads from g.
+func simulatedSeqs(t *testing.T, g []byte, n int) [][]byte {
+	t.Helper()
+	reads, err := simdata.SimulateReads(g, simdata.Illumina100, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]byte, len(reads))
+	for i, r := range reads {
+		seqs[i] = r.Seq
+	}
+	return seqs
+}
+
+// countingCPUFilter is a CPUEngine that counts which of its two filtering
+// entry points the mapper calls.
+type countingCPUFilter struct {
+	*gkgpu.CPUEngine
+	candCalls, pairCalls atomic.Int64
+}
+
+func (f *countingCPUFilter) FilterPairs(pairs []gkgpu.Pair, e int) ([]gkgpu.Result, error) {
+	f.pairCalls.Add(1)
+	return f.CPUEngine.FilterPairs(pairs, e)
+}
+
+func (f *countingCPUFilter) FilterCandidates(reads [][]byte, cands []gkgpu.Candidate, e int) ([]gkgpu.Result, error) {
+	f.candCalls.Add(1)
+	return f.CPUEngine.FilterCandidates(reads, cands, e)
+}
+
+// TestMapStreamUsesCandidatePathOnCPUEngine is the streaming twin: the inline
+// dispatcher must hand a CPUEngine each seeded read through FilterCandidates
+// — never materialized pairs through FilterPairs — from both MapStream and
+// MapReadStream, with mappings byte-identical to MapReads on the same engine
+// and to the no-filter run, whatever the pool width.
+func TestMapStreamUsesCandidatePathOnCPUEngine(t *testing.T) {
+	g := testGenome(150_000)
+	seqs := simulatedSeqs(t, g, 120)
+	base := Config{ReadLen: 100, MaxE: 5, BothStrands: true}
+	plain, err := New(g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, err := plain.MapReads(seqs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		eng, err := gkgpu.NewCPUEngine(100, 5, 12, gkgpu.Setup1(), cuda.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &countingCPUFilter{CPUEngine: eng}
+		cfg := base
+		cfg.Filter, cfg.StreamWorkers = f, workers
+		m, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name string
+			do   func() ([]Mapping, Stats, error)
+		}{
+			{"MapReads", func() ([]Mapping, Stats, error) { return m.MapReads(seqs, 5) }},
+			{"MapStream", func() ([]Mapping, Stats, error) { return m.MapStream(seqs, 5) }},
+			{"MapReadStream", func() ([]Mapping, Stats, error) { return m.MapReadStream(feedReads(seqs), 5) }},
+		} {
+			label := fmt.Sprintf("%s workers=%d", run.name, workers)
+			f.candCalls.Store(0)
+			got, st, err := run.do()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if f.pairCalls.Load() != 0 || f.candCalls.Load() == 0 {
+				t.Fatalf("%s: %d FilterPairs calls, %d FilterCandidates calls; want 0 and > 0",
+					label, f.pairCalls.Load(), f.candCalls.Load())
+			}
+			mustEqualMappings(t, got, want, label)
+			if st.CandidatePairs != wantSt.CandidatePairs || st.RejectedPairs == 0 ||
+				st.RejectedPairs+st.VerificationPairs != st.CandidatePairs {
+				t.Fatalf("%s: counters %+v against no-filter %+v", label, st, wantSt)
+			}
+		}
+	}
+}
+
+// TestFilterModelIsPerRun: a run's modelled filter clocks are what that run
+// added to the engine's lifetime counters, on both mapper cores and both
+// engine types — a second run on the same mapper reports the same figures,
+// not the running total.
+func TestFilterModelIsPerRun(t *testing.T) {
+	g := testGenome(150_000)
+	seqs := simulatedSeqs(t, g, 80)
+	cpuEng, err := gkgpu.NewCPUEngine(100, 5, 12, gkgpu.Setup1(), cuda.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpuEng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5}, cuda.NewUniformContext(1, cuda.GTX1080Ti()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gpuEng.Close()
+	for _, tc := range []struct {
+		name   string
+		filter PreFilter
+		stream bool
+	}{
+		{"cpu/MapReads", cpuEng, false},
+		{"gpu/MapReads", gpuEng, false},
+		// One worker keeps the per-read calls, and so the float sums, in one
+		// order. (The device stream's batch cuts follow the wall clock, so
+		// its modelled clocks are not repeatable run to run.)
+		{"cpu/MapStream", cpuEng, true},
+	} {
+		m, err := New(g, Config{ReadLen: 100, MaxE: 5, Filter: tc.filter, StreamWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]Stats
+		for i := range runs {
+			if tc.stream {
+				_, runs[i], err = m.MapStream(seqs, 5)
+			} else {
+				_, runs[i], err = m.MapReads(seqs, 5)
+			}
+			if err != nil {
+				t.Fatalf("%s run %d: %v", tc.name, i, err)
+			}
+		}
+		// Equal up to the rounding of (total after) - (total before).
+		same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(a) }
+		a, b := runs[0], runs[1]
+		if a.FilterKernelModel <= 0 || a.FilterModelSeconds <= 0 {
+			t.Fatalf("%s: first run reports no modelled filter time: %+v", tc.name, a)
+		}
+		if !same(a.FilterKernelModel, b.FilterKernelModel) || !same(a.FilterModelSeconds, b.FilterModelSeconds) ||
+			!same(a.FilterPrepModel, b.FilterPrepModel) {
+			t.Fatalf("%s: modelled clocks differ between two identical runs:\n first %g/%g/%g\nsecond %g/%g/%g",
+				tc.name, a.FilterKernelModel, a.FilterModelSeconds, a.FilterPrepModel,
+				b.FilterKernelModel, b.FilterModelSeconds, b.FilterPrepModel)
+		}
 	}
 }

@@ -106,7 +106,9 @@ type verifyJob struct {
 // candidate stream (CandidateStreamFilter, gkgpu.Engine's path — reads ship
 // to the device once per candidate, reference windows stay device-resident),
 // a materialized-pair stream (PairStreamFilter), an inline one-shot filter
-// (any other PreFilter, called per seeded read), or no filter at all.
+// (anything else, called per seeded read: FilterCandidates when the filter
+// has the index-named path, as gkgpu.CPUEngine does, FilterPairs otherwise),
+// or no filter at all.
 // Config.StreamWorkers sizes the seeding and verification pools.
 func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<- streamQuery) error) ([]Mapping, Stats, error) {
 	if e > m.cfg.MaxE {
@@ -130,10 +132,7 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 		pairSF = sf
 	}
 
-	var engBefore gkgpu.Stats
-	if eng, ok := m.cfg.Filter.(*gkgpu.Engine); ok {
-		engBefore = eng.Stats()
-	}
+	filterBefore := m.filterStats()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -321,10 +320,16 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 	} else {
 		// Inline filter (or none): one dispatcher filters each seeded read's
 		// candidates in place — the filter stage still overlaps seeding and
-		// verification, just without the device pipeline.
+		// verification, just without the device pipeline. A filter with the
+		// index-named path takes the read once with its candidate locations
+		// (the same call MapReads makes, one read per call); any other gets
+		// materialized pairs.
 		go func() {
 			defer close(dispatchDone)
 			defer close(verifyJobs)
+			// The call's argument slices, reused: the filter keeps neither.
+			var gcands []gkgpu.Candidate
+			one := make([][]byte, 1)
 			for s := range seededCh {
 				if len(s.cands) == 0 {
 					continue
@@ -332,20 +337,32 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 				candCount.Add(int64(len(s.cands)))
 				var verdicts []gkgpu.Result
 				if m.cfg.Filter != nil {
-					pairs := make([]gkgpu.Pair, len(s.cands))
-					for i, pos := range s.cands {
-						pairs[i] = gkgpu.Pair{Read: s.q.seq, Ref: ref[pos : int(pos)+L]}
-					}
+					var ferr error
 					t0 := time.Now()
-					res, ferr := m.cfg.Filter.FilterPairs(pairs, e)
+					if m.candFilter != nil {
+						gcands = gcands[:0]
+						for _, pos := range s.cands {
+							gcands = append(gcands, gkgpu.Candidate{Pos: pos})
+						}
+						one[0] = s.q.seq
+						verdicts, ferr = m.candFilter.FilterCandidates(one, gcands, e)
+					} else {
+						pairs := make([]gkgpu.Pair, len(s.cands))
+						for i, pos := range s.cands {
+							pairs[i] = gkgpu.Pair{Read: s.q.seq, Ref: ref[pos : int(pos)+L]}
+						}
+						verdicts, ferr = m.cfg.Filter.FilterPairs(pairs, e)
+					}
 					timeMu.Lock()
 					inlineFilterBusy += time.Since(t0).Seconds()
 					timeMu.Unlock()
+					if ferr == nil && len(verdicts) != len(s.cands) {
+						ferr = fmt.Errorf("%d results for %d candidates", len(verdicts), len(s.cands))
+					}
 					if ferr != nil {
 						fail(fmt.Errorf("mapper: pre-alignment filter: %w", ferr))
 						return
 					}
-					verdicts = res
 				}
 				for i, pos := range s.cands {
 					j := verifyJob{q: s.q, pos: pos}
@@ -389,16 +406,12 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 	st.SeedSeconds = seedBusy
 	st.VerifySeconds = verifyBusy
 	st.FilterWallSeconds = inlineFilterBusy
-	if eng, ok := m.cfg.Filter.(*gkgpu.Engine); ok {
-		d := eng.Stats()
-		st.FilterKernelModel = d.KernelSeconds - engBefore.KernelSeconds
-		st.FilterModelSeconds = d.FilterSeconds - engBefore.FilterSeconds
-		st.FilterPrepModel = d.HostPrepSeconds - engBefore.HostPrepSeconds
-		if out != nil {
-			// The stream's open wall overlaps the other stages; report it as
-			// the filter's wall without adding it to the stage decomposition.
-			st.FilterWallSeconds = d.WallSeconds - engBefore.WallSeconds
-		}
+	filterAfter := m.filterStats()
+	st.setFilterModel(filterBefore, filterAfter)
+	if out != nil {
+		// The stream's open wall overlaps the other stages; report it as
+		// the filter's wall without adding it to the stage decomposition.
+		st.FilterWallSeconds = filterAfter.WallSeconds - filterBefore.WallSeconds
 	}
 	st.TotalSeconds = time.Since(totalStart).Seconds()
 	st.PipelineWallSeconds = st.TotalSeconds
