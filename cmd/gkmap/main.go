@@ -15,14 +15,17 @@
 // incrementally (dna.FASTQScanner) and validates a uniform read length, R2
 // included.
 //
-// With -stream, reads map through the channel-fed streaming pipeline
-// (Mapper.MapReadStream / MapPairStream) as they are decoded — the read set
-// is never materialized unless -sam needs the sequences back for output —
-// and the pipeline-overlap accounting is reported. With -paired, mate pairs
-// (synthesized FR pairs under -sim, or -reads-file plus -reads2) map
-// through the streaming pipeline and concordant pairs are resolved against
-// the insert window; when no -insert-min/-max is given the window is
-// estimated from a sample of confidently mapped pairs; giving just one of
+// Every mode runs the mapper's one slab core: -batch reads are seeded
+// together, filtered in one call and verified together. -stream selects
+// channel-fed ingestion (Mapper.MapReadStream / MapPairStream): reads enter
+// the mapper as they are decoded, the next slab is collected while the
+// current one maps, and the read set is never materialized unless -sam
+// needs the sequences back for output. Without it the reads are collected
+// first (Mapper.MapReads / MapPairs). With -paired, mate pairs (synthesized
+// FR pairs under -sim, or -reads-file plus -reads2; file mode is always
+// channel-fed) map as interleaved mates and concordant pairs are resolved
+// against the insert window; when no -insert-min/-max is given the window
+// is estimated from a sample of confidently mapped pairs; giving just one of
 // -insert-min/-insert-max pins that bound and estimates the other. -sam
 // writes single-end records, or standard paired records (flags,
 // RNEXT/PNEXT/TLEN) under -paired, with QNAMEs taken from the FASTQ input.
@@ -43,10 +46,10 @@
 // -seedstep bookkeeping can drift between indexing and mapping.
 //
 // -fault-rate/-fault-seed/-fault-die inject deterministic faults into the
-// simulated GPUs (gpu prefilter only): the streaming engine retries,
-// quarantines dying devices and redispatches their work, so the output is
-// bit-identical while any device survives; with none left the run exits
-// non-zero with the classified fault taxonomy. -sam always writes through a
+// simulated GPUs (gpu prefilter only): in every mode the engine retries,
+// quarantines dying devices and re-runs their work on the survivors, so the
+// output is bit-identical while any device survives; with none left the run
+// exits non-zero with the classified fault taxonomy. -sam always writes through a
 // temp file in the destination directory renamed into place on success, so
 // no failure mode leaves a truncated .sam behind.
 package main
@@ -80,14 +83,14 @@ func main() {
 		preFilter = flag.String("prefilter", "gpu", "pre-alignment filter: gpu, cpu, or none")
 		encoding  = flag.String("encoding", "device", "encoding actor for the GPU engine: device or host")
 		nGPUs     = flag.Int("gpus", 1, "simulated GPU count")
-		batch     = flag.Int("batch", 100_000, "max reads per filtering batch")
+		batch     = flag.Int("batch", 100_000, "reads per slab: seeded together, filtered in one call, verified together")
 		samOut    = flag.String("sam", "", "write mappings as SAM to this file (paired records under -paired)")
 		strands   = flag.Bool("both-strands", false, "also map reverse complements")
 		seed      = flag.Int64("seed", 42, "simulation seed")
-		stream    = flag.Bool("stream", false, "map through the channel-fed streaming pipeline")
-		paired    = flag.Bool("paired", false, "paired-end mapping through the streaming pipeline")
+		stream    = flag.Bool("stream", false, "channel-fed ingestion: reads enter the mapper as they are decoded")
+		paired    = flag.Bool("paired", false, "paired-end mapping")
 		reads2    = flag.String("reads2", "", "mate FASTQ for -paired (when not -sim)")
-		workers   = flag.Int("workers", 0, "streaming worker pools size (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "seeding/verification fan-out width (0 = GOMAXPROCS)")
 		insMean   = flag.Int("insert-mean", 400, "simulated mean fragment length (-paired -sim only; never a window default)")
 		insStd    = flag.Int("insert-std", 40, "simulated fragment length std dev (-paired -sim only; never a window default)")
 		insMin    = flag.Int("insert-min", 0, "insert window minimum (0 = estimate this bound from the data)")
@@ -205,10 +208,10 @@ func main() {
 		}
 		defer eng.Close()
 		// Fault plans attach after the engine's own buffer allocation so a
-		// chaos run exercises the streaming retry/redispatch machinery, not
-		// startup. Streams survive (bit-identically) while a device remains;
-		// otherwise the run exits non-zero with the classified taxonomy
-		// error and -sam leaves no partial file behind.
+		// chaos run exercises the retry/quarantine/re-run machinery, not
+		// startup. A run survives (bit-identically) while a device remains;
+		// otherwise it exits non-zero with the classified taxonomy error
+		// and -sam leaves no partial file behind.
 		injectFaults(cctx, *faultRate, *faultSeed, *seed, *faultDie)
 		cfg.Filter = eng
 	case "cpu":
@@ -237,7 +240,7 @@ func main() {
 
 	// -sam needs the sequences (and names) back at output time, so the
 	// channel-fed paths retain them while feeding; without it nothing is
-	// kept and the pipeline's peak memory is its in-flight work.
+	// kept and the mapper holds at most two slabs of reads.
 	retain := *samOut != ""
 	// The insert window passes straight through: a zero bound means
 	// "estimate this bound from confidently mapped pairs" (both zero
@@ -256,7 +259,7 @@ func main() {
 	switch {
 	case *paired && (*stream || fileMode):
 		// Channel-fed paired mapping; file mode decodes both FASTQs in
-		// lockstep as the pipeline consumes them.
+		// lockstep as the mapper consumes them.
 		ch := make(chan mapper.PairRead, 256)
 		feedErr := make(chan error, 1)
 		go func() {
@@ -356,8 +359,8 @@ func main() {
 		}
 	}
 	if *showMet {
-		// The process-wide hot-path counters: one line, so the parallel
-		// pipeline's actual work volume is observable next to the stats.
+		// The process-wide hot-path counters: one line, so the actual work
+		// volume is observable next to the stats.
 		fmt.Printf("metrics:             filtrations=%d seed_lookups=%d contig_locates=%d\n",
 			metrics.Filtrations.Load(), metrics.SeedLookups.Load(), metrics.ContigLocates.Load())
 	}
@@ -366,10 +369,6 @@ func main() {
 	fmt.Printf("filter kernel model: %.4fs\n", st.FilterKernelModel)
 	fmt.Printf("verification:        %.3fs\n", st.VerifySeconds)
 	fmt.Printf("total:               %.3fs\n", st.TotalSeconds)
-	if st.PipelineWallSeconds > 0 {
-		fmt.Printf("pipeline wall:       %.3fs (stage seconds %.3fs, overlap hidden %.3fs)\n",
-			st.PipelineWallSeconds, st.StageSeconds(), st.OverlapSeconds())
-	}
 	if *paired {
 		var insSum int64
 		for _, pm := range resolved {

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/align"
@@ -519,4 +520,33 @@ func TestEstimateTracksEditDistanceLoosely(t *testing.T) {
 			t.Fatal("negative estimate")
 		}
 	}
+}
+
+// TestGateKeeperWrapperConcurrent is the -race regression for the formerly
+// unguarded gateKeeper kernel cache: many goroutines hammer ONE wrapper with
+// mixed read lengths (growing the length-keyed cache) and growing thresholds
+// (forcing GrowMaxE on cached kernels) at once.
+func TestGateKeeperWrapperConcurrent(t *testing.T) {
+	g := NewGateKeeperGPU()
+	lengths := []int{33, 64, 100, 150, 250}
+	var wg sync.WaitGroup
+	for worker := 0; worker < 8; worker++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for iter := 0; iter < 40; iter++ {
+				L := lengths[iter%len(lengths)]
+				e := 1 + iter%12 // climbs past earlier maxE values → GrowMaxE
+				read := dna.RandomSeq(rng, L)
+				if d := g.Filter(read, read, e); !d.Accept || d.Estimate != 0 {
+					t.Errorf("identical pair (L=%d e=%d) rejected: %+v", L, e, d)
+					return
+				}
+				far := dna.RandomSeq(rng, L)
+				g.Filter(read, far, e)
+			}
+		}(int64(worker))
+	}
+	wg.Wait()
 }

@@ -625,8 +625,7 @@ func (k *Kernel) FilterChecked(read, ref []byte, e int) (Decision, error) {
 // The wrapper is safe for concurrent use: a mutex guards the cache map, the
 // in-place GrowMaxE, and the kernel itself (a Kernel is a per-thread stack
 // frame, so filtrations through one wrapper serialize). It is the
-// convenience path — hot loops should hold a Kernel per worker directly, or
-// fan out through a BatchFilter, which builds one wrapper per worker.
+// convenience path — hot loops should hold a Kernel per worker directly.
 type gateKeeper struct {
 	mode    Mode
 	name    string
@@ -651,7 +650,7 @@ func (g *gateKeeper) SetExactEstimate(exact bool) {
 // NewGateKeeperGPU returns the improved GateKeeper filter of the paper.
 // The returned Filter is safe for concurrent use, but filtrations through
 // one instance serialize on its internal mutex; machine-width callers
-// should hold a Kernel per worker, or use a BatchFilter.
+// should hold a Kernel per worker.
 func NewGateKeeperGPU() Filter {
 	return &gateKeeper{mode: ModeGPU, name: "GateKeeper-GPU", kernels: map[int]*Kernel{}}
 }

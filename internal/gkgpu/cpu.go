@@ -12,10 +12,10 @@ import (
 	"repro/internal/filter"
 )
 
-// cpuGrain is how many pairs a CPU worker claims per scheduling step, the
-// same granularity trade-off as filter.BatchFilter: rare enough cursor
-// traffic to stay off the shared cache line, fine enough that an uneven
-// pair (early-sealed accept vs exhaustive reject) cannot strand a tail.
+// cpuGrain is how many pairs a CPU worker claims per scheduling step: rare
+// enough cursor traffic to stay off the shared cache line, fine enough that
+// an uneven pair (early-sealed accept vs exhaustive reject) cannot strand a
+// tail.
 const cpuGrain = 64
 
 // CPUEngine is the GateKeeper-CPU baseline of Section 4.3: the same improved
@@ -82,13 +82,22 @@ func (c *CPUEngine) workersFor(n int) int {
 	return workers
 }
 
-// runWidth fans out over [0, n) with dynamic grain-sized claiming: workers
-// pull the next block off a shared cursor, so a block of early-sealed
-// accepts doesn't leave its worker idle while another grinds through
-// exhaustive rejects. Worker w runs body with its own index, which names its
-// private persistent kernel and window buffer.
-func (c *CPUEngine) runWidth(workers, n int, body func(w, lo, hi int)) {
-	if workers == 1 {
+// ParallelFor runs body over [0, n) across workers goroutines, each claiming
+// grain-sized blocks off a shared cursor, so a block of early-sealed accepts
+// doesn't leave its worker idle while another grinds through exhaustive
+// rejects. It is the one host-side fan-out: the CPU engine's filtering and
+// the mapper's seeding and verification all run on it. Channel-free by
+// design — the block fully determines its worker's writes, so indexed
+// slices are the only shared state: body must touch only its [lo, hi) slots.
+// w names the calling worker, in [0, workers), so a body can keep per-worker
+// scratch. No more workers start than there are blocks to claim; one worker
+// runs inline.
+func ParallelFor(workers, n, grain int, body func(w, lo, hi int)) {
+	if n == 0 {
+		return
+	}
+	workers = min(workers, (n+grain-1)/grain)
+	if workers <= 1 {
 		body(0, 0, n)
 		return
 	}
@@ -99,8 +108,8 @@ func (c *CPUEngine) runWidth(workers, n int, body func(w, lo, hi int)) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				hi := int(cursor.Add(cpuGrain))
-				lo := hi - cpuGrain
+				hi := int(cursor.Add(int64(grain)))
+				lo := hi - grain
 				if lo >= n {
 					return
 				}
@@ -126,7 +135,7 @@ func (c *CPUEngine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error
 	defer c.mu.Unlock()
 	start := time.Now()
 	workers := c.workersFor(len(pairs))
-	c.runWidth(workers, len(pairs), func(w, lo, hi int) {
+	ParallelFor(workers, len(pairs), cpuGrain, func(w, lo, hi int) {
 		cpuFilterRange(c.kernels[w], pairs[lo:hi], results[lo:hi], errThreshold)
 	})
 
@@ -210,7 +219,7 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 	c.readHasN = slices.Grow(c.readHasN[:0], len(reads))[:len(reads)]
 	encodeReads(c.readWords, c.readHasN, reads, encWords)
 	workers := c.workersFor(len(cands))
-	c.runWidth(workers, len(cands), func(w, lo, hi int) {
+	ParallelFor(workers, len(cands), cpuGrain, func(w, lo, hi int) {
 		cpuCandidateRange(c.kernels[w], c.ref, c.windows[w], c.readWords, c.readHasN,
 			cands[lo:hi], results[lo:hi], errThreshold)
 	})

@@ -448,11 +448,11 @@ func (e *Engine) liveRoundCap() int {
 	return cap
 }
 
-// classifyRoundErrs resolves a one-shot round's per-device errors: the first
-// failure is wrapped in the taxonomy, and a lost device is quarantined so
-// later calls re-weight onto the survivors. The one-shot paths do not retry —
-// the round already failed and the caller holds its inputs; FilterStream is
-// the fault-tolerant path.
+// classifyRoundErrs resolves a FilterPairs round's per-device errors: the
+// first failure is wrapped in the taxonomy, and a lost device is quarantined
+// so later calls re-weight onto the survivors. FilterPairs does not retry —
+// the round already failed and the caller holds its inputs; FilterStream and
+// FilterCandidates are the fault-tolerant paths.
 func (e *Engine) classifyRoundErrs(errs []error) error {
 	for di, err := range errs {
 		if err == nil {

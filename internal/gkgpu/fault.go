@@ -81,7 +81,14 @@ func errAllQuarantined() error {
 	return fmt.Errorf("%w: every device is quarantined", ErrDeviceLost)
 }
 
-// FaultPolicy tunes how the streaming engine reacts to device failures.
+// abortedBy wraps the fault that left a stream or a FilterCandidates call
+// with no device to run on: errors.Is matches ErrStreamAborted and the
+// fault's kind, errors.As recovers the DeviceFault.
+func abortedBy(fault error) error {
+	return fmt.Errorf("%w: %w", ErrStreamAborted, fault)
+}
+
+// FaultPolicy tunes how the engine reacts to device failures.
 // The zero value takes the defaults below.
 type FaultPolicy struct {
 	// MaxAttempts is how many times one batch is tried on one device before

@@ -404,3 +404,158 @@ func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
 		t.Fatalf("DevicesLost = %d, want 1", s.DevicesLost)
 	}
 }
+
+// newFaultCandidateEngine builds a multi-device engine with a loaded
+// reference for the one-shot index-named path, small enough batches that a
+// few thousand candidates take several rounds (so several launches per
+// device), and hands back the cuda context for fault-plan attachment.
+func newFaultCandidateEngine(t *testing.T, nDev int, refSeq []byte, pol FaultPolicy) (*Engine, *cuda.Context) {
+	t.Helper()
+	ctx := cuda.NewUniformContext(nDev, cuda.GTX1080Ti())
+	eng, err := NewEngine(Config{ReadLen: 100, MaxE: 5, Encoding: EncodeOnHost,
+		MaxBatchPairs: 256, Fault: pol}, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	if err := eng.SetReference(refSeq); err != nil {
+		t.Fatal(err)
+	}
+	return eng, ctx
+}
+
+// faultCandidates draws reads off the reference (some mutated past the
+// threshold so both verdicts occur) and n candidate locations for them.
+func faultCandidates(rng *rand.Rand, refSeq []byte, nReads, n int) ([][]byte, []Candidate) {
+	reads := make([][]byte, nReads)
+	home := make([]int, nReads)
+	for i := range reads {
+		home[i] = rng.Intn(len(refSeq) - 100)
+		reads[i] = dna.MutateSubstitutions(rng, refSeq[home[i]:home[i]+100], rng.Intn(12))
+	}
+	cands := make([]Candidate, n)
+	for i := range cands {
+		r := rng.Intn(nReads)
+		pos := home[r]
+		if i%3 == 0 {
+			pos = rng.Intn(len(refSeq) - 100)
+		}
+		cands[i] = Candidate{ReadID: int64(r), Pos: int64(pos)}
+	}
+	return reads, cands
+}
+
+func TestFilterCandidatesRecoversUnderSeededFaults(t *testing.T) {
+	// The one-shot index-named path carries the stream's degradation
+	// contract: seeded launch and transfer faults on every device plus one
+	// device dying mid-call change no result and no decision counter; the
+	// damage shows only in Retries/Redispatches/DevicesLost.
+	rng := rand.New(rand.NewSource(81))
+	refSeq := dna.RandomSeq(rng, 16384)
+	reads, cands := faultCandidates(rng, refSeq, 64, 3000)
+
+	for _, nDev := range []int{2, 3} {
+		clean, _ := newFaultCandidateEngine(t, nDev, refSeq, FaultPolicy{})
+		want, err := clean.FilterCandidates(reads, cands, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := decisionsOf(clean.Stats()); d.rejected == 0 || d.accepted == 0 {
+			t.Fatalf("workload has one-sided verdicts: %+v", d)
+		}
+
+		eng, cctx := newFaultCandidateEngine(t, nDev, refSeq, FaultPolicy{Backoff: 20 * time.Microsecond})
+		for i := 0; i < nDev; i++ {
+			// Seeds under which no device draws MaxAttempts faults in a row
+			// (that quarantines too, by policy, and is the next test's case).
+			plan := cuda.NewFaultPlan(int64(100*nDev+i)).
+				WithRate(cuda.OpLaunch, 0.10).
+				WithRate(cuda.OpTransfer, 0.05)
+			if i == nDev-1 {
+				plan.DieAtLaunch(3)
+			}
+			cctx.Device(i).InjectFaults(plan)
+		}
+		got, err := eng.FilterCandidates(reads, cands, 5)
+		if err != nil {
+			t.Fatalf("%d devices: chaos became terminal with survivors: %v", nDev, err)
+		}
+		requireIdentical(t, want, got, "faulted FilterCandidates")
+		s := eng.Stats()
+		if d := decisionsOf(s); d != decisionsOf(clean.Stats()) {
+			t.Fatalf("%d devices: decision stats diverged: %+v vs %+v", nDev, d, decisionsOf(clean.Stats()))
+		}
+		if s.DevicesLost != 1 || s.Retries == 0 || s.Redispatches == 0 {
+			t.Fatalf("%d devices: recovery not counted: %+v", nDev, s)
+		}
+		if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != nDev-1 {
+			t.Fatalf("%d devices: QuarantinedDevices = %v, want [%d]", nDev, q, nDev-1)
+		}
+		// The quarantine outlives the call: the next one runs on the
+		// survivors alone and answers identically.
+		again, err := eng.FilterCandidates(reads, cands, 5)
+		if err != nil {
+			t.Fatalf("%d devices: post-quarantine call: %v", nDev, err)
+		}
+		requireIdentical(t, want, again, "post-quarantine FilterCandidates")
+	}
+}
+
+func TestFilterCandidatesQuarantinesRepeatOffender(t *testing.T) {
+	// MaxAttempts 1 means no retry: one transient launch fault exhausts the
+	// device's attempts, quarantines it, and its share re-runs on the other.
+	rng := rand.New(rand.NewSource(82))
+	refSeq := dna.RandomSeq(rng, 8192)
+	reads, cands := faultCandidates(rng, refSeq, 32, 400)
+
+	clean, _ := newFaultCandidateEngine(t, 2, refSeq, FaultPolicy{})
+	want, err := clean.FilterCandidates(reads, cands, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, cctx := newFaultCandidateEngine(t, 2, refSeq, FaultPolicy{MaxAttempts: 1})
+	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).FailNth(cuda.OpLaunch, 1))
+	got, err := eng.FilterCandidates(reads, cands, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, want, got, "FilterCandidates after a quarantine")
+	s := eng.Stats()
+	if s.DevicesLost != 1 || s.Retries != 0 || s.Redispatches != 1 {
+		t.Fatalf("transient fault at MaxAttempts 1: %+v, want 1 lost, 0 retries, 1 redispatch", s)
+	}
+	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("QuarantinedDevices = %v, want [0]", q)
+	}
+}
+
+func TestFilterCandidatesAllDevicesDead(t *testing.T) {
+	// With no device left the call fails exactly as a dead stream does — the
+	// first classified fault under ErrStreamAborted — commits no decisions,
+	// and later calls fail fast.
+	rng := rand.New(rand.NewSource(83))
+	refSeq := dna.RandomSeq(rng, 8192)
+	reads, cands := faultCandidates(rng, refSeq, 32, 2000)
+
+	eng, cctx := newFaultCandidateEngine(t, 2, refSeq, FaultPolicy{Backoff: 20 * time.Microsecond})
+	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).DieAtLaunch(2))
+	cctx.Device(1).InjectFaults(cuda.NewFaultPlan(2).DieAtLaunch(3))
+	_, err := eng.FilterCandidates(reads, cands, 5)
+	if !errors.Is(err, ErrStreamAborted) || !errors.Is(err, ErrDeviceLost) || !errors.Is(err, cuda.ErrDeviceLost) {
+		t.Fatalf("terminal error lacks taxonomy: %v", err)
+	}
+	var df *DeviceFault
+	if !errors.As(err, &df) || df.Kind != ErrDeviceLost || df.Device != 0 {
+		t.Fatalf("first classified fault not exposed: %v (%+v)", err, df)
+	}
+	if s := eng.Stats(); s.DevicesLost != 2 || s.Pairs != 0 {
+		t.Fatalf("dead call's stats: %+v, want 2 devices lost and no decisions", s)
+	}
+	_, err = eng.FilterCandidates(reads, cands, 5)
+	if !errors.Is(err, ErrStreamAborted) || !errors.Is(err, ErrDeviceLost) {
+		t.Fatalf("all-quarantined FilterCandidates: %v", err)
+	}
+	if s := eng.Stats(); s.DevicesLost != 2 {
+		t.Fatalf("fail-fast call counted a quarantine: %+v", s)
+	}
+}

@@ -117,8 +117,9 @@ type Config struct {
 	// smallest per-device batch capacity are clamped to it.
 	StreamBatchPairs int
 
-	// Fault tunes the streaming engine's retry/quarantine reaction to device
-	// failures; the zero value takes the documented defaults.
+	// Fault tunes the retry/quarantine reaction of the streams and of
+	// FilterCandidates to device failures; the zero value takes the
+	// documented defaults.
 	Fault FaultPolicy
 }
 

@@ -177,6 +177,14 @@ func (r *reference) free() {
 // however many candidate locations it has; the kernel extracts each
 // reference segment from the encoded reference by index. Results are
 // returned in candidate order.
+//
+// The call is fault tolerant in the way a stream is: each device's launch
+// runs under Config.Fault (launchWithRetry — bounded, backed-off retries, then
+// quarantine), and a round that lost a device re-runs on the survivors.
+// Results are a pure function of the candidates, so a re-run is bit-identical
+// and the damage shows only in Stats.Retries/Redispatches/DevicesLost. When no
+// device survives the call fails like a dead stream: the first classified
+// DeviceFault wrapped in ErrStreamAborted, and later calls fail fast.
 func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
 	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
@@ -218,21 +226,26 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 	encodeReads(readWords, readHasN, reads, encWords)
 
 	results := make([]Result, len(cands))
-	roundCap := e.liveRoundCap()
-	if roundCap == 0 && len(cands) > 0 {
-		return nil, errAllQuarantined()
-	}
 
-	// As in FilterPairs, round stats and device telemetry accumulate locally
-	// and commit only after the per-device error check.
-	var acc Stats
+	// Decisions, clocks and device telemetry accumulate locally and commit
+	// only when the call succeeds; the fault counters commit either way, as a
+	// dead stream's do.
+	var acc, faults Stats
 	var records []kernelRecord
+	var firstFault error
 
-	for off := 0; off < len(cands); off += roundCap {
-		end := off + roundCap
-		if end > len(cands) {
-			end = len(cands)
+	for off := 0; off < len(cands); {
+		// The round is cut against the devices live now, so a re-run after a
+		// quarantine fits the survivors.
+		roundCap := e.liveRoundCap()
+		if roundCap == 0 {
+			if firstFault == nil { // every device was quarantined before this call
+				firstFault = errAllQuarantined()
+			}
+			e.commitStats(faults)
+			return nil, abortedBy(firstFault)
 		}
+		end := min(off+roundCap, len(cands))
 		round := cands[off:end]
 		// Timing model: the index path ships encoded reads only (the
 		// reference is already device-resident), i.e. the host-encoded
@@ -240,7 +253,12 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 		w := cuda.Workload{Pairs: len(round), ReadLen: L, E: errThreshold, DeviceEncoded: false}
 		shares := e.roundShares(len(round), w)
 		var wg sync.WaitGroup
-		errs := make([]error, len(e.states))
+		type outcome struct {
+			retries int64
+			lost    bool // this launch quarantined the device
+			err     error
+		}
+		outcomes := make([]outcome, len(e.states))
 		lo := 0
 		for di, st := range e.states {
 			if shares[di] == 0 {
@@ -250,19 +268,37 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 			wg.Add(1)
 			go func(di int, st *deviceState, chunk []Candidate, out []Result) {
 				defer wg.Done()
-				errs[di] = e.runCandidateBatch(st, di, chunk, readWords, readHasN, errThreshold, out)
+				o := &outcomes[di]
+				o.retries, o.lost, o.err = e.launchWithRetry(context.Background(), st, -1, func() error {
+					return e.runCandidateBatch(st, di, chunk, readWords, readHasN, errThreshold, out)
+				})
 			}(di, st, round[lo:hi], results[off+lo:off+hi])
 			lo = hi
 		}
 		wg.Wait()
-		if err := e.classifyRoundErrs(errs); err != nil {
-			return nil, err
+		failed := false
+		for _, o := range outcomes {
+			faults.Retries += o.retries
+			if o.lost {
+				faults.DevicesLost++
+			}
+			if o.err != nil {
+				faults.Redispatches++
+				failed = true
+				if firstFault == nil {
+					firstFault = o.err
+				}
+			}
+		}
+		if failed {
+			continue // the same candidates again, on whoever is left
 		}
 		rc := e.modelRound(shares, w)
 		acc.KernelSeconds += rc.kernel
 		acc.FilterSeconds += rc.filter
 		acc.Batches++
 		records = append(records, rc.records...)
+		off = end
 	}
 
 	acc.countDecisions(results)
@@ -270,6 +306,7 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 	for _, r := range records {
 		r.dev.RecordKernel(r.kt, r.util)
 	}
+	acc.add(faults)
 	e.commitStats(acc)
 	return results, nil
 }

@@ -191,7 +191,7 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 		return
 	}
 	if e.liveStates() == 0 {
-		e.setStreamErr(fmt.Errorf("%w: %w: every device is quarantined", ErrStreamAborted, ErrDeviceLost))
+		e.setStreamErr(abortedBy(errAllQuarantined()))
 		drainInput(in)
 		return
 	}
@@ -298,7 +298,7 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 					continue
 				}
 				if !failed && ctx.Err() == nil {
-					tally.err = fmt.Errorf("%w: %w", ErrStreamAborted, b.err)
+					tally.err = abortedBy(b.err)
 					failed = true
 					//gk:allow chanlife: the failed flag above makes this close once-only; the guard is a boolean the flow analysis cannot track
 					close(aborted)
@@ -517,7 +517,9 @@ func streamWorker[T any](e *Engine, ctx context.Context, di int, st *deviceState
 		defer close(launcherDone)
 		for wk := range ready {
 			b := wk.b
-			b.err = launchWithRetry(e, ctx, st, di, wk.set, b, errThreshold, ops)
+			b.retries, b.quarantined, b.err = e.launchWithRetry(ctx, st, b.seq, func() error {
+				return ops.launch(st, di, wk.set, b.items, errThreshold, b.res)
+			})
 			if b.err == nil {
 				tallyBatch(e, st, di, b, ops.workload(len(b.items), errThreshold))
 			}
@@ -539,46 +541,44 @@ func streamWorker[T any](e *Engine, ctx context.Context, di int, st *deviceState
 	<-launcherDone
 }
 
-// launchWithRetry runs one batch's launch stage under the engine's fault
-// policy: transient failures retry on the same buffer set with doubling,
-// capped, ctx-interruptible backoff (the encode is still in the buffers, and
-// an injected fault fires before any kernel thread runs, so a retry
-// reproduces the batch exactly). A lost device, exhausted attempts, or
-// cancellation ends the loop with the classified fault; the first two also
-// quarantine the device, marking the batch so the collector counts the
-// quarantine event exactly once.
-func launchWithRetry[T any](e *Engine, ctx context.Context, st *deviceState, di int,
-	set *bufferSet, b *streamBatch[T], errThreshold int, ops streamOps[T]) error {
+// launchWithRetry runs one launch stage (a stream batch's, or one device's
+// share of a FilterCandidates round; batch is the DeviceFault's batch number)
+// under the engine's fault policy: transient failures retry with doubling,
+// capped, ctx-interruptible backoff (the inputs are still in place, and an
+// injected fault fires before any kernel thread runs, so a retry reproduces
+// the launch exactly). A lost device, exhausted attempts, or cancellation
+// ends the loop with the classified fault; the first two also quarantine the
+// device. It reports the retries made and whether this call was the one that
+// quarantined the device, so the caller counts the event exactly once.
+func (e *Engine) launchWithRetry(ctx context.Context, st *deviceState, batch int,
+	launch func() error) (retries int64, quarantined bool, err error) {
 
 	pol := e.cfg.Fault
 	backoff := pol.Backoff
 	for attempt := 1; ; attempt++ {
 		if st.down.Load() {
-			return classifyFault(st.dev.ID, b.seq, attempt-1, cuda.ErrDeviceLost)
+			return retries, false, classifyFault(st.dev.ID, batch, attempt-1, cuda.ErrDeviceLost)
 		}
-		err := ops.launch(st, di, set, b.items, errThreshold, b.res)
+		err := launch()
 		if err == nil {
-			return nil
+			return retries, false, nil
 		}
-		fault := classifyFault(st.dev.ID, b.seq, attempt, err)
+		fault := classifyFault(st.dev.ID, batch, attempt, err)
 		if lost := errors.Is(err, cuda.ErrDeviceLost); lost || attempt >= pol.MaxAttempts {
-			if st.down.CompareAndSwap(false, true) {
-				b.quarantined = true
-			}
-			return fault
+			return retries, st.down.CompareAndSwap(false, true), fault
 		}
 		if ctx.Err() != nil {
 			// Cancelled mid-batch: no quarantine — the fault was transient
 			// and the stream is winding down anyway.
-			return fault
+			return retries, false, fault
 		}
-		b.retries++
+		retries++
 		t := time.NewTimer(backoff)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return fault
+			return retries, false, fault
 		}
 		backoff *= 2
 		if backoff > pol.MaxBackoff {

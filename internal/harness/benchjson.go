@@ -147,42 +147,6 @@ func RunBenchJSON(dir, label string, out io.Writer) (string, error) {
 		rep.Kernels = append(rep.Kernels, entry("kernel-ref32-"+g.name[6:], rr, len(pairs)))
 	}
 
-	// Batch front end: aggregate machine-width throughput on the Figure 4
-	// set3 L100/e5 configuration, at one worker and at GOMAXPROCS. The w1
-	// row isolates the front end's scheduling overhead against the plain
-	// kernel row above; the wN row is what the machine can actually do.
-	{
-		p, err := simdata.Set("set3")
-		if err != nil {
-			return "", err
-		}
-		all := simdata.ToEnginePairs(simdata.Generate(p, 42, 1000))
-		// Same N-dropped workload as the kernel-fused-L100-e5 row, so the w1
-		// row divides cleanly against it.
-		pairs := make([]filter.BatchPair, 0, len(all))
-		for _, pr := range all {
-			if !dna.HasN(pr.Read) && !dna.HasN(pr.Ref) {
-				pairs = append(pairs, filter.BatchPair{Read: pr.Read, Ref: pr.Ref})
-			}
-		}
-		widths := []int{1}
-		if w := runtime.GOMAXPROCS(0); w > 1 {
-			widths = append(widths, w)
-		}
-		for _, w := range widths {
-			bf := filter.NewBatchFilter(filter.NewGateKeeperGPU, w)
-			dst := make([]filter.Decision, len(pairs))
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					bf.FilterBatchInto(dst, pairs, 5)
-				}
-			})
-			rep.Kernels = append(rep.Kernels,
-				entry(fmt.Sprintf("batch-fused-L100-e5-w%d", w), r, len(pairs)))
-		}
-	}
-
 	// Pre-encoded path (what the engine's launch stage runs).
 	{
 		p, err := simdata.Set("set3")

@@ -20,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5", "fig5-he100", "fig5-le150", "fig5-he150", "fig5-le250", "fig5-he250",
 		"fig6", "fig6-150", "fig6-250", "fig7", "fig8", "figs12",
 		"tables24", "tables25", "tables26", "occupancy", "ablation", "fig2",
-		"pipeline", "mapstream", "streamingest", "multicontig", "genomescale",
+		"pipeline", "streamingest", "multicontig", "genomescale",
 		"chaos",
 	}
 	ids := IDs()
@@ -103,19 +103,6 @@ func TestPipelineExperimentRuns(t *testing.T) {
 	for _, want := range []string{"speedup", "one-shot", "byte-identical"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("pipeline output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestMapStreamExperimentRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run("mapstream", tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"one-shot MapReads", "streaming MapStream", "byte-identical", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("mapstream output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestMapReadStreamFASTQMidStreamIOError(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = reads[i].Seq
 	}
-	want, _, err := m.MapStream(seqs, 5)
+	want, _, err := m.MapReads(seqs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +196,44 @@ func TestMapReadsPropagatesOneShotFaultTaxonomy(t *testing.T) {
 	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).Kill())
 	if _, _, err := m.MapReads(seqs, 5); !errors.Is(err, gkgpu.ErrDeviceLost) {
 		t.Fatalf("one-shot path lost the taxonomy: %v", err)
+	}
+}
+
+func TestMapReadStreamSurvivesDeviceDeath(t *testing.T) {
+	// Device-fault recovery lives in the engine's FilterCandidates, so every
+	// entry point has it: a channel-fed run of several slabs, one of its two
+	// devices dying at its second slab, maps exactly what a fault-free run
+	// maps, and the loss shows only in the engine's fault counters.
+	g := testGenome(60_000)
+	seqs := simulatedSeqs(t, g, 60)
+	run := func(plan *cuda.FaultPlan) ([]Mapping, Stats, gkgpu.Stats) {
+		cctx := cuda.NewUniformContext(2, cuda.GTX1080Ti())
+		eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048}, cctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		m, err := New(g, Config{ReadLen: 100, MaxE: 5, Filter: eng, MaxReadsPerBatch: 12, StreamWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx.Device(1).InjectFaults(plan)
+		mappings, st, err := m.MapReadStream(feedReads(seqs), 5)
+		if err != nil {
+			t.Fatalf("run with a surviving device failed: %v", err)
+		}
+		return mappings, st, eng.Stats()
+	}
+	want, wantSt, clean := run(nil)
+	got, gotSt, faulted := run(cuda.NewFaultPlan(1).DieAtLaunch(2))
+	if clean.Batches < 4 {
+		t.Fatalf("only %d filtering rounds; the death would not land mid-run", clean.Batches)
+	}
+	mustEqualMappings(t, got, want, "mappings after a device death")
+	if !sameCounters(gotSt, wantSt) {
+		t.Fatalf("counters drifted:\n got %+v\nwant %+v", gotSt, wantSt)
+	}
+	if faulted.DevicesLost != 1 || faulted.Redispatches == 0 {
+		t.Fatalf("device death not counted: %+v", faulted)
 	}
 }

@@ -13,23 +13,18 @@
 // are rejected unless wholly inside one contig, and reported Mappings carry
 // contig-relative coordinates.
 //
-// Two execution paths are offered, mirroring package gkgpu's split.
-// Mapper.MapReads is the paper's one-shot pipeline: synchronized phases in
-// which a batch of reads is seeded, its candidates are filtered in one
-// round, and the survivors are verified, with each phase's wall clock
-// reported separately (the accounting of Section 4.5). Mapper.MapStream is
-// the throughput-oriented extension: a pool of seeding workers feeds
-// candidates into the filter's streaming path — preferring the index-named
-// candidate stream (gkgpu.Engine.FilterCandidateStream), where reference
-// windows stay in device-resident unified memory — while a verification
-// pool consumes accepted candidates concurrently, so seeding, filtering,
-// and verification overlap instead of running back to back. Decisions and
-// output are byte-identical between the two paths; only the schedule (and
-// the wall clock, reported via Stats.PipelineWallSeconds against
-// Stats.StageSeconds) differs. Mapper.MapPairs builds paired-end mapping on
-// top of the streaming path: both mates of an FR library map in one
-// streaming pass and concordant pairs are resolved against an insert-size
-// window, with concordance restricted to same-contig mates.
+// There is one execution path, the paper's slab-batched pipeline (Section
+// 3.5, Table 1): Config.MaxReadsPerBatch reads are seeded together, their
+// candidates are filtered in one PreFilter.FilterCandidates call, and the
+// survivors are verified, with each stage's wall clock reported separately
+// (the accounting of Section 4.5). Mapper.MapReads and Mapper.MapPairs cut a
+// materialized read set into those slabs; Mapper.MapReadStream and
+// Mapper.MapPairStream cut a channel of records into the same slabs as they
+// arrive, collecting the next slab while the current one maps. Output is
+// byte-identical across the four and for any slab size or worker width.
+// Paired-end mapping maps both mates of an FR library as interleaved reads
+// and resolves concordant pairs against an insert-size window, with
+// concordance restricted to same-contig mates.
 package mapper
 
 import (

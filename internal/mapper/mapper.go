@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/align"
@@ -15,21 +13,13 @@ import (
 )
 
 // PreFilter is the pre-alignment filtering hook between seeding and
-// verification. Both gkgpu.Engine (the GPU path) and gkgpu.CPUEngine satisfy
-// it; a nil PreFilter reproduces the paper's "No Filter" rows.
+// verification, in the shape of the paper's mrFAST integration (Section
+// 3.5): the filter holds the encoded reference (in unified memory on the
+// device engine) and candidates are named by (read, location) indices, so
+// each read is encoded and shipped once and the filter extracts reference
+// segments itself. Both gkgpu.Engine (the GPU path) and gkgpu.CPUEngine
+// satisfy it; a nil PreFilter reproduces the paper's "No Filter" rows.
 type PreFilter interface {
-	FilterPairs(pairs []gkgpu.Pair, errThreshold int) ([]gkgpu.Result, error)
-}
-
-// CandidateFilter extends PreFilter with the paper's actual mrFAST
-// integration (Section 3.5): the filter holds the encoded reference (in
-// unified memory on the device engine) and candidates are named by (read,
-// location) indices, so each read is encoded and shipped once and the filter
-// extracts reference segments itself. Both gkgpu.Engine and gkgpu.CPUEngine
-// implement it; both mapper cores — MapReads and the streaming pipeline's
-// inline dispatcher — use this path whenever available.
-type CandidateFilter interface {
-	PreFilter
 	SetReference(seq []byte) error
 	FilterCandidates(reads [][]byte, cands []gkgpu.Candidate, errThreshold int) ([]gkgpu.Result, error)
 }
@@ -47,8 +37,13 @@ type Config struct {
 	// unstepped mapper). Must leave the probe span inside the read:
 	// SeedStep <= ReadLen-SeedLen+1.
 	SeedStep int
-	// MaxReadsPerBatch is the number of reads whose candidates are batched
-	// into one filtering round (Table 1; the paper finds 100,000 best).
+	// MaxReadsPerBatch is the slab size: the number of reads seeded together,
+	// filtered in one FilterCandidates call and verified together (Table 1;
+	// the paper finds 100,000 best). Every entry point cuts its input into
+	// these slabs — a mate pair is never split, so a paired slab holds half
+	// as many pairs — and the channel-fed ones hold at most two slabs of
+	// reads (one mapping, one arriving). Output does not depend on it. Zero
+	// means 100,000.
 	MaxReadsPerBatch int
 	Filter           PreFilter
 	// Traceback makes verification produce CIGAR strings for SAM output at
@@ -57,9 +52,9 @@ type Config struct {
 	// BothStrands also maps the reverse complement of every read, as real
 	// short read mappers do; reverse-strand mappings carry Reverse=true.
 	BothStrands bool
-	// StreamWorkers sizes the seeding and verification worker pools — the
-	// streaming pipeline's stage pools and the one-shot MapReads fan-out
-	// alike. Zero uses GOMAXPROCS.
+	// StreamWorkers is the width of the seeding and verification fan-out
+	// inside a slab, on every entry point. Output does not depend on it.
+	// Zero uses GOMAXPROCS.
 	StreamWorkers int
 }
 
@@ -108,14 +103,7 @@ type Stats struct {
 	FilterModelSeconds float64 // modelled end-to-end filter seconds
 	FilterPrepModel    float64 // modelled host encode/fill seconds
 	VerifySeconds      float64 // wall: edit-distance verification
-	TotalSeconds       float64
-
-	// Streaming-pipeline metrics, populated by MapStream and MapPairs only.
-	// On the streaming path SeedSeconds and VerifySeconds are aggregate
-	// worker-busy seconds (the stage cost, summed across the pools) rather
-	// than wall time, and PipelineWallSeconds is the single wall clock the
-	// overlapped seed → filter → verify pipeline actually took.
-	PipelineWallSeconds float64
+	TotalSeconds       float64 // wall: the whole run, a channel-fed one's waits for input included
 
 	// Paired-end accounting, populated by MapPairs and MapPairStream only.
 	ReadPairs       int64 // input mate pairs
@@ -131,34 +119,6 @@ type Stats struct {
 	InsertSampledPairs int64   // confident pairs behind the estimate
 }
 
-// StageSeconds is the modelled serial cost of the pipeline: what seeding,
-// filtering, and verification would take end to end with no overlap. On the
-// one-shot path it is simply how the run decomposed; on the streaming path
-// comparing it against PipelineWallSeconds measures the overlap won.
-func (s Stats) StageSeconds() float64 {
-	if s.PipelineWallSeconds > 0 {
-		// Streaming path: FilterWallSeconds is the wall the filter stream
-		// stayed open, which overlaps the other stages (and includes time
-		// spent waiting on producers); the filter's serial-equivalent cost
-		// is the modelled end-to-end filter time.
-		return s.SeedSeconds + s.FilterModelSeconds + s.VerifySeconds
-	}
-	return s.SeedSeconds + s.FilterWallSeconds + s.VerifySeconds
-}
-
-// OverlapSeconds is the stage time the streaming pipeline hid by running
-// seeding, filtering, and verification concurrently (zero on the one-shot
-// path, where PipelineWallSeconds is not populated).
-func (s Stats) OverlapSeconds() float64 {
-	if s.PipelineWallSeconds <= 0 {
-		return 0
-	}
-	if d := s.StageSeconds() - s.PipelineWallSeconds; d > 0 {
-		return d
-	}
-	return 0
-}
-
 // Reduction returns the fraction of candidate mappings the filter removed —
 // the headline quantity of Tables 3 and S.24-S.26.
 func (s Stats) Reduction() float64 {
@@ -171,10 +131,9 @@ func (s Stats) Reduction() float64 {
 // Mapper maps fixed-length reads against an indexed (multi-contig)
 // reference.
 type Mapper struct {
-	cfg        Config
-	ref        *Reference
-	idx        *Index
-	candFilter CandidateFilter // non-nil when cfg.Filter supports the index path
+	cfg Config
+	ref *Reference
+	idx *Index
 }
 
 // New builds a mapper over one flat reference sequence, treated as a single
@@ -210,18 +169,16 @@ func NewFromReference(ref *Reference, cfg Config) (*Mapper, error) {
 }
 
 // newMapperWithIndex is the tail of NewFromReference, shared with
-// NewFromSerializedIndex: wrap an already-built (or loaded) index and wire
-// the optional candidate filter. cfg must already be validated and idx must
-// index ref with cfg's seed geometry.
+// NewFromSerializedIndex: wrap an already-built (or loaded) index and load
+// the reference into the filter, if any. cfg must already be validated and
+// idx must index ref with cfg's seed geometry.
 func newMapperWithIndex(ref *Reference, cfg Config, idx *Index) (*Mapper, error) {
-	m := &Mapper{cfg: cfg, ref: ref, idx: idx}
-	if cf, ok := cfg.Filter.(CandidateFilter); ok {
-		if err := cf.SetReference(ref.Seq()); err != nil {
+	if cfg.Filter != nil {
+		if err := cfg.Filter.SetReference(ref.Seq()); err != nil {
 			return nil, fmt.Errorf("mapper: loading reference into filter: %w", err)
 		}
-		m.candFilter = cf
 	}
-	return m, nil
+	return &Mapper{cfg: cfg, ref: ref, idx: idx}, nil
 }
 
 // NewFromSerializedIndex builds a Mapper from a reference plus a GKIX index
@@ -337,235 +294,208 @@ func (m *Mapper) candidates(read []byte, e int) []int64 {
 	return dedup
 }
 
-// workerCount resolves the configured pool width against the machine and the
-// work available.
-func (m *Mapper) workerCount(n int) int {
-	w := m.cfg.StreamWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// workers resolves the configured fan-out width against the machine.
+func (m *Mapper) workers() int {
+	if w := m.cfg.StreamWorkers; w > 0 {
+		return w
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
-// parallelFor runs body over [0, n) across workers goroutines, each claiming
-// grain-sized blocks off a shared cursor (the same dynamic schedule as the
-// batch filter front end, and channel-free by design: the block index fully
-// determines each worker's writes, so indexed slices are the only shared
-// state). body must touch only its [lo, hi) slots; w names the calling
-// worker, in [0, workers), so a body can keep per-worker scratch.
-func parallelFor(workers, n, grain int, body func(w, lo, hi int)) {
-	if n == 0 {
-		return
+// query is one oriented sequence to map: a read, or its reverse complement
+// under Config.BothStrands. It carries its own read id and strand, so a slab
+// of queries needs no table beside it.
+type query struct {
+	readID  int
+	reverse bool
+	seq     []byte
+}
+
+// orient appends the queries of one read to qs: the sequence as given, then
+// its reverse complement under Config.BothStrands.
+func (m *Mapper) orient(qs []query, readID int, seq []byte) []query {
+	qs = append(qs, query{readID: readID, seq: seq})
+	if m.cfg.BothStrands {
+		qs = append(qs, query{readID: readID, reverse: true, seq: dna.ReverseComplement(seq)})
 	}
-	if workers == 1 || n <= grain {
-		body(0, 0, n)
-		return
+	return qs
+}
+
+// slabCand is one candidate of a slab. A slab's candidates are in query
+// order, so a worker verifying a block of them prepares each query's masks
+// once.
+type slabCand struct {
+	query int // index into the slab's queries
+	pos   int64
+}
+
+// mapSlab is the mapper's one seeding → filter → verify core, the paper's
+// slab-batched mrFAST integration: every query of the slab is seeded, the
+// slab's candidates go through the pre-alignment filter in one
+// FilterCandidates call, and the survivors are verified. Seeding and
+// verification fan out over the worker pool (the engines parallelize
+// filtering internally) into per-query and per-candidate slots, so the
+// mappings appended to out — in candidate order — are the serial walk's for
+// any pool width. Stage walls and counters accumulate into st. verifiers
+// holds one align.Verifier per pool worker and is reused across slabs.
+func (m *Mapper) mapSlab(queries []query, e int, verifiers []align.Verifier, out []Mapping, st *Stats) ([]Mapping, error) {
+	L := m.cfg.ReadLen
+	ref := m.idx.seq
+
+	seedStart := time.Now()
+	perQuery := make([][]int64, len(queries))
+	gkgpu.ParallelFor(len(verifiers), len(queries), 8, func(_, lo, hi int) {
+		for qi := lo; qi < hi; qi++ {
+			perQuery[qi] = m.candidates(queries[qi].seq, e)
+		}
+	})
+	var cands []slabCand
+	for qi := range perQuery {
+		for _, pos := range perQuery[qi] {
+			cands = append(cands, slabCand{query: qi, pos: pos})
+		}
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				hi := int(cursor.Add(int64(grain)))
-				lo := hi - grain
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
+	st.SeedSeconds += time.Since(seedStart).Seconds()
+	st.CandidatePairs += int64(len(cands))
+	if len(cands) == 0 {
+		return out, nil
+	}
+
+	// Preprocessing fills the filtering buffers ("we fill the buffers with
+	// multiple reads and their candidate location indices"); verdicts stays
+	// nil without a filter, and every candidate goes to verification.
+	var verdicts []gkgpu.Result
+	if m.cfg.Filter != nil {
+		prepStart := time.Now()
+		seqs := make([][]byte, len(queries))
+		for qi := range queries {
+			seqs[qi] = queries[qi].seq
+		}
+		gcands := make([]gkgpu.Candidate, len(cands))
+		for i, c := range cands {
+			gcands[i] = gkgpu.Candidate{ReadID: int64(c.query), Pos: c.pos}
+		}
+		st.PreprocessSeconds += time.Since(prepStart).Seconds()
+		filtStart := time.Now()
+		var err error
+		verdicts, err = m.cfg.Filter.FilterCandidates(seqs, gcands, e)
+		st.FilterWallSeconds += time.Since(filtStart).Seconds()
+		if err != nil {
+			return nil, fmt.Errorf("mapper: pre-alignment filter: %w", err)
+		}
+		if len(verdicts) != len(cands) {
+			return nil, fmt.Errorf("mapper: pre-alignment filter returned %d results for %d candidates",
+				len(verdicts), len(cands))
+		}
+	}
+
+	// Verification: thresholded edit distance for surviving candidates, into
+	// per-candidate slots; the serial pass below tallies stats and appends
+	// the kept mappings in candidate order.
+	verifyStart := time.Now()
+	slots := make([]Mapping, len(cands))
+	kept := make([]bool, len(cands))
+	gkgpu.ParallelFor(len(verifiers), len(cands), 32, func(w, lo, hi int) {
+		v := &verifiers[w]
+		prepared := -1
+		for i := lo; i < hi; i++ {
+			if verdicts != nil && !verdicts[i].Accept {
+				continue
 			}
-		}(w)
+			c := cands[i]
+			q := queries[c.query]
+			if c.query != prepared {
+				v.Prepare(q.seq)
+				prepared = c.query
+			}
+			window := ref[c.pos : int(c.pos)+L]
+			ci, rel := m.ref.Locate(int(c.pos))
+			if m.cfg.Traceback {
+				if al, ok := v.Align(window, e); ok {
+					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
+						Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
+					kept[i] = true
+				}
+			} else if d, ok := v.Distance(window, e); ok {
+				slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
+					Distance: d, Reverse: q.reverse}
+				kept[i] = true
+			}
+		}
+	})
+	for i := range cands {
+		if verdicts != nil {
+			if !verdicts[i].Accept {
+				st.RejectedPairs++
+				continue
+			}
+			if verdicts[i].Undefined {
+				st.UndefinedPairs++
+			}
+		}
+		st.VerificationPairs++
+		if kept[i] {
+			out = append(out, slots[i])
+		}
 	}
-	wg.Wait()
+	st.VerifySeconds += time.Since(verifyStart).Seconds()
+	return out, nil
 }
 
-// MapReads maps every read at threshold e, batching candidates through the
-// configured pre-alignment filter (when present) before verification, and
-// returns the mappings in (read, position) order together with the run's
-// statistics. Seeding and verification fan out across the StreamWorkers
-// pool (and the engines parallelize filtering internally), so the one-shot
-// seeding→filter→verify pipeline runs at machine width end to end; the
-// result is bit-identical to a serial run for any pool size.
-func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
+// mapSlabs is the loop behind every entry point: it maps the slabs next
+// hands it, one at a time, until next returns none, and returns the mappings
+// in (read, contig, position, strand) order with the run's statistics. A
+// slab is garbage once it is mapped, so a run's memory beyond its output is
+// bounded by the slab, whatever fed it.
+func (m *Mapper) mapSlabs(e int, next func() []query) ([]Mapping, Stats, error) {
 	if e > m.cfg.MaxE {
 		return nil, Stats{}, fmt.Errorf("mapper: threshold %d exceeds configured %d", e, m.cfg.MaxE)
 	}
+	var st Stats
+	var mappings []Mapping
+	totalStart := time.Now()
+	filterBefore := m.filterStats()
+	verifiers := make([]align.Verifier, m.workers())
+	for queries := next(); len(queries) > 0; queries = next() {
+		for _, q := range queries {
+			if !q.reverse {
+				st.Reads++
+			}
+		}
+		var err error
+		if mappings, err = m.mapSlab(queries, e, verifiers, mappings, &st); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	sortMappings(mappings)
+	st.Mappings = int64(len(mappings))
+	st.MappedReads = countMappedReads(mappings)
+	st.setFilterModel(filterBefore, m.filterStats())
+	st.TotalSeconds = time.Since(totalStart).Seconds()
+	return mappings, st, nil
+}
+
+// MapReads maps every read at threshold e — seeding, the configured
+// pre-alignment filter (when present), verification, slab by slab — and
+// returns the mappings in (read, position) order together with the run's
+// statistics. The result is bit-identical for any MaxReadsPerBatch and any
+// StreamWorkers.
+func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 	for i, r := range reads {
 		if len(r) != m.cfg.ReadLen {
 			return nil, Stats{}, fmt.Errorf("mapper: read %d has length %d, mapper built for %d",
 				i, len(r), m.cfg.ReadLen)
 		}
 	}
-	var st Stats
-	var mappings []Mapping
-	totalStart := time.Now()
-	filterBefore := m.filterStats()
-	L := m.cfg.ReadLen
-	ref := m.idx.seq
-
-	for lo := 0; lo < len(reads); lo += m.cfg.MaxReadsPerBatch {
-		hi := lo + m.cfg.MaxReadsPerBatch
-		if hi > len(reads) {
-			hi = len(reads)
+	lo := 0
+	return m.mapSlabs(e, func() []query {
+		hi := min(lo+m.cfg.MaxReadsPerBatch, len(reads))
+		var qs []query
+		for ; lo < hi; lo++ {
+			qs = m.orient(qs, lo, reads[lo])
 		}
-		// The batch's query sequences: each read, plus its reverse
-		// complement when both-strand mapping is on.
-		type query struct {
-			readID  int
-			reverse bool
-		}
-		var batch [][]byte
-		var queries []query
-		for ri, read := range reads[lo:hi] {
-			batch = append(batch, read)
-			queries = append(queries, query{readID: lo + ri})
-			if m.cfg.BothStrands {
-				batch = append(batch, dna.ReverseComplement(read))
-				queries = append(queries, query{readID: lo + ri, reverse: true})
-			}
-		}
-
-		// Seeding: collect candidate locations for the whole batch, fanned
-		// out across the worker pool. Each query's candidate list lands in
-		// its own slot, and the flatten below walks slots in query order, so
-		// the candidate sequence is byte-identical to the serial walk.
-		seedStart := time.Now()
-		type cand struct {
-			query int // index into batch/queries
-			pos   int64
-		}
-		perQuery := make([][]int64, len(batch))
-		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(_, lo, hi int) {
-			for qi := lo; qi < hi; qi++ {
-				perQuery[qi] = m.candidates(batch[qi], e)
-			}
-		})
-		var cands []cand
-		for qi := range perQuery {
-			for _, pos := range perQuery[qi] {
-				cands = append(cands, cand{query: qi, pos: pos})
-			}
-		}
-		st.SeedSeconds += time.Since(seedStart).Seconds()
-		st.CandidatePairs += int64(len(cands))
-		if len(cands) == 0 {
-			continue
-		}
-
-		// Preprocessing: fill the filtering buffers ("we fill the buffers
-		// with multiple reads and their candidate location indices") — the
-		// (read, location) indices when the filter takes them, materialized
-		// pairs otherwise. Pre-alignment filtering then runs on whichever was
-		// filled; verdicts stays nil without a filter (every candidate goes
-		// to verification).
-		var verdicts []gkgpu.Result
-		var err error
-		switch {
-		case m.candFilter != nil:
-			prepStart := time.Now()
-			gcands := make([]gkgpu.Candidate, len(cands))
-			for i, c := range cands {
-				gcands[i] = gkgpu.Candidate{ReadID: int64(c.query), Pos: c.pos}
-			}
-			st.PreprocessSeconds += time.Since(prepStart).Seconds()
-			filtStart := time.Now()
-			verdicts, err = m.candFilter.FilterCandidates(batch, gcands, e)
-			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		case m.cfg.Filter != nil:
-			prepStart := time.Now()
-			pairs := make([]gkgpu.Pair, len(cands))
-			for i, c := range cands {
-				pairs[i] = gkgpu.Pair{Read: batch[c.query], Ref: ref[c.pos : int(c.pos)+L]}
-			}
-			st.PreprocessSeconds += time.Since(prepStart).Seconds()
-			filtStart := time.Now()
-			verdicts, err = m.cfg.Filter.FilterPairs(pairs, e)
-			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		}
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
-		}
-		if verdicts != nil && len(verdicts) != len(cands) {
-			return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter returned %d results for %d candidates",
-				len(verdicts), len(cands))
-		}
-
-		// Verification: thresholded edit distance for surviving pairs, fanned
-		// out across the worker pool into per-candidate slots; the serial pass
-		// below tallies stats and appends surviving mappings in candidate
-		// order, so the mapping list equals the serial walk's before the
-		// final canonical sort. Each worker holds one verifier and prepares a
-		// query's masks once: candidates are query-ordered, so all of a
-		// query's candidates inside a claimed block share them.
-		verifyStart := time.Now()
-		slots := make([]Mapping, len(cands))
-		kept := make([]bool, len(cands))
-		verifyWorkers := m.workerCount(len(cands))
-		verifiers := make([]align.Verifier, verifyWorkers)
-		parallelFor(verifyWorkers, len(cands), 32, func(w, lo, hi int) {
-			v := &verifiers[w]
-			prepared := -1
-			for i := lo; i < hi; i++ {
-				if verdicts != nil && !verdicts[i].Accept {
-					continue
-				}
-				c := cands[i]
-				if c.query != prepared {
-					v.Prepare(batch[c.query])
-					prepared = c.query
-				}
-				q := queries[c.query]
-				window := ref[c.pos : int(c.pos)+L]
-				ci, rel := m.ref.Locate(int(c.pos))
-				if m.cfg.Traceback {
-					if al, ok := v.Align(window, e); ok {
-						slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
-						kept[i] = true
-					}
-				} else if d, ok := v.Distance(window, e); ok {
-					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-						Distance: d, Reverse: q.reverse}
-					kept[i] = true
-				}
-			}
-		})
-		for i := range cands {
-			if verdicts != nil {
-				if !verdicts[i].Accept {
-					st.RejectedPairs++
-					continue
-				}
-				if verdicts[i].Undefined {
-					st.UndefinedPairs++
-				}
-			}
-			st.VerificationPairs++
-			if kept[i] {
-				mappings = append(mappings, slots[i])
-			}
-		}
-		st.VerifySeconds += time.Since(verifyStart).Seconds()
-	}
-
-	// Recompute aggregate counters from the mapping list (cheap and exact).
-	sortMappings(mappings)
-	st.Mappings = int64(len(mappings))
-	st.MappedReads = countMappedReads(mappings)
-	st.Reads = int64(len(reads))
-	st.setFilterModel(filterBefore, m.filterStats())
-	st.TotalSeconds = time.Since(totalStart).Seconds()
-	return mappings, st, nil
+		return qs
+	})
 }
 
 // filterStats snapshots the configured filter's accumulated measurements —
@@ -589,7 +519,7 @@ func (st *Stats) setFilterModel(before, after gkgpu.Stats) {
 // sortMappings puts a mapping list into the mapper's canonical report order:
 // (read, contig, position, strand). Contigs order as the reference lays them
 // out, so the order equals the historical flat-position order; the strand
-// tie-break keeps it fully deterministic — MapReads and MapStream must emit
+// tie-break keeps it fully deterministic — every entry point must emit
 // byte-identical output — even for the rare read whose forward and
 // reverse-complement queries map at the same position.
 func sortMappings(mappings []Mapping) {

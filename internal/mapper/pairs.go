@@ -53,9 +53,9 @@ func checkInsertWindow(win InsertWindow, readLen int) error {
 	return nil
 }
 
-// MapPairs maps read pairs through the streaming pipeline and resolves
-// concordant pairs: both mates mapped to the same contig in compatible
-// orientation with the fragment length inside the insert window. Each pair contributes at most
+// MapPairs maps read pairs and resolves concordant pairs: both mates mapped
+// to the same contig in compatible orientation with the fragment length
+// inside the insert window. Each pair contributes at most
 // one PairMapping — the combination with the smallest summed edit distance
 // (leftmost, then shortest insert, on ties). R1 is mapped as-is and R2 as
 // its reverse complement, the FR orientation; under Config.BothStrands a
@@ -63,42 +63,62 @@ func checkInsertWindow(win InsertWindow, readLen int) error {
 // both mates' mappings carry Reverse=true. A zero-value win estimates the
 // window from a sample of confidently mapped pairs (EstimateInsertWindow).
 //
-// The returned Stats are MapStream's for the interleaved 2n mate reads,
-// with the paired-end accounting (ReadPairs, ConcordantPairs, the window
-// used and any estimate behind it) filled in. MapPairStream is the
+// The mates map as 2n interleaved single-end reads — read 2i is R1 of pair
+// i, read 2i+1 the reverse complement of its R2 — through the same slabs as
+// MapReads (a pair's two mates always share one), and the returned Stats are
+// that run's with the paired-end accounting (ReadPairs, ConcordantPairs, the
+// window used and any estimate behind it) filled in. MapPairStream is the
 // channel-fed form.
 func (m *Mapper) MapPairs(pairs []ReadPair, e int, win InsertWindow) ([]PairMapping, Stats, error) {
 	if err := checkInsertWindow(win, m.cfg.ReadLen); err != nil {
 		return nil, Stats{}, err
 	}
-	// Interleave the mates so one streaming pass maps both: query 2i is R1
-	// of pair i, query 2i+1 is the reverse complement of its R2.
-	seqs := make([][]byte, 0, 2*len(pairs))
-	for _, p := range pairs {
-		seqs = append(seqs, p.R1, dna.ReverseComplement(p.R2))
+	for i, p := range pairs {
+		if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
+			return nil, Stats{}, fmt.Errorf("mapper: pair %d has mate lengths %d/%d, mapper built for %d",
+				i, len(p.R1), len(p.R2), m.cfg.ReadLen)
+		}
 	}
-	mappings, st, err := m.MapStream(seqs, e)
+	lo := 0
+	mappings, st, err := m.mapSlabs(e, func() []query {
+		hi := min(lo+m.pairsPerSlab(), len(pairs))
+		var qs []query
+		for ; lo < hi; lo++ {
+			qs = m.orientPair(qs, lo, pairs[lo].R1, pairs[lo].R2)
+		}
+		return qs
+	})
 	if err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
-	st.ReadPairs = int64(len(pairs))
-	resolved, err := m.resolveConcordant(mappings, win, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	return resolved, st, nil
+	return m.resolveConcordant(mappings, win, st)
 }
 
-// resolveConcordant groups interleaved-mate mappings (readID 2i = mate1,
-// 2i+1 = reverse-complemented mate2) into concordant pairs under win,
-// estimating any zero bound of the window first (both bounds for the zero
-// value, just the missing one for a partial window), and records the window
-// and pairing counters into st.
-func (m *Mapper) resolveConcordant(mappings []Mapping, win InsertWindow, st *Stats) ([]PairMapping, error) {
+// pairsPerSlab is the slab size in mate pairs: MaxReadsPerBatch counts
+// reads, a pair is two, and a slab holds at least one whole pair.
+func (m *Mapper) pairsPerSlab() int {
+	return max(m.cfg.MaxReadsPerBatch/2, 1)
+}
+
+// orientPair appends the queries of mate pair pairID to qs: R1 as read
+// 2·pairID and the reverse complement of R2 as read 2·pairID+1, so both mates
+// map in the forward strand's coordinates.
+func (m *Mapper) orientPair(qs []query, pairID int, r1, r2 []byte) []query {
+	qs = m.orient(qs, 2*pairID, r1)
+	return m.orient(qs, 2*pairID+1, dna.ReverseComplement(r2))
+}
+
+// resolveConcordant groups the interleaved-mate mappings of a finished run
+// (readID 2i = mate1, 2i+1 = reverse-complemented mate2) into concordant
+// pairs under win, estimating any zero bound of the window first (both
+// bounds for the zero value, just the missing one for a partial window), and
+// returns the run's stats with the window and pairing counters filled in.
+func (m *Mapper) resolveConcordant(mappings []Mapping, win InsertWindow, st Stats) ([]PairMapping, Stats, error) {
+	st.ReadPairs = st.Reads / 2
 	if win.Min == 0 || win.Max == 0 {
 		est, ok := estimateInsert(mappings, m.cfg.ReadLen, 0)
 		if !ok {
-			return nil, fmt.Errorf("mapper: cannot estimate insert window: only %d confidently mapped pairs (need %d); pass an explicit window",
+			return nil, Stats{}, fmt.Errorf("mapper: cannot estimate insert window: only %d confidently mapped pairs (need %d); pass an explicit window",
 				est.SampledPairs, minInsertSample)
 		}
 		full := est.window(m.cfg.ReadLen)
@@ -109,7 +129,7 @@ func (m *Mapper) resolveConcordant(mappings []Mapping, win InsertWindow, st *Sta
 			win.Max = full.Max
 		}
 		if win.Max < win.Min {
-			return nil, fmt.Errorf("mapper: insert window [%d,%d] inverted after estimating the missing bound (estimated %v from mean %.0f ± %.0f); pass both bounds explicitly",
+			return nil, Stats{}, fmt.Errorf("mapper: insert window [%d,%d] inverted after estimating the missing bound (estimated %v from mean %.0f ± %.0f); pass both bounds explicitly",
 				win.Min, win.Max, full, est.Mean, est.Std)
 		}
 		st.InsertMean, st.InsertStd = est.Mean, est.Std
@@ -139,7 +159,7 @@ func (m *Mapper) resolveConcordant(mappings []Mapping, win InsertWindow, st *Sta
 	}
 	st.ConcordantPairs = int64(len(resolved))
 	sort.Slice(resolved, func(i, j int) bool { return resolved[i].PairID < resolved[j].PairID })
-	return resolved, nil
+	return resolved, st, nil
 }
 
 // resolvePair picks the best concordant combination of one pair's mate

@@ -78,9 +78,9 @@ func TestMapReadsWorkerWidthIdentity(t *testing.T) {
 	}
 }
 
-// TestMapReadsUsesCandidatePathOnCPUEngine: the CPU baseline now implements
-// CandidateFilter, so the mapper should take the index-named path — decisions
-// (and therefore mappings) must match the GPU engine's candidate path.
+// TestMapReadsUsesCandidatePathOnCPUEngine: the CPU baseline implements the
+// index-named PreFilter contract — decisions (and therefore mappings) must
+// match the GPU engine's.
 func TestMapReadsUsesCandidatePathOnCPUEngine(t *testing.T) {
 	g := testGenome(150_000)
 	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 80, 4)
@@ -99,9 +99,6 @@ func TestMapReadsUsesCandidatePathOnCPUEngine(t *testing.T) {
 	mCPU, err := New(g, Config{ReadLen: 100, MaxE: 5, Filter: cpuEng})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mCPU.candFilter == nil {
-		t.Fatal("CPUEngine not recognized as a CandidateFilter")
 	}
 	gotCPU, stCPU, err := mCPU.MapReads(seqs, 5)
 	if err != nil {
@@ -166,11 +163,11 @@ func (f *countingCPUFilter) FilterCandidates(reads [][]byte, cands []gkgpu.Candi
 	return f.CPUEngine.FilterCandidates(reads, cands, e)
 }
 
-// TestMapStreamUsesCandidatePathOnCPUEngine is the streaming twin: the inline
-// dispatcher must hand a CPUEngine each seeded read through FilterCandidates
-// — never materialized pairs through FilterPairs — from both MapStream and
-// MapReadStream, with mappings byte-identical to MapReads on the same engine
-// and to the no-filter run, whatever the pool width.
+// TestMapStreamUsesCandidatePathOnCPUEngine is the channel-fed twin: the core
+// must hand a CPUEngine its candidates through FilterCandidates — never
+// materialized pairs through FilterPairs — from MapReadStream as from
+// MapReads, with mappings byte-identical to the no-filter run, whatever the
+// pool width.
 func TestMapStreamUsesCandidatePathOnCPUEngine(t *testing.T) {
 	g := testGenome(150_000)
 	seqs := simulatedSeqs(t, g, 120)
@@ -201,7 +198,6 @@ func TestMapStreamUsesCandidatePathOnCPUEngine(t *testing.T) {
 			do   func() ([]Mapping, Stats, error)
 		}{
 			{"MapReads", func() ([]Mapping, Stats, error) { return m.MapReads(seqs, 5) }},
-			{"MapStream", func() ([]Mapping, Stats, error) { return m.MapStream(seqs, 5) }},
 			{"MapReadStream", func() ([]Mapping, Stats, error) { return m.MapReadStream(feedReads(seqs), 5) }},
 		} {
 			label := fmt.Sprintf("%s workers=%d", run.name, workers)
@@ -224,9 +220,9 @@ func TestMapStreamUsesCandidatePathOnCPUEngine(t *testing.T) {
 }
 
 // TestFilterModelIsPerRun: a run's modelled filter clocks are what that run
-// added to the engine's lifetime counters, on both mapper cores and both
-// engine types — a second run on the same mapper reports the same figures,
-// not the running total.
+// added to the engine's lifetime counters, on both engine types and from
+// the slice-fed and channel-fed entry points — a second run on the same
+// mapper reports the same figures, not the running total.
 func TestFilterModelIsPerRun(t *testing.T) {
 	g := testGenome(150_000)
 	seqs := simulatedSeqs(t, g, 80)
@@ -246,10 +242,8 @@ func TestFilterModelIsPerRun(t *testing.T) {
 	}{
 		{"cpu/MapReads", cpuEng, false},
 		{"gpu/MapReads", gpuEng, false},
-		// One worker keeps the per-read calls, and so the float sums, in one
-		// order. (The device stream's batch cuts follow the wall clock, so
-		// its modelled clocks are not repeatable run to run.)
-		{"cpu/MapStream", cpuEng, true},
+		{"cpu/MapReadStream", cpuEng, true},
+		{"gpu/MapReadStream", gpuEng, true},
 	} {
 		m, err := New(g, Config{ReadLen: 100, MaxE: 5, Filter: tc.filter, StreamWorkers: 1})
 		if err != nil {
@@ -258,7 +252,7 @@ func TestFilterModelIsPerRun(t *testing.T) {
 		var runs [2]Stats
 		for i := range runs {
 			if tc.stream {
-				_, runs[i], err = m.MapStream(seqs, 5)
+				_, runs[i], err = m.MapReadStream(feedReads(seqs), 5)
 			} else {
 				_, runs[i], err = m.MapReads(seqs, 5)
 			}

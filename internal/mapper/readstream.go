@@ -1,11 +1,6 @@
 package mapper
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/dna"
-)
+import "fmt"
 
 // Read is one named read arriving on a channel — the ingestion unit of
 // MapReadStream. Name is used for error messages only; callers that need
@@ -23,58 +18,86 @@ type PairRead struct {
 	R1, R2 []byte
 }
 
-// MapReadStream is the channel-fed MapStream: reads enter the overlapped
-// seeding → filter-stream → verification pipeline as they arrive from in
-// (a FASTQ decoder, a network source), so the read set is never
-// materialized — the mapper retains no reference to a sequence once its
-// candidates are verified, and peak memory is bounded by in-flight work,
-// not input size.
+// mapChannel is mapSlabs fed from a channel. A collector goroutine numbers
+// the records of in as they arrive, turns each into its queries through add
+// (which rejects a malformed record), and cuts the sequence into slabs of
+// perSlab records. It stays one slab ahead of the core — it collects the
+// next slab while the core maps the current one — so decoding overlaps
+// mapping and the run holds at most two slabs of reads, whatever the input
+// size.
+//
+// in is read until its producer closes it on every path — when the core
+// fails or a record is rejected, the rest is discarded — so a producer's
+// sends never block; mapChannel returns once it is closed.
+func mapChannel[T any](m *Mapper, in <-chan T, e, perSlab int,
+	add func(qs []query, id int, rec T) ([]query, error)) ([]Mapping, Stats, error) {
+
+	slabs := make(chan []query)
+	stop := make(chan struct{}) // closed when the core takes no more slabs
+	var addErr error
+	go func() {
+		defer close(slabs)
+		defer drain(in)
+		var qs []query
+		n := 0
+		for rec := range in {
+			if qs, addErr = add(qs, n, rec); addErr != nil {
+				return
+			}
+			if n++; n%perSlab != 0 {
+				continue
+			}
+			select {
+			case slabs <- qs:
+				qs = nil
+			case <-stop:
+				return
+			}
+		}
+		if len(qs) > 0 {
+			select {
+			case slabs <- qs:
+			case <-stop:
+			}
+		}
+	}()
+	mappings, st, err := m.mapSlabs(e, func() []query { return <-slabs })
+	close(stop)
+	for range slabs { // closed by the collector once in is drained
+	}
+	if addErr != nil {
+		// The malformed record is the root cause, whatever the core made of
+		// the slabs before it.
+		return nil, Stats{}, addErr
+	}
+	return mappings, st, err
+}
+
+// MapReadStream is the channel-fed MapReads: reads are validated and
+// numbered as they arrive from in (a FASTQ decoder, a network source) and
+// mapped slab by slab, Config.MaxReadsPerBatch reads at a time, while the
+// next slab is being collected — the read set is never materialized, and
+// the mapper drops a slab's reads once it is mapped.
 //
 // ReadIDs are assigned in arrival order, so the output is byte-identical
-// to MapStream over the same records collected into a slice. The producer
+// to MapReads over the same records collected into a slice. The producer
 // must close in; on a terminal error (wrong-length record, filter failure)
 // the remaining input is drained and discarded so the producer never
 // blocks.
 func (m *Mapper) MapReadStream(in <-chan Read, e int) ([]Mapping, Stats, error) {
-	var reads int64
-	mappings, st, err := m.mapQueryStream(e, func(ctx context.Context, out chan<- streamQuery) error {
-		defer drain(in)
-		id := 0
-		for r := range in {
-			if len(r.Seq) != m.cfg.ReadLen {
-				return fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
-					id, r.Name, len(r.Seq), m.cfg.ReadLen)
-			}
-			if !sendQuery(ctx, out, streamQuery{readID: id, seq: r.Seq}) {
-				return nil
-			}
-			if m.cfg.BothStrands {
-				q := streamQuery{readID: id, reverse: true, seq: dna.ReverseComplement(r.Seq)}
-				if !sendQuery(ctx, out, q) {
-					return nil
-				}
-			}
-			id++
+	return mapChannel(m, in, e, m.cfg.MaxReadsPerBatch, func(qs []query, id int, r Read) ([]query, error) {
+		if len(r.Seq) != m.cfg.ReadLen {
+			return nil, fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
+				id, r.Name, len(r.Seq), m.cfg.ReadLen)
 		}
-		reads = int64(id)
-		return nil
+		return m.orient(qs, id, r.Seq), nil
 	})
-	if err != nil {
-		// The feed closure drains in when it runs; errors raised before it
-		// starts (threshold validation, filter-stream open failure) must
-		// honor the never-block guarantee too. Draining an already-drained
-		// closed channel is a no-op.
-		go drain(in)
-		return nil, Stats{}, err
-	}
-	st.Reads = reads
-	return mappings, st, nil
 }
 
-// MapPairStream is the channel-fed MapPairs: mate pairs enter the streaming
-// pipeline as they arrive (each pair as its two interleaved mate queries,
-// R1 forward and R2 reverse-complemented) and concordant pairs are resolved
-// once the stream ends. A zero-value win estimates the insert window from
+// MapPairStream is the channel-fed MapPairs: mate pairs are validated and
+// numbered as they arrive, mapped slab by slab as MapReadStream does (a
+// pair's two mates always share a slab), and concordant pairs are resolved
+// once the input ends. A zero-value win estimates the insert window from
 // the mapped sample (EstimateInsertWindow), as MapPairs does.
 //
 // The producer must close in; on a terminal error the remaining input is
@@ -82,54 +105,20 @@ func (m *Mapper) MapReadStream(in <-chan Read, e int) ([]Mapping, Stats, error) 
 // to MapPairs over the same pairs collected into a slice.
 func (m *Mapper) MapPairStream(in <-chan PairRead, e int, win InsertWindow) ([]PairMapping, Stats, error) {
 	if err := checkInsertWindow(win, m.cfg.ReadLen); err != nil {
-		go drain(in) // never-block guarantee: see MapReadStream
+		drain(in)
 		return nil, Stats{}, err
 	}
-	var nPairs int64
-	mappings, st, err := m.mapQueryStream(e, func(ctx context.Context, out chan<- streamQuery) error {
-		defer drain(in)
-		id := 0
-		for p := range in {
-			if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
-				return fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
-					id, p.Name, len(p.R1), len(p.R2), m.cfg.ReadLen)
-			}
-			if !m.feedMate(ctx, out, 2*id, p.R1) {
-				return nil
-			}
-			if !m.feedMate(ctx, out, 2*id+1, dna.ReverseComplement(p.R2)) {
-				return nil
-			}
-			id++
+	mappings, st, err := mapChannel(m, in, e, m.pairsPerSlab(), func(qs []query, id int, p PairRead) ([]query, error) {
+		if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
+			return nil, fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
+				id, p.Name, len(p.R1), len(p.R2), m.cfg.ReadLen)
 		}
-		nPairs = int64(id)
-		return nil
+		return m.orientPair(qs, id, p.R1, p.R2), nil
 	})
 	if err != nil {
-		go drain(in) // never-block guarantee: see MapReadStream
-		return nil, st, err
+		return nil, Stats{}, err
 	}
-	st.ReadPairs = nPairs
-	resolved, err := m.resolveConcordant(mappings, win, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	return resolved, st, nil
-}
-
-// feedMate sends one mate query (and its reverse complement under
-// Config.BothStrands) into the pipeline.
-func (m *Mapper) feedMate(ctx context.Context, out chan<- streamQuery, readID int, seq []byte) bool {
-	if !sendQuery(ctx, out, streamQuery{readID: readID, seq: seq}) {
-		return false
-	}
-	if m.cfg.BothStrands {
-		q := streamQuery{readID: readID, reverse: true, seq: dna.ReverseComplement(seq)}
-		if !sendQuery(ctx, out, q) {
-			return false
-		}
-	}
-	return true
+	return m.resolveConcordant(mappings, win, st)
 }
 
 // drain discards the rest of a channel so its producer can finish sending

@@ -3,6 +3,7 @@ package mapper
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,69 +36,124 @@ func feedPairs(pairs []ReadPair) chan PairRead {
 	return ch
 }
 
-func TestMapReadStreamMatchesMapStream(t *testing.T) {
-	// The channel-fed ingestion contract: reads arriving one at a time must
-	// produce byte-identical output to the same records materialized into a
-	// slice, whatever the filter mode or worker count. Run with -race in CI.
-	g := testGenome(150_000)
-	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 120, 21)
+// sameCounters reports whether two runs tallied the same work.
+func sameCounters(a, b Stats) bool {
+	return a.Reads == b.Reads && a.CandidatePairs == b.CandidatePairs &&
+		a.VerificationPairs == b.VerificationPairs && a.RejectedPairs == b.RejectedPairs &&
+		a.UndefinedPairs == b.UndefinedPairs && a.Mappings == b.Mappings && a.MappedReads == b.MappedReads &&
+		a.ReadPairs == b.ReadPairs && a.ConcordantPairs == b.ConcordantPairs &&
+		a.InsertWindowMin == b.InsertWindowMin && a.InsertWindowMax == b.InsertWindowMax
+}
+
+// TestChannelFedMatchesSlabbed is the one-core contract: the channel-fed
+// entry points are byte-identical to the slice-fed ones, and all four to a
+// single-slab serial run, wherever the slab seams fall — a slab per read, a
+// slab size that divides nothing, exactly one slab, a slab larger than the
+// input — on either strand setting, every filter and any pool width. Read
+// ids must survive the seams and a mate pair must never be split across one
+// (MaxReadsPerBatch 1 and 7 would both cut through a pair). Run with -race
+// in CI: the collector goroutine hands slabs to the core.
+func TestChannelFedMatchesSlabbed(t *testing.T) {
+	g := testGenome(80_000)
+	seqs := simulatedSeqs(t, g, 36)
+	simPairs, err := simdata.SimulatePairs(g, simdata.Illumina100, 18, 400, 40, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := make([][]byte, len(reads))
-	for i, r := range reads {
-		seqs[i] = r.Seq
+	pairs := make([]ReadPair, len(simPairs))
+	for i, p := range simPairs {
+		pairs[i] = ReadPair{R1: p.R1.Seq, R2: p.R2.Seq}
 	}
+	win := InsertWindow{Min: 240, Max: 560}
+	n := len(seqs) // also the number of mates in pairs
 
-	mkGPU := func(t *testing.T) PreFilter {
-		eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048,
-			StreamBatchPairs: 64}, cuda.NewUniformContext(2, cuda.GTX1080Ti()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(eng.Close)
-		return eng
-	}
-	cases := []struct {
+	filters := []struct {
 		name string
 		mk   func(t *testing.T) PreFilter
 	}{
-		{"gpu-candidate-stream", mkGPU},
-		{"no-filter", func(t *testing.T) PreFilter { return nil }},
+		{"none", func(t *testing.T) PreFilter { return nil }},
+		{"cpu", func(t *testing.T) PreFilter {
+			cpu, err := gkgpu.NewCPUEngine(100, 5, 4, gkgpu.Setup1(), cuda.DefaultCostModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cpu
+		}},
+		{"gpu", func(t *testing.T) PreFilter {
+			eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048},
+				cuda.NewUniformContext(2, cuda.GTX1080Ti()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(eng.Close)
+			return eng
+		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base, err := New(g, Config{ReadLen: 100, MaxE: 5, BothStrands: true, Filter: tc.mk(t)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats, err := base.MapStream(seqs, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 8} {
-				strm, err := New(g, Config{ReadLen: 100, MaxE: 5, BothStrands: true,
-					Filter: tc.mk(t), StreamWorkers: workers})
+	for _, f := range filters {
+		for _, both := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/both=%v", f.name, both), func(t *testing.T) {
+				mk := func(batch, workers int) *Mapper {
+					m, err := New(g, Config{ReadLen: 100, MaxE: 5, BothStrands: both, Filter: f.mk(t),
+						MaxReadsPerBatch: batch, StreamWorkers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
+				}
+				serial := mk(0, 1)
+				wantReads, wantReadSt, err := serial.MapReads(seqs, 5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotStats, err := strm.MapReadStream(feedReads(seqs), 5)
+				wantPairs, wantPairSt, err := serial.MapPairs(pairs, 5, win)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mustEqualMappings(t, got, want, tc.name)
-				if gotStats.Reads != wantStats.Reads ||
-					gotStats.CandidatePairs != wantStats.CandidatePairs ||
-					gotStats.VerificationPairs != wantStats.VerificationPairs ||
-					gotStats.RejectedPairs != wantStats.RejectedPairs ||
-					gotStats.MappedReads != wantStats.MappedReads {
-					t.Fatalf("channel-fed counters drifted:\nchannel %+v\nslice   %+v", gotStats, wantStats)
+				if len(wantReads) == 0 || len(wantPairs) == 0 {
+					t.Fatal("nothing mapped; the comparison would be vacuous")
 				}
-				if gotStats.PipelineWallSeconds <= 0 {
-					t.Fatal("PipelineWallSeconds not populated on the channel-fed path")
+				for _, batch := range []int{1, 7, n, n + 1} {
+					for _, workers := range []int{1, 8} {
+						label := fmt.Sprintf("batch=%d workers=%d", batch, workers)
+						m := mk(batch, workers)
+						for _, run := range []struct {
+							name string
+							do   func() ([]Mapping, Stats, error)
+						}{
+							{"MapReads", func() ([]Mapping, Stats, error) { return m.MapReads(seqs, 5) }},
+							{"MapReadStream", func() ([]Mapping, Stats, error) { return m.MapReadStream(feedReads(seqs), 5) }},
+						} {
+							got, st, err := run.do()
+							if err != nil {
+								t.Fatalf("%s %s: %v", run.name, label, err)
+							}
+							mustEqualMappings(t, got, wantReads, run.name+" "+label)
+							if !sameCounters(st, wantReadSt) {
+								t.Fatalf("%s %s: counters drifted:\n got %+v\nwant %+v", run.name, label, st, wantReadSt)
+							}
+						}
+						for _, run := range []struct {
+							name string
+							do   func() ([]PairMapping, Stats, error)
+						}{
+							{"MapPairs", func() ([]PairMapping, Stats, error) { return m.MapPairs(pairs, 5, win) }},
+							{"MapPairStream", func() ([]PairMapping, Stats, error) { return m.MapPairStream(feedPairs(pairs), 5, win) }},
+						} {
+							got, st, err := run.do()
+							if err != nil {
+								t.Fatalf("%s %s: %v", run.name, label, err)
+							}
+							if !slices.Equal(got, wantPairs) {
+								t.Fatalf("%s %s: resolved pairs drifted:\n got %+v\nwant %+v", run.name, label, got, wantPairs)
+							}
+							if !sameCounters(st, wantPairSt) {
+								t.Fatalf("%s %s: counters drifted:\n got %+v\nwant %+v", run.name, label, st, wantPairSt)
+							}
+						}
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func TestShardContigs(t *testing.T) {
 	}
 }
 
-// recordingFilter is a CandidateFilter that accepts everything and records
+// recordingFilter is a PreFilter that accepts everything and records
 // every candidate position it is asked to judge, so tests can assert what
 // reached the filtering stage.
 type recordingFilter struct {
@@ -245,14 +245,6 @@ type recordingFilter struct {
 }
 
 func (f *recordingFilter) SetReference(seq []byte) error { f.refLen = len(seq); return nil }
-
-func (f *recordingFilter) FilterPairs(pairs []gkgpu.Pair, _ int) ([]gkgpu.Result, error) {
-	res := make([]gkgpu.Result, len(pairs))
-	for i := range res {
-		res[i].Accept = true
-	}
-	return res, nil
-}
 
 func (f *recordingFilter) FilterCandidates(_ [][]byte, cands []gkgpu.Candidate, _ int) ([]gkgpu.Result, error) {
 	f.seen = append(f.seen, cands...)
@@ -357,20 +349,7 @@ func TestNoCrossBoundaryCandidates(t *testing.T) {
 		}
 	}
 
-	// The streaming paths agree mapping for mapping.
-	streamed, _, err := m.MapStream(reads, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, streamed)
-	if len(streamed) != len(mappings) {
-		t.Fatalf("MapStream drifted: %d vs %d mappings", len(streamed), len(mappings))
-	}
-	for i := range streamed {
-		if streamed[i] != mappings[i] {
-			t.Fatalf("MapStream mapping %d drifted: %+v vs %+v", i, streamed[i], mappings[i])
-		}
-	}
+	// The channel-fed path agrees mapping for mapping.
 	ch := make(chan Read, 8)
 	go func() {
 		defer close(ch)
@@ -383,6 +362,7 @@ func TestNoCrossBoundaryCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, fed)
+	mustEqualMappings(t, fed, mappings, "MapReadStream")
 }
 
 // TestMultiContigGoldenSAM plants exact reads on three tiny contigs and
