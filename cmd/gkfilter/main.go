@@ -65,7 +65,7 @@ func main() {
 	if *verbose {
 		// The verbose listing prints the estimate next to the true edit
 		// distance; ask GateKeeper kernels for exhaustive estimates instead
-		// of the default sealed (<= e) upper bound. Decisions are identical.
+		// of the default sealed bound. Decisions are identical.
 		if ex, ok := f.(interface{ SetExactEstimate(bool) }); ok {
 			ex.SetExactEstimate(true)
 		}
@@ -212,7 +212,10 @@ func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bo
 	results := make([]gkgpu.Result, 0, len(reads))
 	for r := range out {
 		if verbose {
-			fmt.Printf("pair %d: accept=%v estimate=%d undefined=%v\n",
+			// The engine's estimate is the bound its decision was sealed at
+			// (>= the exact windowed count on an accept, <= it on a reject);
+			// the per-pair mode prints exact estimates.
+			fmt.Printf("pair %d: accept=%v sealed-bound=%d undefined=%v\n",
 				len(results), r.Accept, r.Estimate, r.Undefined)
 		}
 		results = append(results, r)

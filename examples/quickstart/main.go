@@ -36,7 +36,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("pair  filter   estimate  exact-distance  verdict")
+	// The engine stops a filtration as soon as its decision is sealed, so the
+	// estimate column is a sealed bound on the filter's windowed error count:
+	// an upper bound (<= 5) on an accept, a lower bound (> 5) on a reject.
+	fmt.Println("pair  filter   sealed-bound  exact-distance  verdict")
 	for i, r := range results {
 		exact := gatekeeper.EditDistance(pairs[i].Read, pairs[i].Ref)
 		verdict := "correct reject"
@@ -48,7 +51,7 @@ func main() {
 		case !r.Accept && exact <= 5:
 			verdict = "FALSE REJECT (should never happen)"
 		}
-		fmt.Printf("%4d  %-7v  %8d  %14d  %s\n", i, r.Accept, r.Estimate, exact, verdict)
+		fmt.Printf("%4d  %-7v  %12d  %14d  %s\n", i, r.Accept, r.Estimate, exact, verdict)
 	}
 
 	st := eng.Stats()

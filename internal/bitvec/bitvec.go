@@ -4,29 +4,44 @@
 // machine words, so every bitwise shift must transfer carry bits between
 // adjacent array elements (paper Section 3.4: "logical shift operations
 // produce incorrect bits between array's elements. For correcting these
-// bits, we apply carry-bit transfers").
+// bits, we apply carry-bit transfers"). In the plane kernel that correction is
+// Window's: 64 columns at any bit offset, stitched from the two words they
+// straddle.
 //
 // Where the paper's CUDA kernel uses 32-bit words, this port uses 64-bit
 // words: word width is the central throughput lever of the bit-parallel
-// design, and doubling it halves both the word count of every pass and the
-// number of carry-bit transfers per shift. The original 32-bit layout is
-// preserved in internal/ref32 as the differential reference model the
-// property and fuzz tests compare against.
+// design. The original 32-bit layout is preserved in internal/ref32 as the
+// differential reference model the property and fuzz tests compare against.
 //
-// Two representations appear here:
+// Three representations appear here:
 //
-//   - encoded vectors: 2 bits per base, 32 bases per word (dna.Encode layout);
-//     XOR and character shifts happen in this domain.
-//   - character masks: 1 bit per base, 64 bases per word, produced by
-//     collapsing each 2-bit XOR pair with OR ("every two-bit is combined with
-//     bitwise OR to simplify the differences").
+//   - bit planes: a sequence as two bit vectors, the low and the high bit of
+//     each base's 2-bit code, 64 bases per word (dna.TryEncodePlanes' layout).
+//     This is what the filtration kernel computes in and what a loaded
+//     reference keeps resident: a raw mismatch word is one XOR per plane and
+//     one OR, and a candidate window or a shifted read is a 64-column Window
+//     read at a bit offset — nothing is shifted, extracted or collapsed.
+//   - encoded vectors: 2 bits per base interleaved, 32 bases per word
+//     (dna.Encode's layout): the host-encoded pipeline's transfer format.
+//     Deinterleave turns one into planes; the carry-transfer shifts, XorInto
+//     and Collapse work in this domain for the mask trace.
+//   - character masks: 1 bit per base, 64 bases per word — a plane-domain
+//     XOR/OR result, or an encoded-domain XOR collapsed pair by pair with OR
+//     ("every two-bit is combined with bitwise OR to simplify the
+//     differences").
 //
-// Bit order is little-endian throughout: base i of an encoded vector lives at
-// bits [2i mod 64, 2i mod 64 + 1] of word i/32; base i of a mask lives at bit
-// i%64 of word i/64. Carry-transfer semantics are unchanged from the 32-bit
-// layout — a shift by k characters moves 2k bits through the array, pulling
-// the bits the per-word shift pushed out of each neighbouring element — there
-// are simply half as many element boundaries to correct.
+// Bit order is little-endian throughout: base i of a plane or a mask lives at
+// bit i%64 of word i/64; base i of an encoded vector at bits [2i mod 64,
+// 2i mod 64 + 1] of word i/32. Carry-transfer semantics are unchanged from
+// the 32-bit layout — a shift by k characters moves 2k bits through the
+// array, pulling the bits the per-word shift pushed out of each neighbouring
+// element — there are simply half as many element boundaries to correct.
+//
+// Amendment is local: an amended bit depends on the raw bits at columns
+// i-3 … i+3 and no others (pass 1 reads one column to each side; pass 2 reads
+// pass-1 bits up to two columns away). Amend works on whole masks; the kernel
+// relies on the same bound to amend a 56-column block inside one register
+// with four guard columns on each side.
 package bitvec
 
 import "math/bits"
@@ -42,7 +57,10 @@ const CharsPerMaskWord = 64
 //gk:noalloc
 func EncodedWords(n int) int { return (n + CharsPerEncodedWord - 1) / CharsPerEncodedWord }
 
-// MaskWords returns the number of mask words for n bases.
+// MaskWords returns the number of mask words — equally, of words per bit
+// plane — for n bases.
+//
+//gk:noalloc
 func MaskWords(n int) int { return (n + CharsPerMaskWord - 1) / CharsPerMaskWord }
 
 // ShiftCharsUp writes into dst the encoded vector src shifted k characters
@@ -99,31 +117,54 @@ func shiftBitsDown(dst, src []uint64, n uint) {
 	}
 }
 
-// ExtractChars copies n characters starting at character offset `start` of
-// a long encoded vector into dst (EncodedWords(n) words), shifting across
-// word boundaries as needed. This is how the GateKeeper-GPU kernel pulls a
-// candidate reference segment out of the unified-memory encoded reference
-// ("each thread executes a single comparison, starting with extracting the
-// relevant reference segment based on the index", Section 3.5).
+// Window returns the 64 columns of plane p that start at bit offset off,
+// stitched from the two words they straddle. The caller guarantees that word
+// off/64+1 exists — resident planes carry a zero word at each end for exactly
+// this — so the read is two loads and three shifts with no range test. This
+// is how a filtration pulls its candidate reference segment out of the
+// encoded reference in place ("each thread executes a single comparison,
+// starting with extracting the relevant reference segment based on the
+// index", Section 3.5): block by block, never as a copy.
 //
 //gk:noalloc
-func ExtractChars(dst, src []uint64, start, n int) {
-	wordOff := start / CharsPerEncodedWord
-	bitOff := uint(start%CharsPerEncodedWord) * 2
-	outWords := EncodedWords(n)
-	for i := 0; i < outWords; i++ {
-		var w uint64
-		if j := wordOff + i; j < len(src) {
-			w = src[j] >> bitOff
-			if bitOff != 0 && j+1 < len(src) {
-				w |= src[j+1] << (64 - bitOff)
-			}
-		}
-		dst[i] = w
+func Window(p []uint64, off int) uint64 {
+	j, k := off>>6, uint(off&63)
+	return p[j]>>k | p[j+1]<<1<<(63-k)
+}
+
+// WindowZero is Window for a plane with nothing around it: off may be any
+// integer, and every column outside p reads as zero. The kernel reads the
+// shifted read through it, so a shift brings in zeros from beyond either end
+// of the read exactly as the carry-transfer shifts did.
+//
+//gk:noalloc
+func WindowZero(p []uint64, off int) uint64 {
+	j, k := off>>6, uint(off&63)
+	var lo, hi uint64
+	if uint(j) < uint(len(p)) {
+		lo = p[j]
 	}
-	// Zero the 2-bit lanes beyond n so padding cannot alias as bases.
-	if rem := n % CharsPerEncodedWord; rem != 0 {
-		dst[outWords-1] &= (uint64(1) << uint(2*rem)) - 1
+	if uint(j+1) < uint(len(p)) {
+		hi = p[j+1]
+	}
+	return lo>>k | hi<<1<<(63-k)
+}
+
+// Deinterleave splits an encoded vector (2 bits per base, 32 bases per word)
+// into its two bit planes (64 bases per word): lo takes the even bits, hi the
+// odd ones. lo and hi must each hold MaskWords(32*len(enc)) words or fewer;
+// encoded words beyond enc read as zero.
+//
+//gk:noalloc
+func Deinterleave(lo, hi, enc []uint64) {
+	for m := range lo {
+		a := enc[2*m]
+		var b uint64
+		if 2*m+1 < len(enc) {
+			b = enc[2*m+1]
+		}
+		lo[m] = extractEven(a) | extractEven(b)<<32
+		hi[m] = extractEven(a>>1) | extractEven(b>>1)<<32
 	}
 }
 
@@ -165,10 +206,7 @@ func extractEven(x uint64) uint64 {
 // CollapsePair reduces two adjacent encoded-domain XOR words (2 bits per
 // base, 64 bases total) to one character-mask word: mask bit i = OR of the
 // two bits encoding base i. lo carries bases 0-31 of the mask word, hi bases
-// 32-63. This is the single-word primitive behind Collapse, exposed for the
-// fused kernel loop.
-//
-//gk:noalloc
+// 32-63. This is the single-word primitive behind Collapse.
 func CollapsePair(lo, hi uint64) uint64 {
 	return extractEven(lo|lo>>1) | extractEven(hi|hi>>1)<<32
 }
@@ -300,10 +338,9 @@ func Amend(dst, src []uint64, n int) {
 }
 
 // AmendScratch is Amend with caller-provided scratch buffers. The three
-// scratch slices must each have len(src) words. The fused kernel performs
-// this same amendment inline with a software-pipelined word window; this
-// slice form remains for the trace path and as the oracle its tests check
-// against.
+// scratch slices must each have len(src) words. The kernel performs this same
+// amendment per block, in a register; this slice form remains for the trace
+// path and as the oracle its tests check against.
 func AmendScratch(dst, src []uint64, n int, up1, dn1, dn2 []uint64) {
 	// Pass 1: fill isolated single zeros: bit i set when src[i-1] and
 	// src[i+1] are both 1.
@@ -412,8 +449,8 @@ func CountRunsLUT(mask []uint64, n int) int {
 
 // CountWindowsWord returns the number of 4-bit windows of one mask word that
 // contain at least one set bit — CountWindowsLUT's per-word kernel, exposed
-// for the fused filtration loop (a 64-bit word holds exactly 16 aligned
-// windows, so the whole-mask count is the sum of per-word counts).
+// for the filtration loop (a word holds 16 aligned windows, a kernel block's
+// payload 14, so the whole-mask count is the sum of per-word counts).
 //
 //gk:noalloc
 func CountWindowsWord(w uint64) int {
@@ -430,8 +467,6 @@ func CountWindowsWord(w uint64) int {
 // one error each, while the dense 1-regions a dissimilar pair produces cost
 // ~n/4 errors — which is what keeps the filter discriminating at high
 // error thresholds (Section 5.1's "filtering still continues to serve").
-//
-//gk:noalloc
 func CountWindowsLUT(mask []uint64, n int) int {
 	total := 0
 	full := n / 64

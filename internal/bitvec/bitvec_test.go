@@ -111,50 +111,103 @@ func TestShiftRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExtractChars(t *testing.T) {
+// paddedPlanes encodes seq as resident planes: a zero word, the plane words,
+// a zero word.
+func paddedPlanes(t *testing.T, seq []byte) (lo, hi []uint64) {
+	t.Helper()
+	n := MaskWords(len(seq))
+	lo, hi = make([]uint64, n+2), make([]uint64, n+2)
+	if i := dna.TryEncodePlanes(lo[1:], hi[1:], seq); i >= 0 {
+		t.Fatalf("unexpected unknown base at %d", i)
+	}
+	return lo, hi
+}
+
+// windowMatches decodes the 64 columns Window/WindowZero returned for the two
+// planes; columns outside seq must have read as 0/0.
+func windowMatches(seq []byte, start int, lo, hi uint64) bool {
+	for c := 0; c < 64; c++ {
+		code := lo>>uint(c)&1 | hi>>uint(c)&1<<1
+		var want uint64
+		if i := start + c; i >= 0 && i < len(seq) {
+			b, _ := dna.Code(seq[i])
+			want = uint64(b)
+		}
+		if code != want {
+			return false
+		}
+	}
+	return true
+}
+
+func TestWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	ref := dna.RandomSeq(rng, 500)
-	refEnc, err := dna.Encode(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, start := range []int{0, 1, 7, 31, 32, 33, 100, 399, 400} {
-		for _, n := range []int{1, 32, 100, 33} {
-			if start+n > len(ref) {
-				continue
-			}
-			dst := make([]uint64, EncodedWords(n))
-			ExtractChars(dst, refEnc, start, n)
-			got := dna.Decode(dst, n)
-			if string(got) != string(ref[start:start+n]) {
-				t.Fatalf("ExtractChars(start=%d n=%d) = %q, want %q", start, n, got, ref[start:start+n])
-			}
+	lo, hi := paddedPlanes(t, ref)
+	// Every start the pads allow: 64 columns before base 0 through a window
+	// whose second word is the trailing pad.
+	for start := -64; start < len(lo)*64-128; start++ {
+		off := start + CharsPerMaskWord
+		if !windowMatches(ref, start, Window(lo, off), Window(hi, off)) {
+			t.Fatalf("Window at base %d does not decode to the reference", start)
 		}
 	}
 }
 
-func TestExtractCharsPaddingZeroed(t *testing.T) {
-	src := []uint64{^uint64(0), ^uint64(0)}
-	dst := make([]uint64, 1)
-	ExtractChars(dst, src, 3, 5) // 5 chars -> 10 bits used
-	if dst[0]>>10 != 0 {
-		t.Fatalf("padding bits leaked: %#x", dst[0])
+func TestWindowZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{1, 63, 64, 65, 100, 300} {
+		seq := dna.RandomSeq(rng, n)
+		lo, hi := make([]uint64, MaskWords(n)), make([]uint64, MaskWords(n))
+		dna.TryEncodePlanes(lo, hi, seq)
+		for start := -n - 200; start <= n+200; start++ {
+			if !windowMatches(seq, start, WindowZero(lo, start), WindowZero(hi, start)) {
+				t.Fatalf("n=%d: WindowZero at %d leaked or lost columns", n, start)
+			}
+		}
+	}
+	if WindowZero(nil, 0) != 0 || WindowZero(nil, -1) != 0 {
+		t.Fatal("WindowZero of an empty plane is not zero")
 	}
 }
 
-func TestExtractCharsQuick(t *testing.T) {
+func TestWindowQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref := dna.RandomSeq(rng, 300)
-	refEnc, _ := dna.Encode(ref)
-	f := func(startRaw, nRaw uint16) bool {
-		n := int(nRaw)%150 + 1
-		start := int(startRaw) % (300 - n)
-		dst := make([]uint64, EncodedWords(n))
-		ExtractChars(dst, refEnc, start, n)
-		return string(dna.Decode(dst, n)) == string(ref[start:start+n])
+	lo, hi := paddedPlanes(t, ref)
+	f := func(startRaw uint16) bool {
+		start := int(startRaw) % 300
+		off := start + CharsPerMaskWord
+		return windowMatches(ref, start, Window(lo, off), Window(hi, off)) &&
+			Window(lo, off) == WindowZero(lo, off) && Window(hi, off) == WindowZero(hi, off)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeinterleaveMatchesPlaneEncoding: splitting the interleaved encoding
+// gives exactly the planes the plane encoder writes.
+func TestDeinterleaveMatchesPlaneEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 96, 97, 100, 128, 129, 300} {
+		seq := dna.RandomSeq(rng, n)
+		enc, err := dna.Encode(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLo, wantHi := make([]uint64, MaskWords(n)), make([]uint64, MaskWords(n))
+		dna.TryEncodePlanes(wantLo, wantHi, seq)
+		lo, hi := make([]uint64, MaskWords(n)), make([]uint64, MaskWords(n))
+		for i := range lo {
+			lo[i], hi[i] = ^uint64(0), ^uint64(0) // stale scratch must be overwritten
+		}
+		Deinterleave(lo, hi, enc)
+		for i := range lo {
+			if lo[i] != wantLo[i] || hi[i] != wantHi[i] {
+				t.Fatalf("n=%d word %d: deinterleaved %#x/%#x, encoded %#x/%#x", n, i, lo[i], hi[i], wantLo[i], wantHi[i])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package cuda
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // PageSize is the unified-memory page granularity (64 KiB, the CUDA driver's
 // migration unit on the paper's platforms).
@@ -27,15 +30,17 @@ const (
 	AdviseReadMostly
 )
 
-// UMBuffer is a unified-memory allocation: a single []byte the host and the
-// simulated device share through one pointer, with per-page residency
-// tracking. Touching device-resident state from the host (or vice versa)
-// does not fault for real — instead the buffer records the migrations the
-// CUDA driver would perform, and the cost model charges for them at either
-// the bulk-prefetch rate or the page-fault rate.
+// UMBuffer is a unified-memory allocation: one block of storage the host and
+// the simulated device share through one pointer — viewed as bytes (Bytes) or
+// as 64-bit words (Words) — with per-page residency tracking. Touching
+// device-resident state from the host (or vice versa) does not fault for
+// real — instead the buffer records the migrations the CUDA driver would
+// perform, and the cost model charges for them at either the bulk-prefetch
+// rate or the page-fault rate.
 type UMBuffer struct {
 	dev    *Device
-	data   []byte
+	data   []byte   // the n bytes asked for, over the storage of words
+	words  []uint64 // the allocation itself: word-aligned by construction
 	pages  []Residency
 	advice Advice
 
@@ -59,9 +64,11 @@ func (d *Device) AllocUnified(n int) (*UMBuffer, error) {
 		return nil, err
 	}
 	pages := (n + PageSize - 1) / PageSize
+	words := make([]uint64, (n+7)/8)
 	return &UMBuffer{
 		dev:   d,
-		data:  make([]byte, n),
+		data:  unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n),
+		words: words,
 		pages: make([]Residency, pages),
 	}, nil
 }
@@ -70,7 +77,7 @@ func (d *Device) AllocUnified(n int) (*UMBuffer, error) {
 func (b *UMBuffer) Free() {
 	if b.data != nil {
 		b.dev.release(int64(len(b.data)))
-		b.data = nil
+		b.data, b.words = nil, nil
 	}
 }
 
@@ -78,6 +85,12 @@ func (b *UMBuffer) Free() {
 // which is the whole point of unified memory ("a virtual space, which GPU
 // and CPU have access with a single pointer").
 func (b *UMBuffer) Bytes() []byte { return b.data }
+
+// Words exposes the same storage as 64-bit words in the machine's byte
+// order, so a kernel reads packed words in place instead of assembling each
+// from eight bytes. The two views agree on byte order only on a little-endian
+// machine: data written through Words is read through Words.
+func (b *UMBuffer) Words() []uint64 { return b.words }
 
 // Len returns the buffer length in bytes.
 func (b *UMBuffer) Len() int { return len(b.data) }

@@ -9,11 +9,13 @@
 // bit-parallel design, and doubling it halves both the word count of every
 // bitvector operation and the number of carry-bit transfers per shift. The
 // 32-bit layout is retained verbatim in internal/ref32 as the differential
-// reference model.
+// reference model. The filtration kernel itself computes on the same codes
+// split into two bit planes, 64 bases per word (TryEncodePlanes).
 package dna
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -138,6 +140,69 @@ func TryEncodeInto(words []uint64, seq []byte) int {
 		words[wi] = w
 	}
 	return -1
+}
+
+// BasesPerPlaneWord is the number of bases one word of a bit plane holds.
+const BasesPerPlaneWord = 64
+
+// TryEncodePlanes is TryEncodeInto for the bit-plane layout the filtration
+// kernel computes in: base i's low code bit goes to bit i%64 of lo[i/64] and
+// its high code bit to the same bit of hi, so a sequence is two bit vectors
+// of 64 bases per word. lo and hi must each hold (len(seq)+63)/64 words; the
+// unused high bits of the final words are zeroed. The return is TryEncodeInto's:
+// -1, or the position of the first unrecognized base (the words written up to
+// there are garbage).
+//
+// Bases are taken eight at a time, as the eight bytes of one register, with
+// no table and no per-base branch: bits 1 and 2 of an ASCII base give its code
+// (A 0x41, C 0x43, G 0x47, T 0x54: code = b>>1 ^ b>>2, either case),
+// unknownBytes tests all eight bytes at once, and one multiplication per plane
+// gathers the eight low (or high) code bits into a byte of the plane word.
+//
+//gk:noalloc
+func TryEncodePlanes(lo, hi []uint64, seq []byte) int {
+	const gather = 0x0102040810204080 // moves bit 8j to bit 56+j, j = 0..7, with no carries
+	for wi := 0; wi*BasesPerPlaneWord < len(seq); wi++ {
+		word := seq[wi*BasesPerPlaneWord : min((wi+1)*BasesPerPlaneWord, len(seq))]
+		var l, h uint64
+		for g := 0; g < len(word); g += 8 {
+			var v uint64
+			if w := word[g:]; len(w) >= 8 {
+				v = uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+					uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+			} else {
+				v = byteOnes * 'A' // beyond the last base: code 0
+				for j, b := range w {
+					v ^= uint64(b^'A') << uint(8*j)
+				}
+			}
+			if unknown := unknownBytes(v); unknown != 0 {
+				return wi*BasesPerPlaneWord + g + bits.TrailingZeros64(unknown)/8
+			}
+			codes := v>>1 ^ v>>2 // bits 0 and 1 of each byte: that base's code
+			l |= ((codes & byteOnes) * gather >> 56) << uint(g)
+			h |= ((codes >> 1 & byteOnes) * gather >> 56) << uint(g)
+		}
+		lo[wi], hi[wi] = l, h
+	}
+	return -1
+}
+
+// byteOnes has bit 0 of every byte set: byteOnes*c is the byte c eight times.
+const byteOnes = 0x0101010101010101
+
+// unknownBytes returns bit 7 of every byte of v that is not one of ACGTacgt
+// (codeTable's recognized set), and zero when all eight are bases. With the
+// case bit cleared a base equals one of four values, so the byte XORed with
+// each is zero for exactly one of them; (z&0x7F + 0x7F) | z has bit 7 set
+// exactly when byte z is non-zero, and never carries into the next byte.
+//
+//gk:noalloc
+func unknownBytes(v uint64) uint64 {
+	const low7, top = byteOnes * 0x7F, byteOnes * 0x80
+	u := v &^ (byteOnes * 0x20)
+	a, c, g, t := u^byteOnes*'A', u^byteOnes*'C', u^byteOnes*'G', u^byteOnes*'T'
+	return ((a&low7 + low7) | a) & ((c&low7 + low7) | c) & ((g&low7 + low7) | g) & ((t&low7 + low7) | t) & top
 }
 
 // Decode expands n bases from the packed representation produced by Encode.

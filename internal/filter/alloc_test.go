@@ -4,21 +4,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/dna"
 	"repro/internal/lint"
 )
 
-// TestFilterEncodedZeroAllocs is the kernel hot-path guard: a filtration
-// over pre-encoded words — accepted, rejected, early-sealed or exhaustive —
-// must not allocate. The engine runs this path once per candidate pair, so
-// a single stray allocation multiplies by hundreds of millions at paper
-// scale.
+// TestFilterEncodedZeroAllocs is the kernel hot-path guard, over both kernel
+// entry points the engines use: a filtration — accepted, rejected, sealed
+// early or exhaustive — must not allocate, whether it arrives as planes
+// (FilterPlanes, the candidate path) or interleaved (FilterEncoded, the
+// adapter). The engine runs this once per candidate pair, so a single stray
+// allocation multiplies by hundreds of millions at paper scale.
 func TestFilterEncodedZeroAllocs(t *testing.T) {
 	// The runtime guard and the static analyzer must cover the same
-	// function: if FilterEncoded ever drops out of the noalloc registry,
-	// this test is guarding something gklint no longer checks.
-	if !lint.IsNoAlloc("repro/internal/filter", "Kernel.FilterEncoded") {
-		t.Fatal("Kernel.FilterEncoded is not in lint.NoAllocRegistry; static and runtime guards have drifted")
+	// functions: if either drops out of the noalloc registry, this test is
+	// guarding something gklint no longer checks.
+	for _, fn := range []string{"Kernel.FilterEncoded", "Kernel.FilterPlanes"} {
+		if !lint.IsNoAlloc("repro/internal/filter", fn) {
+			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
+		}
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -51,13 +55,24 @@ func TestFilterEncodedZeroAllocs(t *testing.T) {
 			}); allocs != 0 {
 				t.Fatalf("FilterEncoded allocated %.1f allocs/op, want 0", allocs)
 			}
+			pw := bitvec.MaskWords(tc.L)
+			readLo, readHi := make([]uint64, pw), make([]uint64, pw)
+			dna.TryEncodePlanes(readLo, readHi, read)
+			simLo, simHi, simOff := embedded(rng, similar)
+			disLo, disHi, disOff := embedded(rng, dissimilar)
+			if allocs := testing.AllocsPerRun(500, func() {
+				est, acc = kern.FilterPlanes(readLo, readHi, simLo, simHi, simOff, tc.e)
+				est, acc = kern.FilterPlanes(readLo, readHi, disLo, disHi, disOff, tc.e)
+			}); allocs != 0 {
+				t.Fatalf("FilterPlanes allocated %.1f allocs/op, want 0", allocs)
+			}
 			_, _ = est, acc
 		})
 	}
 }
 
 // TestFilterCheckedZeroAllocs guards the raw-byte path too (encode into the
-// kernel's scratch plus the fused filtration).
+// kernel's plane buffers plus the filtration).
 func TestFilterCheckedZeroAllocs(t *testing.T) {
 	if !lint.IsNoAlloc("repro/internal/filter", "Kernel.FilterChecked") {
 		t.Fatal("Kernel.FilterChecked is not in lint.NoAllocRegistry; static and runtime guards have drifted")

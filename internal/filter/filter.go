@@ -20,11 +20,12 @@ type Decision struct {
 	Accept bool
 	// Estimate is the filter's approximation of the edit distance. It is
 	// meaningful only when the filter computed one (Undefined pairs skip
-	// filtration entirely). The GateKeeper kernels seal accepts early by
-	// default, so an accepted pair's Estimate is an upper bound (still
-	// <= e) rather than the exhaustive windowed count; callers comparing
-	// estimates should request Kernel.SetExactEstimate (the gatekeeper
-	// wrappers forward it).
+	// filtration entirely). The GateKeeper kernels stop as soon as the
+	// decision is sealed, so by default Estimate is a sealed bound, not the
+	// exhaustive windowed count: on an accept an upper bound on it (exact <=
+	// Estimate <= e), on a reject a lower bound (e < Estimate <= exact).
+	// Callers comparing estimates should request Kernel.SetExactEstimate (the
+	// gatekeeper wrappers forward it); decisions are identical either way.
 	Estimate int
 	// Undefined reports that the pair contained an unknown base call ('N')
 	// and was passed through without filtration, as GateKeeper-GPU does by

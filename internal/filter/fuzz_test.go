@@ -1,9 +1,12 @@
 package filter
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/bitvec"
 	"repro/internal/dna"
 	"repro/internal/ref32"
 )
@@ -15,15 +18,28 @@ import (
 // whose exact edit distance is within threshold always passes to
 // verification (the paper's Section 5.1 invariant, here pushed beyond the
 // curated datasets onto adversarial inputs). The raw-byte FilterChecked
-// path must agree with the pre-encoded path the engine uses, and the fused
-// 64-bit kernel must stay bit-identical to the retained 32-bit unfused
-// chain (internal/ref32): same decision always, same estimate in
-// exact-estimate mode.
+// path, the interleaved adapter and the plane core (against a window embedded
+// in a longer reference, the engines' form) must agree, and the block kernel
+// must stay bit-identical to the retained 32-bit unfused chain
+// (internal/ref32): same decision always, same estimate in exact-estimate
+// mode, and a sealed estimate on the right side of the exact one — an
+// accept's in [exact, e], a reject's in (e, exact].
 func FuzzKernelFilterEncoded(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGAACGTACGT"), uint8(2))
 	f.Add([]byte("AAAAAAAAAAAAAAAAA"), []byte("TTTTTTTTTTTTTTTTT"), uint8(0))
 	f.Add([]byte("ACACACACACACACACACACACACACACACAC"), []byte("CACACACACACACACACACACACACACACACA"), uint8(5))
 	f.Add([]byte{0x00, 0xFF, 0x7F, 0x80, 0x01}, []byte{0xFF, 0x00, 0x80, 0x7F, 0x02}, uint8(9))
+	// Block seams: a read one column past one, two and five 56-column
+	// payloads, differing in the seam's guard columns; testdata/fuzz holds
+	// more.
+	for _, L := range []int{57, 113, 281} {
+		read := bytes.Repeat([]byte("ACGGTCAT"), L/8+1)[:L]
+		ref := append([]byte(nil), read...)
+		for seam := blockCols; seam < L; seam += blockCols {
+			ref[seam-1], ref[seam] = 'T', 'A'
+		}
+		f.Add(read, ref, uint8(L/20))
+	}
 	f.Fuzz(func(t *testing.T, rawRead, rawRef []byte, e8 uint8) {
 		L := len(rawRead)
 		if len(rawRef) < L {
@@ -70,6 +86,17 @@ func FuzzKernelFilterEncoded(f *testing.F) {
 			t.Fatalf("raw-byte path drifted from encoded path: %+v vs est=%d accept=%v",
 				checked, est, accept)
 		}
+		// The plane core where the engines call it: the window embedded in a
+		// longer reference whose neighbouring bases the fuzzer also picks.
+		rng := rand.New(rand.NewSource(int64(L)<<8 | int64(e8)))
+		pw := bitvec.MaskWords(L)
+		readLo, readHi := make([]uint64, pw), make([]uint64, pw)
+		dna.TryEncodePlanes(readLo, readHi, read)
+		refLo, refHi, off := embedded(rng, ref)
+		if estP, accP := kern.FilterPlanes(readLo, readHi, refLo, refHi, off, e); estP != est || accP != accept {
+			t.Fatalf("plane path (est=%d acc=%v, off=%d) drifted from encoded path (est=%d acc=%v)",
+				estP, accP, off, est, accept)
+		}
 
 		// Differential against the retained 32-bit reference chain: the
 		// default kernel's sealed decision must match, and the exact-mode
@@ -87,5 +114,6 @@ func FuzzKernelFilterEncoded(f *testing.F) {
 			t.Fatalf("exact 64-bit (est=%d acc=%v) diverged from 32-bit reference (est=%d acc=%v), L=%d e=%d",
 				estX, accX, est32, acc32, L, e)
 		}
+		checkSealed(t, est, accept, est32, e)
 	})
 }

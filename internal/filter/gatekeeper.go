@@ -39,10 +39,25 @@ type Ablation struct {
 	// CountRuns replaces the windowed-LUT error counter with counting
 	// maximal 1-runs. Runs undercount clustered mismatches, so the filter
 	// stops discriminating at high error thresholds. Run counting is not
-	// monotone under the progressive AND, so it also disables the
-	// early-accept shortcut.
+	// monotone under the progressive AND, so it also disables both early
+	// exits.
 	CountRuns bool
 }
+
+// Block geometry. A block is one 64-bit register holding guardCols guard
+// columns, blockCols payload columns and guardCols more guard columns of a
+// mask: block b's register bit i is mask column blockCols*b - guardCols + i.
+// An amended bit depends on the raw bits at most three columns to either side
+// of it (pass 1 looks one column each way, pass 2 at pass-1 bits up to two
+// columns away), so with four guard columns every payload bit amends inside
+// its own register, whatever the neighbouring blocks hold. Payloads start on
+// multiples of four, so no 4-column counting window straddles two payloads
+// and the per-block window counts sum to the whole mask's.
+const (
+	blockCols   = 56
+	guardCols   = 4
+	payloadMask = (uint64(1)<<blockCols - 1) << guardCols
+)
 
 // Kernel performs GateKeeper filtrations for one fixed read length and
 // maximum error threshold. Mirroring the CUDA kernel, whose bitmask arrays
@@ -52,14 +67,16 @@ type Ablation struct {
 // safe for concurrent use; allocate one Kernel per worker, exactly as the
 // GPU allocates one stack frame per thread.
 //
-// The core is a fused 64-bit pipeline: each of the 2e+1 masks is produced in
-// a single traversal of the mask words — the character shift, XOR, 2-bit
-// collapse, tail clear, amendment, edge forcing, and AND into the
-// accumulated final mask all happen per word, with the amendment's
-// neighbour dependencies carried through a three-word software pipeline
-// instead of intermediate full-slice passes. The retained 32-bit unfused
-// chain lives in internal/ref32; the differential tests require the two to
-// make bit-identical decisions.
+// The core, FilterPlanes, computes on bit planes, block by block. A sequence
+// is two bit vectors — the low and the high bit of each base's 2-bit code, 64
+// bases per word — so a raw mismatch word is (read.lo ^ ref.lo) | (read.hi ^
+// ref.hi): the hardware's one XOR + OR per base pair, with no 2-bit collapse
+// anywhere. Each of the ceil(L/56) blocks is compared, amended (three
+// shift/AND/OR lines on the register), edge-forced and ANDed entirely in
+// registers; the shifted read and the reference window are read in place from
+// their planes at the block's bit offset, so nothing is shifted, extracted or
+// copied per mask. The retained 32-bit unfused chain lives in internal/ref32;
+// the differential tests require the two to make bit-identical decisions.
 type Kernel struct {
 	mode    Mode
 	readLen int
@@ -67,15 +84,14 @@ type Kernel struct {
 	ablate  Ablation
 	exact   bool
 
-	encWords  int    // encoded words per sequence
-	maskWords int    // mask words per sequence
-	tailMask  uint64 // valid-bit mask of the final mask word
-
-	// Per-thread "stack frame": encoding buffers for the raw-byte path and
-	// the accumulated AND of amended masks. The fused pipeline needs no
-	// other scratch.
-	readEnc, refEnc []uint64
-	final           []uint64
+	// Per-thread "stack frame": one accumulated AND word per block, the
+	// plane buffers FilterChecked and FilterEncoded fill before calling the
+	// core (the reference pair with a zero word at each end, as resident
+	// planes have), and the mask the run-counting ablation re-packs into.
+	blocks         []uint64
+	readLo, readHi []uint64
+	refLo, refHi   []uint64
+	runMask        []uint64
 }
 
 // NewKernel builds a kernel for reads of length readLen filtered at error
@@ -83,22 +99,17 @@ type Kernel struct {
 // FilterChecked; GrowMaxE raises the bound in place (scratch depends only on
 // the read length).
 func NewKernel(mode Mode, readLen, maxE int) *Kernel {
-	ew := bitvec.EncodedWords(readLen)
-	mw := bitvec.MaskWords(readLen)
-	tail := ^uint64(0)
-	if rem := readLen % 64; rem != 0 {
-		tail = uint64(1)<<uint(rem) - 1
-	}
+	pw := bitvec.MaskWords(readLen)
 	return &Kernel{
-		mode:      mode,
-		readLen:   readLen,
-		maxE:      maxE,
-		encWords:  ew,
-		maskWords: mw,
-		tailMask:  tail,
-		readEnc:   make([]uint64, ew),
-		refEnc:    make([]uint64, ew),
-		final:     make([]uint64, mw),
+		mode:    mode,
+		readLen: readLen,
+		maxE:    maxE,
+		blocks:  make([]uint64, (readLen+blockCols-1)/blockCols),
+		readLo:  make([]uint64, pw),
+		readHi:  make([]uint64, pw),
+		refLo:   make([]uint64, pw+2),
+		refHi:   make([]uint64, pw+2),
+		runMask: make([]uint64, pw),
 	}
 }
 
@@ -106,11 +117,11 @@ func NewKernel(mode Mode, readLen, maxE int) *Kernel {
 // first filtration.
 func (k *Kernel) SetAblation(a Ablation) { k.ablate = a }
 
-// SetExactEstimate disables the early-accept shortcut so Estimate is always
-// the exact windowed count of the fully ANDed mask, as the unfused chain
-// computed it. The trace and ablation paths (and any caller comparing
-// estimates rather than decisions) want this; the hot filtration path does
-// not, because for an accepted pair only the decision is consumed.
+// SetExactEstimate disables both early exits so Estimate is always the exact
+// windowed count of the fully ANDed mask, as the unfused chain computed it.
+// The trace and ablation paths (and any caller comparing estimates rather
+// than decisions) want this; the hot filtration path does not, because only
+// the decision is consumed.
 func (k *Kernel) SetExactEstimate(exact bool) { k.exact = exact }
 
 // ReadLen returns the configured read length.
@@ -133,452 +144,171 @@ func (k *Kernel) GrowMaxE(maxE int) {
 // Mode returns the algorithm variant.
 func (k *Kernel) Mode() Mode { return k.mode }
 
-// FilterEncoded runs one filtration on pre-encoded sequences (the
-// host-encoded pipeline). Both slices must hold EncodedWords(readLen) words.
-// It returns the approximated edit distance and the accept decision,
-// allocating nothing.
-//
-// The final AND across masks only ever clears bits, so the windowed error
-// count is non-increasing as masks accumulate: once the running estimate
-// drops to <= e the accept decision is sealed and the remaining masks are
-// skipped (the monotone early accept). On that path Estimate is the sealed
-// running count — still <= e, but an upper bound on the exact final
-// estimate; SetExactEstimate restores the exhaustive computation.
+// span returns the register mask of bits [lo, hi), clamped to the word.
 //
 //gk:noalloc
-func (k *Kernel) FilterEncoded(readEnc, refEnc []uint64, e int) (estimate int, accept bool) {
+func span(lo, hi int) uint64 {
+	lo, hi = max(lo, 0), min(hi, 64)
+	if lo >= hi {
+		return 0
+	}
+	return ^uint64(0) >> uint(64-hi+lo) << uint(lo)
+}
+
+// amendWord fills the 1- and 2-wide zero streaks of a block register that
+// are flanked by 1s: pass 1 sets a bit whose two neighbours are set, pass 2
+// sets both bits of a pair whose outer neighbours are set after pass 1. Bits
+// shifted in from outside the register are zero, which reaches the guard
+// columns only (see the block geometry).
+//
+//gk:noalloc
+func amendWord(r uint64) uint64 {
+	p1 := r | (r<<1)&(r>>1)
+	pair := (p1 << 1) & (p1 >> 2)
+	return p1 | pair | pair<<1
+}
+
+// FilterPlanes runs one filtration on bit planes — the engines' candidate
+// path. readLo/readHi are the read's planes (MaskWords(readLen) words each,
+// zero beyond the last base); refLo/refHi are planes of the reference and off
+// the bit offset in them of the candidate window's first base, so the window
+// is read where it lies ("extracting the relevant reference segment based on
+// the index", Section 3.5, done block by block). The reference planes must be
+// addressable from bit off-4 through bit off+readLen+59: a zero word at each
+// end of a resident plane guarantees that for every window inside it. It
+// returns the approximated edit distance and the accept decision, allocating
+// nothing.
+//
+// Order of work. The Hamming row is built over all blocks first. The 2e
+// shifted lanes are then folded block-major: block b takes every shift before
+// block b+1 takes any. The AND only ever clears bits, so a block's windowed
+// count never rises, and the whole mask's count is the sum over blocks. Hence
+// two seals, neither of which changes a decision: an accept as soon as
+// (finished blocks + this block so far + the Hamming counts of the blocks not
+// yet folded) is <= e, and a reject as soon as the finished blocks alone
+// exceed e — most rejects are known after the first block, at a fraction of
+// the 2e+1 full-length masks. A sealed accept's Estimate lies in [exact, e];
+// a sealed reject's is a lower bound in (e, exact]. SetExactEstimate and the
+// CountRuns ablation take neither exit.
+//
+//gk:noalloc
+func (k *Kernel) FilterPlanes(readLo, readHi, refLo, refHi []uint64, off, e int) (estimate int, accept bool) {
 	metrics.Filtrations.Inc()
 	L := k.readLen
-	ew := k.encWords
-	mw := k.maskWords
-
-	if e == 0 {
-		// Exact matching only: fused XOR + collapse + count, no masks kept.
-		est := 0
-		for m := 0; m < mw; m++ {
-			j := 2 * m
-			a := readEnc[j] ^ refEnc[j]
-			var b uint64
-			if j+1 < ew {
-				b = readEnc[j+1] ^ refEnc[j+1]
-			}
-			w := bitvec.CollapsePair(a, b)
-			if m == mw-1 {
-				w &= k.tailMask
-			}
-			est += bitvec.CountWindowsWord(w)
-		}
-		return est, est == 0
-	}
-
+	amend := e > 0 && !k.ablate.SkipAmendment
 	early := !k.exact && !k.ablate.CountRuns
+	gpu := k.mode == ModeGPU
+	blocks := k.blocks
 
-	// final := amend(Hamming mask), then AND in the 2e shifted masks. The
-	// k-deletion and k-insertion masks of each shift are independent until
-	// the final AND, so maskPassPair produces both lanes in one traversal
-	// (shared reference loads, one loop's worth of pipeline bookkeeping);
-	// AND is associative bit-by-bit, so folding outU & outD per word is
-	// bit-identical to two sequential maskPass calls.
-	k.maskPass(readEnc, refEnc, 0, true)
-	if early {
-		if est := k.windowEstimate(); est <= e {
-			return est, true
+	// The Hamming row. Columns outside [0, L) are masked out of the raw word
+	// (the planes hold neighbouring reference bases there) and, with the
+	// guards, out of the stored one.
+	rest := 0
+	for b := range blocks {
+		base := b*blockCols - guardCols
+		valid := span(-base, L-base)
+		fLo, fHi := bitvec.Window(refLo, off+base), bitvec.Window(refHi, off+base)
+		w := ((bitvec.WindowZero(readLo, base) ^ fLo) | (bitvec.WindowZero(readHi, base) ^ fHi)) & valid
+		if amend {
+			w = amendWord(w)
 		}
+		w &= payloadMask
+		blocks[b] = w
+		rest += bitvec.CountWindowsWord(w)
 	}
-	for shift := 1; shift <= e; shift++ {
-		k.maskPassPair(readEnc, refEnc, shift) // deletion + insertion lanes
-		if early {
-			if est := k.windowEstimate(); est <= e {
+	if e == 0 {
+		return rest, rest == 0 // exact matching: the raw Hamming count
+	}
+	if early && rest <= e {
+		return rest, true
+	}
+
+	// done is the final count of the finished blocks, rest the Hamming count
+	// of the blocks not yet folded.
+	done := 0
+	for b, w := range blocks {
+		rest -= bitvec.CountWindowsWord(w)
+		base := b*blockCols - guardCols
+		valid := span(-base, L-base)
+		fLo, fHi := bitvec.Window(refLo, off+base), bitvec.Window(refHi, off+base)
+		// A block that has reached zero stays zero: stop folding it.
+		for s := 1; s <= e && w != 0; s++ {
+			// Deletion lane: the read shifted s columns up. Insertion lane:
+			// s columns down. Columns shifted in from beyond the read are
+			// 0/0, an 'A', as a logical shift leaves them.
+			del := ((bitvec.WindowZero(readLo, base-s) ^ fLo) | (bitvec.WindowZero(readHi, base-s) ^ fHi)) & valid
+			ins := ((bitvec.WindowZero(readLo, base+s) ^ fLo) | (bitvec.WindowZero(readHi, base+s) ^ fHi)) & valid
+			if amend {
+				del, ins = amendWord(del), amendWord(ins)
+			}
+			// Edge forcing: the deletion lane's vacated columns are [0, s),
+			// the insertion lane's [L-s, L). GPU mode forces them to 1 (the
+			// Figure 2 accuracy fix); FPGA/SHD zeroes them.
+			delEdge, insEdge := span(-base, s-base), span(max(L-s, 0)-base, L-base)
+			if gpu {
+				del |= delEdge
+				ins |= insEdge
+			} else {
+				del &^= delEdge
+				ins &^= insEdge
+			}
+			w &= del & ins
+			if est := done + bitvec.CountWindowsWord(w) + rest; early && est <= e {
 				return est, true
 			}
 		}
+		blocks[b] = w
+		done += bitvec.CountWindowsWord(w)
+		if early && done > e {
+			return done, false
+		}
 	}
-
-	estimate = k.countErrors(k.final, L)
-	return estimate, estimate <= e
-}
-
-// windowEstimate is the windowed error count of the accumulated final mask
-// (its tail is always clear, so whole-word counting is exact).
-//
-//gk:noalloc
-func (k *Kernel) windowEstimate() int {
-	est := 0
-	for _, w := range k.final {
-		est += bitvec.CountWindowsWord(w)
-	}
-	return est
-}
-
-// maskPass builds one amended, edge-forced mask — shift 0 for the Hamming
-// mask, +k for the k-deletion mask, -k for the k-insertion mask — and folds
-// it into k.final (direct store when init, AND otherwise), in one traversal
-// of the mask words.
-//
-// Each mask word m collapses from encoded words 2m and 2m+1 of the shifted
-// read XORed with the reference; the character shift is applied on the fly
-// with its carry-bit transfer, so no shifted copy of the read is ever
-// materialized. The amendment (fill 1-2 wide zero streaks flanked by 1s)
-// needs raw-mask context up to two bits on either side of a word, which a
-// three-word software pipeline provides: while word m is amended, word m+3's
-// raw form is produced, reproducing internal/ref32's whole-array passes
-// word by word.
-//
-//gk:noalloc
-func (k *Kernel) maskPass(re, fe []uint64, shift int, init bool) {
-	mw := k.maskWords
-	ew := k.encWords
-	L := k.readLen
-	up := shift >= 0
-	s := shift
-	if s < 0 {
-		s = -s
-	}
-	nbits := uint(2 * s) // character shift in bits
-	ws := int(nbits >> 6)
-	bs := nbits & 63
-
-	// shifted returns encoded word j of the shifted read, carry-transferred
-	// across word boundaries; out-of-range words are zero.
-	shifted := func(j int) uint64 {
-		if up {
-			jj := j - ws
-			if jj < 0 || jj >= ew {
-				return 0
-			}
-			w := re[jj] << bs
-			if bs != 0 && jj > 0 {
-				w |= re[jj-1] >> (64 - bs)
-			}
-			return w
-		}
-		jj := j + ws
-		if jj >= ew {
-			return 0
-		}
-		w := re[jj] >> bs
-		if bs != 0 && jj+1 < ew {
-			w |= re[jj+1] << (64 - bs)
-		}
-		return w
-	}
-
-	// raw returns mask word m: shift, XOR, collapse, tail clear — fused.
-	// Words at or beyond mw read as zero, which is exactly how the unfused
-	// chain's shifts treat positions beyond the array.
-	raw := func(m int) uint64 {
-		if m >= mw {
-			return 0
-		}
-		j := 2 * m
-		a := shifted(j) ^ fe[j]
-		var b uint64
-		if j+1 < ew {
-			b = shifted(j+1) ^ fe[j+1]
-		}
-		w := bitvec.CollapsePair(a, b)
-		if m == mw-1 {
-			w &= k.tailMask
-		}
-		return w
-	}
-
-	doAmend := !k.ablate.SkipAmendment
-	// pass1 fills isolated single zeros of cur using one bit of neighbour
-	// context on each side (amendment pass 1).
-	pass1 := func(prev, cur, next uint64) uint64 {
-		if !doAmend {
-			return cur
-		}
-		return cur | ((cur<<1 | prev>>63) & (cur>>1 | next<<63))
-	}
-
-	gpu := k.mode == ModeGPU
-	final := k.final
-
-	// Pipeline state: r0..r2 = raw words m..m+2; p1p/p1m/p1n = pass-1 words
-	// m-1..m+1; psPrev = pass-2 pair-start word m-1.
-	r0, r1, r2 := raw(0), raw(1), raw(2)
-	p1p := uint64(0)
-	p1m := pass1(0, r0, r1)
-	p1n := pass1(r0, r1, r2)
-	var psPrev uint64
-
-	for m := 0; m < mw; m++ {
-		out := p1m
-		if doAmend {
-			// Amendment pass 2: fill double zeros. Pair starts where the
-			// bit below and the bit two above are both set after pass 1.
-			up1 := p1m<<1 | p1p>>63
-			dn2 := p1m>>2 | p1n<<62
-			ps := up1 & dn2
-			out |= ps | ps<<1 | psPrev>>63
-			psPrev = ps
-		}
-		if m == mw-1 {
-			out &= k.tailMask
-		}
-
-		// Edge forcing: the positions the shift vacated. GPU mode forces
-		// them to 1 (the Figure 2 accuracy fix); FPGA/SHD zeroes them.
-		if s > 0 {
-			if up {
-				// Deletion mask: bits [0, s).
-				if lo := m << 6; lo < s {
-					n := s - lo
-					var fm uint64
-					if n >= 64 {
-						fm = ^uint64(0)
-					} else {
-						fm = uint64(1)<<uint(n) - 1
-					}
-					if gpu {
-						out |= fm
-					} else {
-						out &^= fm
-					}
-				}
-			} else {
-				// Insertion mask: bits [L-s, L).
-				start := L - s
-				if start < 0 {
-					start = 0
-				}
-				if wlo := m << 6; wlo+64 > start {
-					from := start - wlo
-					if from < 0 {
-						from = 0
-					}
-					to := L - wlo
-					if to > 64 {
-						to = 64
-					}
-					if to > from {
-						width := to - from
-						var fm uint64
-						if width >= 64 {
-							fm = ^uint64(0)
-						} else {
-							fm = uint64(1)<<uint(width) - 1
-						}
-						if gpu {
-							out |= fm << uint(from)
-						} else {
-							out &^= fm << uint(from)
-						}
-					}
-				}
-			}
-		}
-
-		if init {
-			final[m] = out
-		} else {
-			final[m] &= out
-		}
-
-		// Advance the pipeline one word.
-		p1p, p1m = p1m, p1n
-		r0, r1, r2 = r1, r2, raw(m+3)
-		p1n = pass1(r0, r1, r2)
-	}
-}
-
-// maskPassPair builds the s-deletion and s-insertion masks of one shift in a
-// single traversal of the mask words and folds both into k.final. The two
-// lanes are independent — they read the same reference words but shift the
-// read in opposite directions — so producing them together unrolls the
-// shift/XOR/collapse/amend/AND chain across two independent dependency
-// chains per iteration (the superscalar win) and halves the loop and
-// software-pipeline bookkeeping of two maskPass calls. Because the final
-// AND is associative per bit, final[m] &= outU & outD is bit-identical to
-// ANDing the lanes in sequence; the early-accept checkpoints in
-// FilterEncoded sit after both lanes either way.
-//
-// s must be >= 1 (shift 0 is the Hamming init, maskPass's job).
-//
-//gk:noalloc
-func (k *Kernel) maskPassPair(re, fe []uint64, s int) {
-	mw := k.maskWords
-	ew := k.encWords
-	L := k.readLen
-	nbits := uint(2 * s) // character shift in bits
-	ws := int(nbits >> 6)
-	bs := nbits & 63
-
-	// shiftedU/shiftedD return encoded word j of the read shifted up
-	// (deletion lane) and down (insertion lane), carry-transferred across
-	// word boundaries; out-of-range words are zero.
-	shiftedU := func(j int) uint64 {
-		jj := j - ws
-		if jj < 0 || jj >= ew {
-			return 0
-		}
-		w := re[jj] << bs
-		if bs != 0 && jj > 0 {
-			w |= re[jj-1] >> (64 - bs)
-		}
-		return w
-	}
-	shiftedD := func(j int) uint64 {
-		jj := j + ws
-		if jj >= ew {
-			return 0
-		}
-		w := re[jj] >> bs
-		if bs != 0 && jj+1 < ew {
-			w |= re[jj+1] << (64 - bs)
-		}
-		return w
-	}
-
-	// rawU/rawD are mask word m of each lane: shift, XOR, collapse, tail
-	// clear — fused, as in maskPass.
-	rawU := func(m int) uint64 {
-		if m >= mw {
-			return 0
-		}
-		j := 2 * m
-		a := shiftedU(j) ^ fe[j]
-		var b uint64
-		if j+1 < ew {
-			b = shiftedU(j+1) ^ fe[j+1]
-		}
-		w := bitvec.CollapsePair(a, b)
-		if m == mw-1 {
-			w &= k.tailMask
-		}
-		return w
-	}
-	rawD := func(m int) uint64 {
-		if m >= mw {
-			return 0
-		}
-		j := 2 * m
-		a := shiftedD(j) ^ fe[j]
-		var b uint64
-		if j+1 < ew {
-			b = shiftedD(j+1) ^ fe[j+1]
-		}
-		w := bitvec.CollapsePair(a, b)
-		if m == mw-1 {
-			w &= k.tailMask
-		}
-		return w
-	}
-
-	doAmend := !k.ablate.SkipAmendment
-	pass1 := func(prev, cur, next uint64) uint64 {
-		if !doAmend {
-			return cur
-		}
-		return cur | ((cur<<1 | prev>>63) & (cur>>1 | next<<63))
-	}
-
-	gpu := k.mode == ModeGPU
-	final := k.final
-
-	// Two independent software pipelines, one per lane (see maskPass for the
-	// stage layout).
-	ru0, ru1, ru2 := rawU(0), rawU(1), rawU(2)
-	rd0, rd1, rd2 := rawD(0), rawD(1), rawD(2)
-	p1pU := uint64(0)
-	p1mU := pass1(0, ru0, ru1)
-	p1nU := pass1(ru0, ru1, ru2)
-	p1pD := uint64(0)
-	p1mD := pass1(0, rd0, rd1)
-	p1nD := pass1(rd0, rd1, rd2)
-	var psPrevU, psPrevD uint64
-
-	for m := 0; m < mw; m++ {
-		outU := p1mU
-		outD := p1mD
-		if doAmend {
-			// Amendment pass 2 on both lanes: fill double zeros.
-			up1 := p1mU<<1 | p1pU>>63
-			dn2 := p1mU>>2 | p1nU<<62
-			ps := up1 & dn2
-			outU |= ps | ps<<1 | psPrevU>>63
-			psPrevU = ps
-
-			up1 = p1mD<<1 | p1pD>>63
-			dn2 = p1mD>>2 | p1nD<<62
-			ps = up1 & dn2
-			outD |= ps | ps<<1 | psPrevD>>63
-			psPrevD = ps
-		}
-		if m == mw-1 {
-			outU &= k.tailMask
-			outD &= k.tailMask
-		}
-
-		// Edge forcing, per lane: the deletion mask's vacated bits are
-		// [0, s), the insertion mask's are [L-s, L). GPU mode forces them to
-		// 1 (the Figure 2 accuracy fix); FPGA/SHD zeroes them.
-		if lo := m << 6; lo < s {
-			n := s - lo
-			var fm uint64
-			if n >= 64 {
-				fm = ^uint64(0)
-			} else {
-				fm = uint64(1)<<uint(n) - 1
-			}
-			if gpu {
-				outU |= fm
-			} else {
-				outU &^= fm
-			}
-		}
-		start := L - s
-		if start < 0 {
-			start = 0
-		}
-		if wlo := m << 6; wlo+64 > start {
-			from := start - wlo
-			if from < 0 {
-				from = 0
-			}
-			to := L - wlo
-			if to > 64 {
-				to = 64
-			}
-			if to > from {
-				width := to - from
-				var fm uint64
-				if width >= 64 {
-					fm = ^uint64(0)
-				} else {
-					fm = uint64(1)<<uint(width) - 1
-				}
-				if gpu {
-					outD |= fm << uint(from)
-				} else {
-					outD &^= fm << uint(from)
-				}
-			}
-		}
-
-		final[m] &= outU & outD
-
-		// Advance both pipelines one word.
-		p1pU, p1mU = p1mU, p1nU
-		ru0, ru1, ru2 = ru1, ru2, rawU(m+3)
-		p1nU = pass1(ru0, ru1, ru2)
-
-		p1pD, p1mD = p1mD, p1nD
-		rd0, rd1, rd2 = rd1, rd2, rawD(m+3)
-		p1nD = pass1(rd0, rd1, rd2)
-	}
-}
-
-// countErrors applies the configured error counter.
-//
-//gk:noalloc
-func (k *Kernel) countErrors(mask []uint64, n int) int {
 	if k.ablate.CountRuns {
-		return bitvec.CountRunsLUT(mask, n)
+		done = k.countRuns()
 	}
-	return bitvec.CountWindowsLUT(mask, n)
+	return done, done <= e
+}
+
+// countRuns is the run-counting ablation's error counter: the finished
+// blocks' payloads re-packed into mask words (payload b starts at column
+// 56b) and walked by the hardware-faithful run counter.
+//
+//gk:noalloc
+func (k *Kernel) countRuns() int {
+	clear(k.runMask)
+	for b, w := range k.blocks {
+		p := w >> guardCols // guards are already clear
+		word, bit := b*blockCols>>6, uint(b*blockCols&63)
+		k.runMask[word] |= p << bit
+		if spill := p >> 1 >> (63 - bit); spill != 0 {
+			k.runMask[word+1] |= spill
+		}
+	}
+	return bitvec.CountRunsLUT(k.runMask, k.readLen)
+}
+
+// FilterEncoded runs one filtration on pre-encoded, interleaved sequences
+// (dna.Encode's layout, EncodedWords(readLen) words each: the host-encoded
+// pipeline's transfer format). It is an adapter: both sequences are split
+// into the kernel's plane buffers and handed to FilterPlanes, whose decision
+// and estimate contract it shares — a sealed accept's estimate lies in
+// [exact, e], a sealed reject's is a lower bound in (e, exact].
+//
+//gk:noalloc
+func (k *Kernel) FilterEncoded(readEnc, refEnc []uint64, e int) (estimate int, accept bool) {
+	bitvec.Deinterleave(k.refLo[1:len(k.refLo)-1], k.refHi[1:len(k.refHi)-1], refEnc)
+	return k.FilterEncodedAt(readEnc, k.refLo, k.refHi, bitvec.CharsPerMaskWord, e)
+}
+
+// FilterEncodedAt is FilterEncoded against a window of resident reference
+// planes (FilterPlanes' refLo/refHi/off): only the read arrives interleaved.
+// The candidate stream's kernel uses it — reads cross the buffers in the
+// host-encoded transfer format, the reference never moves.
+//
+//gk:noalloc
+func (k *Kernel) FilterEncodedAt(readEnc, refLo, refHi []uint64, off, e int) (estimate int, accept bool) {
+	bitvec.Deinterleave(k.readLo, k.readHi, readEnc)
+	return k.FilterPlanes(k.readLo, k.readHi, refLo, refHi, off, e)
 }
 
 // Filter runs one filtration on raw sequences, encoding them first (the
@@ -609,10 +339,10 @@ func (k *Kernel) FilterChecked(read, ref []byte, e int) (Decision, error) {
 	// Encoding doubles as the 'N' scan: an unrecognized base is exactly the
 	// undefined-pair condition, so the sequences are walked once, not twice,
 	// and no error value is constructed on the way.
-	if dna.TryEncodeInto(k.readEnc, read) >= 0 || dna.TryEncodeInto(k.refEnc, ref) >= 0 {
+	if dna.TryEncodePlanes(k.readLo, k.readHi, read) >= 0 || dna.TryEncodePlanes(k.refLo[1:], k.refHi[1:], ref) >= 0 {
 		return Decision{Accept: true, Undefined: true}, nil
 	}
-	est, accept := k.FilterEncoded(k.readEnc, k.refEnc, e)
+	est, accept := k.FilterPlanes(k.readLo, k.readHi, k.refLo, k.refHi, bitvec.CharsPerMaskWord, e)
 	return Decision{Accept: accept, Estimate: est}, nil
 }
 
@@ -636,7 +366,7 @@ type gateKeeper struct {
 
 // SetExactEstimate switches every kernel this wrapper creates (or has
 // created) to exhaustive estimates — for estimate-reporting callers like
-// `gkfilter -v`, where the default sealed upper bound would be printed next
+// `gkfilter -v`, where the default sealed bound would be printed next
 // to the true edit distance. Decisions are identical either way.
 func (g *gateKeeper) SetExactEstimate(exact bool) {
 	g.mu.Lock()

@@ -39,9 +39,11 @@ type MaskStep struct {
 
 // Trace runs one filtration capturing all intermediate masks. It allocates
 // freely and exists for inspection, documentation and debugging; the hot
-// path is Kernel.FilterEncoded. Its estimate is always exhaustive, so it
-// matches a Kernel in exact-estimate mode (SetExactEstimate) — the default
-// kernel may seal an accept early with a coarser (but still <= e) estimate.
+// path is Kernel.FilterPlanes. It builds whole masks from the interleaved
+// encoding, the way the unfused chain did, and its estimate is always
+// exhaustive, so it matches a Kernel in exact-estimate mode
+// (SetExactEstimate) — the default kernel seals its decision early, with a
+// bound in place of the estimate.
 func Trace(mode Mode, read, ref []byte, e int) (MaskTrace, error) {
 	if len(read) != len(ref) {
 		return MaskTrace{}, fmt.Errorf("filter: trace on unequal lengths %d/%d", len(read), len(ref))

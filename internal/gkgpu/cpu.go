@@ -14,8 +14,8 @@ import (
 
 // cpuGrain is how many pairs a CPU worker claims per scheduling step: rare
 // enough cursor traffic to stay off the shared cache line, fine enough that
-// an uneven pair (early-sealed accept vs exhaustive reject) cannot strand a
-// tail.
+// an uneven pair (one sealed after a block vs one folded to the end) cannot
+// strand a tail.
 const cpuGrain = 64
 
 // CPUEngine is the GateKeeper-CPU baseline of Section 4.3: the same improved
@@ -37,13 +37,13 @@ type CPUEngine struct {
 
 	mu      sync.Mutex
 	kernels []*filter.Kernel
-	windows [][]uint64 // per-worker reference-window buffer, beside kernels
 	ref     *packedRef // loaded by SetReference for the index-named path
 	// Candidate-path scratch, reused across calls: every read of the call
-	// encoded once, and whether it holds an unknown base.
-	readWords []uint64
-	readHasN  []bool
-	stats     Stats
+	// encoded once (encodeReads' plane slots), and whether it holds an
+	// unknown base.
+	readPlanes []uint64
+	readHasN   []bool
+	stats      Stats
 }
 
 // NewCPUEngine builds the baseline for one geometry and logical core count.
@@ -66,10 +66,9 @@ func NewCPUEngine(readLen, maxE, cores int, setup Setup, model cuda.CostModel) (
 // workersFor bounds a call's fan-out by the configured core count, the
 // machine width, and the work available (in claimable blocks: a worker
 // beyond them would find the cursor spent), and makes sure a persistent
-// kernel and window buffer exist for every worker slot. Both survive across
-// calls — the read-length-keyed scratch is the expensive part, and reusing
-// it is what keeps the per-call steady state allocation-free inside the
-// workers.
+// kernel exists for every worker slot. Kernels survive across calls — the
+// read-length-keyed scratch is the expensive part, and reusing it is what
+// keeps the per-call steady state allocation-free inside the workers.
 func (c *CPUEngine) workersFor(n int) int {
 	workers := cuda.MaxWorkers((n + cpuGrain - 1) / cpuGrain)
 	if workers > c.cores {
@@ -77,15 +76,14 @@ func (c *CPUEngine) workersFor(n int) int {
 	}
 	for len(c.kernels) < workers {
 		c.kernels = append(c.kernels, filter.NewKernel(filter.ModeGPU, c.readLen, c.maxE))
-		c.windows = append(c.windows, make([]uint64, bitvec.EncodedWords(c.readLen)))
 	}
 	return workers
 }
 
 // ParallelFor runs body over [0, n) across workers goroutines, each claiming
-// grain-sized blocks off a shared cursor, so a block of early-sealed accepts
+// grain-sized blocks off a shared cursor, so a block of early-sealed pairs
 // doesn't leave its worker idle while another grinds through exhaustive
-// rejects. It is the one host-side fan-out: the CPU engine's filtering and
+// ones. It is the one host-side fan-out: the CPU engine's filtering and
 // the mapper's seeding and verification all run on it. Channel-free by
 // design — the block fully determines its worker's writes, so indexed
 // slices are the only shared state: body must touch only its [lo, hi) slots.
@@ -214,13 +212,13 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 	}
 	results := make([]Result, len(cands))
 	start := time.Now()
-	encWords := bitvec.EncodedWords(L)
-	c.readWords = slices.Grow(c.readWords[:0], len(reads)*encWords)[:len(reads)*encWords]
+	planeWords := bitvec.MaskWords(L)
+	c.readPlanes = slices.Grow(c.readPlanes[:0], 2*len(reads)*planeWords)[:2*len(reads)*planeWords]
 	c.readHasN = slices.Grow(c.readHasN[:0], len(reads))[:len(reads)]
-	encodeReads(c.readWords, c.readHasN, reads, encWords)
+	encodeReads(c.readPlanes, c.readHasN, reads, planeWords)
 	workers := c.workersFor(len(cands))
 	ParallelFor(workers, len(cands), cpuGrain, func(w, lo, hi int) {
-		cpuCandidateRange(c.kernels[w], c.ref, c.windows[w], c.readWords, c.readHasN,
+		cpuCandidateRange(c.kernels[w], c.ref, c.readPlanes, c.readHasN,
 			cands[lo:hi], results[lo:hi], errThreshold)
 	})
 
@@ -239,24 +237,24 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 // form of the GPU engine's candidate kernel: a candidate whose read (readHasN,
 // set by the call's one encode walk) or reference window (the packed
 // reference's 'N' bitmap) holds an unknown base is Undefined+Accept without
-// touching the kernel; any other has its window extracted from the packed
-// reference into the worker's window buffer (len(window) words per sequence)
-// and filtered in encoded form against the read's slot of readWords.
+// touching the kernel; any other is filtered where it lies — the read's
+// planes in their slot of planes, the window at its bit offset in the packed
+// reference's.
 //
 //gk:noalloc
-func cpuCandidateRange(kern *filter.Kernel, ref *packedRef, window []uint64,
-	readWords []uint64, readHasN []bool, cands []Candidate, out []Result, errThreshold int) {
+func cpuCandidateRange(kern *filter.Kernel, ref *packedRef, planes []uint64, readHasN []bool,
+	cands []Candidate, out []Result, errThreshold int) {
 
-	L, encWords := kern.ReadLen(), len(window)
+	L := kern.ReadLen()
+	planeWords := bitvec.MaskWords(L)
 	for i := range cands {
 		cd := cands[i]
 		if readHasN[cd.ReadID] || ref.hasN(cd.Pos, L) {
 			out[i] = Result{Accept: true, Undefined: true}
 			continue
 		}
-		bitvec.ExtractChars(window, ref.words, int(cd.Pos), L)
-		read := readWords[int(cd.ReadID)*encWords:][:encWords]
-		est, accept := kern.FilterEncoded(read, window, errThreshold)
+		readLo, readHi := readPlanes(planes, cd.ReadID, planeWords)
+		est, accept := kern.FilterPlanes(readLo, readHi, ref.lo, ref.hi, planeOff(cd.Pos), errThreshold)
 		out[i] = Result{Accept: accept, Estimate: uint16(est)}
 	}
 }

@@ -236,17 +236,19 @@ func TestCPUFilterRangeZeroAllocs(t *testing.T) {
 }
 
 // TestCPUCandidateRangeZeroAllocs guards the candidate path's steady state:
-// the 'N' test reads the bitmap, window extraction fills the worker's own
-// buffer and the kernel runs on encoded words, so a claimed block (clean,
-// N-window and N-read candidates alike) must not allocate.
+// the 'N' test reads the bitmap and the kernel (FilterPlanes, the plane entry
+// point; TestFilterEncodedZeroAllocs guards it and the interleaved one
+// directly) reads the read's planes and the reference window where they lie,
+// so a claimed block (clean, N-window and N-read candidates alike) must not
+// allocate.
 func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
-	for _, fn := range []string{"cpuCandidateRange", "packedRef.hasN"} {
+	for _, fn := range []string{"cpuCandidateRange", "packedRef.hasN", "readPlanes", "planeOff"} {
 		if !lint.IsNoAlloc("repro/internal/gkgpu", fn) {
 			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
 		}
 	}
-	if !lint.IsNoAlloc("repro/internal/bitvec", "ExtractChars") {
-		t.Fatal("bitvec.ExtractChars is not in lint.NoAllocRegistry; static and runtime guards have drifted")
+	if !lint.IsNoAlloc("repro/internal/filter", "Kernel.FilterPlanes") || !lint.IsNoAlloc("repro/internal/bitvec", "Window") {
+		t.Fatal("the plane kernel or its window read is not in lint.NoAllocRegistry; static and runtime guards have drifted")
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -264,15 +266,14 @@ func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
 	}
 	reads[7][3] = 'N'
 	cands = append(cands, Candidate{ReadID: 0, Pos: 4_950})
-	encWords := bitvec.EncodedWords(100)
-	readWords := make([]uint64, len(reads)*encWords)
+	planeWords := bitvec.MaskWords(100)
+	planes := make([]uint64, 2*len(reads)*planeWords)
 	readHasN := make([]bool, len(reads))
-	encodeReads(readWords, readHasN, reads, encWords)
+	encodeReads(planes, readHasN, reads, planeWords)
 	out := make([]Result, len(cands))
-	window := make([]uint64, encWords)
 	kern := filter.NewKernel(filter.ModeGPU, 100, 5)
 	if allocs := testing.AllocsPerRun(200, func() {
-		cpuCandidateRange(kern, ref, window, readWords, readHasN, cands, out, 5)
+		cpuCandidateRange(kern, ref, planes, readHasN, cands, out, 5)
 	}); allocs != 0 {
 		t.Fatalf("cpuCandidateRange allocated %.1f allocs/op, want 0", allocs)
 	}

@@ -39,6 +39,46 @@ func decisionsOf(s Stats) decisionStats {
 	return decisionStats{s.Pairs, s.Accepted, s.Rejected, s.Undefined}
 }
 
+// feedUntil sends items down in, one whole pass after another until done()
+// holds at the end of a pass (at most 64 passes), then closes in; the pass
+// count arrives on the returned channel. Which device takes which batch is a
+// race between the device workers, so a test that needs one device to reach
+// its scheduled death sizes the run from that death instead of from a guess
+// at the split; the fault-free answer to p passes is the one-pass answer p
+// times over (repeated).
+func feedUntil[T any](in chan<- T, items []T, done func() bool) <-chan int {
+	passes := make(chan int, 1)
+	go func() {
+		defer close(in)
+		n := 0
+		for {
+			for _, it := range items {
+				in <- it
+			}
+			if n++; n == 64 || done() {
+				break
+			}
+		}
+		passes <- n
+	}()
+	return passes
+}
+
+// repeated is res, passes times over.
+func repeated(res []Result, passes int) []Result {
+	out := make([]Result, 0, passes*len(res))
+	for ; passes > 0; passes-- {
+		out = append(out, res...)
+	}
+	return out
+}
+
+// times scales decision counters to a run of that many passes.
+func (d decisionStats) times(passes int) decisionStats {
+	p := int64(passes)
+	return decisionStats{d.pairs * p, d.accepted * p, d.rejected * p, d.undefined * p}
+}
+
 func requireIdentical(t *testing.T, want, got []Result, label string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -86,12 +126,23 @@ func TestStreamRedispatchOnDeviceDeath(t *testing.T) {
 	want := drainStream(t, clean, pairs, 5)
 
 	eng, cctx := newFaultStreamEngine(t, 2, 64, FaultPolicy{Backoff: 50 * time.Microsecond})
-	cctx.Device(1).InjectFaults(cuda.NewFaultPlan(5).DieAtLaunch(3))
-	got := drainStream(t, eng, pairs, 5)
+	doomed := cuda.NewFaultPlan(5).DieAtLaunch(3)
+	cctx.Device(1).InjectFaults(doomed)
+	in := make(chan Pair)
+	out, err := eng.FilterStream(context.Background(), in, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := feedUntil(in, pairs, doomed.Dead)
+	var got []Result
+	for r := range out {
+		got = append(got, r)
+	}
+	passes := <-fed
 	if err := eng.StreamErr(); err != nil {
 		t.Fatalf("device death with a survivor became terminal: %v", err)
 	}
-	requireIdentical(t, want, got, "redispatched stream")
+	requireIdentical(t, repeated(want, passes), got, "redispatched stream")
 
 	s := eng.Stats()
 	if s.DevicesLost != 1 {
@@ -103,8 +154,8 @@ func TestStreamRedispatchOnDeviceDeath(t *testing.T) {
 	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 1 {
 		t.Fatalf("QuarantinedDevices = %v, want [1]", q)
 	}
-	if d := decisionsOf(s); d != decisionsOf(clean.Stats()) {
-		t.Fatalf("decision stats diverged: %+v vs %+v", d, decisionsOf(clean.Stats()))
+	if d, w := decisionsOf(s), decisionsOf(clean.Stats()).times(passes); d != w {
+		t.Fatalf("decision stats diverged: %+v vs %+v", d, w)
 	}
 
 	// The quarantine outlives the stream: the next stream runs entirely on
@@ -368,38 +419,34 @@ func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
 		pos := rng.Intn(len(refSeq) - 100)
 		cands[i] = StreamCandidate{Read: refSeq[pos : pos+100], Pos: int64(pos)}
 	}
-	run := func(eng *Engine) []Result {
+	run := func(eng *Engine, done func() bool) ([]Result, int) {
 		in := make(chan StreamCandidate)
 		out, err := eng.FilterCandidateStream(context.Background(), in, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() {
-			for _, c := range cands {
-				in <- c
-			}
-			close(in)
-		}()
+		fed := feedUntil(in, cands, done)
 		var res []Result
 		for r := range out {
 			res = append(res, r)
 		}
-		return res
+		return res, <-fed
 	}
 
 	clean, _ := build(FaultPolicy{})
-	want := run(clean)
+	want, _ := run(clean, func() bool { return true })
 	if err := clean.StreamErr(); err != nil {
 		t.Fatal(err)
 	}
 
 	eng, cctx := build(FaultPolicy{Backoff: 20 * time.Microsecond})
-	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(4).DieAtLaunch(2))
-	got := run(eng)
+	doomed := cuda.NewFaultPlan(4).DieAtLaunch(2)
+	cctx.Device(0).InjectFaults(doomed)
+	got, passes := run(eng, doomed.Dead)
 	if err := eng.StreamErr(); err != nil {
 		t.Fatalf("candidate stream death with survivor: %v", err)
 	}
-	requireIdentical(t, want, got, "candidate stream")
+	requireIdentical(t, repeated(want, passes), got, "candidate stream")
 	if s := eng.Stats(); s.DevicesLost != 1 {
 		t.Fatalf("DevicesLost = %d, want 1", s.DevicesLost)
 	}

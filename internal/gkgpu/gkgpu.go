@@ -157,10 +157,11 @@ func (c Config) Validate() error {
 }
 
 // Result is one filtration outcome in the result buffer. Estimate follows
-// the kernel's hot-path semantics: for accepted pairs it is the sealed
-// early-accept upper bound (<= the threshold), not the exhaustive windowed
-// count — the engine consumes only the decision, as the paper's pipeline
-// does.
+// the kernel's hot-path semantics (filter.Decision.Estimate): it is the bound
+// the decision was sealed at, not the exhaustive windowed count — on an
+// accept an upper bound on that count, <= the threshold; on a reject a lower
+// bound on it, > the threshold. The engine consumes only the decision, as the
+// paper's pipeline does.
 type Result struct {
 	Accept    bool
 	Undefined bool

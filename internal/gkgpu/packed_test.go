@@ -55,10 +55,13 @@ func lowerSome(rng *rand.Rand, seq []byte) {
 // semantics it replaced: CPUEngine.FilterCandidates must equal
 // Kernel.FilterChecked on the window's bytes — Accept, Undefined and
 // Estimate, with the early accept and with exact estimates — and equal
-// Engine.FilterCandidates, over read lengths on and off the 32-base word
-// size, every window phase, both reference ends, a reference that ends
-// inside an nMask word, lower-case bases, and an 'N' at, just inside and just
-// outside each window edge and in the read.
+// Engine.FilterCandidates, over read lengths on and off the 64-base word
+// size, every window phase, both reference ends (starts 0…3, whose guard
+// columns read the leading pad word, and windows ending on the last base, in
+// the last plane word and in the one before it, whose block reads run into
+// the trailing pad), a reference that ends inside a plane word, lower-case
+// bases, and an 'N' at, just inside and just outside each window edge and in
+// the read.
 func TestPackedCandidatesIdentity(t *testing.T) {
 	for _, tc := range []struct{ L, e int }{{50, 2}, {100, 5}, {300, 15}} {
 		t.Run(fmt.Sprintf("L%d", tc.L), func(t *testing.T) {
@@ -84,14 +87,21 @@ func TestPackedCandidatesIdentity(t *testing.T) {
 				lowerSome(rng, read)
 				return read
 			}
-			// Every phase of the window start inside a code word and an
-			// nMask word, clear of the N.
+			// Every phase of the window start inside a plane word, clear of
+			// the N.
 			for phase := 0; phase < 64; phase++ {
 				add(640+phase, mutated(640+phase))
 			}
-			// Both ends of the reference.
-			add(0, mutated(0))
-			add(last, mutated(last))
+			// Both ends of the reference: the first four starts, and windows
+			// whose last base is the reference's last, lies in its last plane
+			// word (bases 5760…5796), is the last of the word before it, or
+			// lies inside that word.
+			for pos := 0; pos <= 3; pos++ {
+				add(pos, mutated(pos))
+			}
+			for _, end := range []int{len(genome), len(genome) - 1, 64*90 + 1, 64 * 90, 64*90 - 1, 64*89 + 1} {
+				add(end-L, mutated(end-L))
+			}
 			// The N as the window's first base, its last, one before the
 			// window and one after it. The reads are N-free copies of clean
 			// sequence, so only the window decides.
@@ -210,14 +220,28 @@ func TestPackedCandidatesIdentityProperty(t *testing.T) {
 	}
 }
 
-// FuzzPackedReference checks the packed reference against the codec it
-// replaces a per-candidate call of, for any sequence, window and length:
-// hasN is dna.HasN of the window, and the extracted window is the encoding of
-// its bytes (an unknown base packs as code 0, which is 'A').
+// FuzzPackedReference checks the packed reference against the bytes it was
+// packed from, for any sequence, window and length: hasN is dna.HasN of the
+// window; the planes are padded with a zero word at each end and every block
+// read of the window decodes to its bases (an unknown base packs as code 0,
+// which is 'A'); and a read filtered against the window where it lies — on
+// the host engine and on the device engine — gets Kernel.FilterChecked's
+// answer on the ASCII bytes.
 func FuzzPackedReference(f *testing.F) {
 	f.Add([]byte("ACGTACGTNACGTacgtn"), uint(3), uint(8))
 	f.Add([]byte(strings.Repeat("ACGT", 40)+"N"+strings.Repeat("TTGA", 40)), uint(97), uint(64))
 	f.Add([]byte(strings.Repeat("G", 129)), uint(128), uint(1))
+	// Window starts 0…3 (the guard columns read the leading pad) and windows
+	// ending on the last base, in the last plane word and in the one before
+	// it (the block reads run into the trailing pad). start = pos mod
+	// (len-L+1) and L = 1 + n mod len.
+	long := []byte(strings.Repeat("GATTACAC", 25)) // 200 bases: plane words end at 64, 128, 192
+	for start := uint(0); start <= 3; start++ {
+		f.Add(long, start, uint(99))
+	}
+	for _, end := range []uint{200, 199, 193, 192, 191, 129} {
+		f.Add(long, end-60, uint(59))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, pos, n uint) {
 		if len(raw) == 0 {
 			return
@@ -235,28 +259,66 @@ func FuzzPackedReference(f *testing.F) {
 		window := seq[start : start+L]
 
 		p := packReference(seq)
-		if p.length != len(seq) || len(p.words) != bitvec.EncodedWords(len(seq)) ||
-			len(p.nMask) != bitvec.MaskWords(len(seq)) {
-			t.Fatalf("packed %d bases as length %d, %d code words, %d mask words",
-				len(seq), p.length, len(p.words), len(p.nMask))
+		words := bitvec.MaskWords(len(seq))
+		if p.length != len(seq) || len(p.lo) != words+2 || len(p.hi) != words+2 || len(p.nMask) != words {
+			t.Fatalf("packed %d bases as length %d, %d+%d plane words, %d mask words",
+				len(seq), p.length, len(p.lo), len(p.hi), len(p.nMask))
+		}
+		if p.lo[0]|p.hi[0]|p.lo[words+1]|p.hi[words+1] != 0 {
+			t.Fatal("pad words are not zero")
 		}
 		if got, want := p.hasN(int64(start), L), dna.HasN(window); got != want {
 			t.Fatalf("hasN(%d,%d) = %v, dna.HasN = %v (window %q)", start, L, got, want, window)
 		}
-		known := slices.Clone(window)
-		for i, b := range known {
-			if !dna.IsACGT(b) {
-				known[i] = 'A'
+		// Every 64-column read a kernel block makes of this window: 4 guard
+		// columns before each 56-column payload.
+		for base := -4; base < L; base += 56 {
+			lo, hi := bitvec.Window(p.lo, planeOff(int64(start+base))), bitvec.Window(p.hi, planeOff(int64(start+base)))
+			for c := 0; c < 64; c++ {
+				var want byte // the pads beyond either end, and an unknown base, hold 0/0
+				if i := start + base + c; i >= 0 && i < len(seq) {
+					if code, ok := dna.Code(seq[i]); ok {
+						want = code
+					}
+				}
+				if got := byte(lo>>uint(c)&1 | hi>>uint(c)&1<<1); got != want {
+					t.Fatalf("block read at window column %d: column %d holds code %d, want %d (window %q)",
+						base, c, got, want, window)
+				}
 			}
 		}
-		want := make([]uint64, dna.WordsFor(L))
-		if at := dna.TryEncodeInto(want, known); at >= 0 {
-			t.Fatalf("oracle window still holds an unknown base at %d", at)
+
+		// One read against the window, on both engines and on the bytes.
+		read := slices.Clone(window)
+		for i := int(pos % 7); i < L; i += 1 + int(n%11) {
+			read[i] = "ACGT"[(pos+uint(i))%4]
 		}
-		got := make([]uint64, bitvec.EncodedWords(L))
-		bitvec.ExtractChars(got, p.words, start, L)
-		if !slices.Equal(got, want) {
-			t.Fatalf("extract(%d,%d) = %x, encoding of the window = %x (window %q)", start, L, got, want, window)
+		e := L / 20
+		want := checkedOracle(filter.NewKernel(filter.ModeGPU, L, e), seq, L, [][]byte{read}, []Candidate{{Pos: int64(start)}}, e)
+		cpu, err := NewCPUEngine(L, e, 1, Setup1(), cuda.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpu, err := NewEngine(Config{ReadLen: L, MaxE: e, MaxBatchPairs: 4}, cuda.NewUniformContext(1, cuda.GTX1080Ti()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gpu.Close()
+		for name, eng := range map[string]interface {
+			SetReference(seq []byte) error
+			FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error)
+		}{"CPUEngine": cpu, "Engine": gpu} {
+			if err := eng.SetReference(seq); err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.FilterCandidates([][]byte{read}, []Candidate{{Pos: int64(start)}}, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != want[0] {
+				t.Fatalf("%s: window [%d,%d) of %d: got %+v, FilterChecked on the bytes %+v (read %q window %q)",
+					name, start, start+L, len(seq), got[0], want[0], read, window)
+			}
 		}
 	})
 }

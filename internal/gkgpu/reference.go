@@ -2,7 +2,6 @@ package gkgpu
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -28,36 +27,49 @@ type Candidate struct {
 
 // packedRef is the encoded reference both engines filter against, built once
 // per SetReference (Section 3.5: the reference is encoded up front and every
-// filtration extracts its window by index): the bases as 2-bit codes, 32 per
-// word, plus one bit per base marking unknown base calls. At 0.375 B/base it
-// is what stays resident instead of the ASCII sequence.
+// filtration extracts its window by index): the bases as two bit planes — the
+// low and the high bit of each 2-bit code, 64 bases per word, the layout the
+// kernel computes in — plus one bit per base marking unknown base calls. At
+// 0.375 B/base it is what stays resident instead of the ASCII sequence.
 type packedRef struct {
 	length int
-	// words holds the 2-bit codes (dna.Encode's layout); an unknown base
-	// encodes as 0 and is told apart by nMask alone.
-	words []uint64
+	// lo and hi hold the planes, each with one zero word before base 0 and
+	// one after the last base: a kernel block reads 4 guard columns before its
+	// window and up to 59 after it, and the pads keep those reads in range at
+	// either end of the reference. An unknown base encodes as 0 and is told
+	// apart by nMask alone.
+	lo, hi []uint64
 	// nMask has bit i%64 of word i/64 set when base i is not A/C/G/T
 	// (either case): windows overlapping one bypass filtration as undefined.
 	nMask []uint64
 }
 
+// planeOff is the bit offset of reference base pos in the padded planes.
+//
+//gk:noalloc
+func planeOff(pos int64) int { return int(pos) + bitvec.CharsPerMaskWord }
+
 // packReference encodes seq in one parallel walk (multithreaded, as the
-// paper does with OpenMP). Worker chunks are cut on 64-base multiples — one
-// nMask word, two code words — so no two workers ever write the same word.
+// paper does with OpenMP). A worker's chunk is a run of whole 64-base words —
+// one word of each plane and of nMask — so no two workers write the same word.
 func packReference(seq []byte) *packedRef {
-	words, maskWords := bitvec.EncodedWords(len(seq)), bitvec.MaskWords(len(seq))
-	p := &packedRef{length: len(seq), words: make([]uint64, words), nMask: make([]uint64, maskWords)}
-	workers := cuda.MaxWorkers(maskWords)
-	chunk := 2 * ((maskWords + workers - 1) / workers) // code words per worker
+	words := bitvec.MaskWords(len(seq))
+	p := &packedRef{
+		length: len(seq),
+		lo:     make([]uint64, words+2),
+		hi:     make([]uint64, words+2),
+		nMask:  make([]uint64, words),
+	}
+	workers := cuda.MaxWorkers(words)
+	chunk := (words + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < words; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for wi := lo; wi < hi; wi++ {
-				codes, unknown := packWord(seq[wi*dna.BasesPerWord : min((wi+1)*dna.BasesPerWord, len(seq))])
-				p.words[wi] = codes
-				p.nMask[wi/2] |= unknown << uint(wi%2*dna.BasesPerWord)
+				base := wi * bitvec.CharsPerMaskWord
+				p.lo[wi+1], p.hi[wi+1], p.nMask[wi] = packWord(seq[base:min(base+bitvec.CharsPerMaskWord, len(seq))])
 			}
 		}(lo, min(lo+chunk, words))
 	}
@@ -65,18 +77,19 @@ func packReference(seq []byte) *packedRef {
 	return p
 }
 
-// packWord encodes up to 32 bases into one code word and the bitmap of the
-// unknown ones among them.
-func packWord(bases []byte) (codes, unknown uint64) {
+// packWord encodes up to 64 bases into one word of each plane and the bitmap
+// of the unknown ones among them.
+func packWord(bases []byte) (lo, hi, unknown uint64) {
 	for i, b := range bases {
 		code, ok := dna.Code(b)
 		if !ok {
 			unknown |= 1 << uint(i)
 			continue
 		}
-		codes |= uint64(code) << uint(2*i)
+		lo |= uint64(code&1) << uint(i)
+		hi |= uint64(code>>1) << uint(i)
 	}
-	return codes, unknown
+	return lo, hi, unknown
 }
 
 // hasN reports whether the window [start, start+n) holds an unknown base:
@@ -99,23 +112,43 @@ func (p *packedRef) hasN(start int64, n int) bool {
 	return acc != 0
 }
 
-// encodeReads packs each read once into its encWords-word slot of words —
-// "it is sufficient to copy a single read only once to GPU memory for its
-// multiple candidate reference segments" — and records in hasN whether the
-// read holds an unknown base (the encode walk doubles as the 'N' scan; such
-// a read's slot is garbage and never filtered).
-func encodeReads(words []uint64, hasN []bool, reads [][]byte, encWords int) {
+// encodeReads packs each read once into its slot of planes — planeWords words
+// of the low plane, then planeWords of the high — "it is sufficient to copy a
+// single read only once to GPU memory for its multiple candidate reference
+// segments" — and records in hasN whether the read holds an unknown base (the
+// encode walk doubles as the 'N' scan; such a read's slot is garbage and
+// never filtered).
+func encodeReads(planes []uint64, hasN []bool, reads [][]byte, planeWords int) {
 	for i, r := range reads {
-		hasN[i] = dna.TryEncodeInto(words[i*encWords:(i+1)*encWords], r) >= 0
+		lo, hi := readPlanes(planes, int64(i), planeWords)
+		hasN[i] = dna.TryEncodePlanes(lo, hi, r) >= 0
 	}
 }
 
+// readPlanes returns read id's two planes out of encodeReads' buffer.
+//
+//gk:noalloc
+func readPlanes(planes []uint64, id int64, planeWords int) (lo, hi []uint64) {
+	slot := planes[2*int(id)*planeWords:][:2*planeWords]
+	return slot[:planeWords], slot[planeWords:]
+}
+
 // reference is the GPU engine's loaded reference: the packed form's length
-// and 'N' bitmap on the host, and its code words in unified memory, one copy
-// per device (the host-side words are dropped once the buffers are filled).
+// and 'N' bitmap on the host, and its planes in unified memory, one copy per
+// device — the low plane then the high, each with its pad words (the
+// host-side planes are dropped once the buffers are filled).
 type reference struct {
 	*packedRef
 	bufs []*cuda.UMBuffer
+}
+
+// planes returns device devIdx's resident planes, marking the buffer touched
+// by the kernel about to read them (on-demand migration on Kepler).
+func (r *reference) planes(devIdx int) (lo, hi []uint64) {
+	buf := r.bufs[devIdx]
+	buf.DeviceTouch(0, buf.Len())
+	words := buf.Words()
+	return words[:len(words)/2], words[len(words)/2:]
 }
 
 // SetReference encodes seq and loads it into every device's unified memory,
@@ -138,21 +171,20 @@ func (e *Engine) SetReference(seq []byte) error {
 	e.clearReference()
 
 	for _, st := range e.states {
-		buf, err := st.dev.AllocUnified(len(ref.words) * 8)
+		buf, err := st.dev.AllocUnified((len(ref.lo) + len(ref.hi)) * 8)
 		if err != nil {
 			ref.free()
 			return fmt.Errorf("gkgpu: reference buffer: %w", allocFault(st.dev, err))
 		}
-		raw := buf.Bytes()
-		for i, v := range ref.words {
-			binary.LittleEndian.PutUint64(raw[i*8:], v)
-		}
-		buf.HostWrite(0, len(raw))
+		words := buf.Words()
+		copy(words, ref.lo)
+		copy(words[len(ref.lo):], ref.hi)
+		buf.HostWrite(0, buf.Len())
 		buf.Advise(cuda.AdviseReadMostly)
 		buf.PrefetchAsync(st.sets[0].streams[1])
 		ref.bufs = append(ref.bufs, buf)
 	}
-	ref.words = nil // the unified-memory buffers are the engine's copy now
+	ref.lo, ref.hi = nil, nil // the unified-memory buffers are the engine's copy now
 	e.ref = ref
 	return nil
 }
@@ -220,10 +252,10 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 	wallStart := time.Now()
 
 	// Encode every read once, whatever its number of candidate locations.
-	encWords := bitvec.EncodedWords(L)
-	readWords := make([]uint64, len(reads)*encWords)
+	planeWords := bitvec.MaskWords(L)
+	planes := make([]uint64, 2*len(reads)*planeWords)
 	readHasN := make([]bool, len(reads))
-	encodeReads(readWords, readHasN, reads, encWords)
+	encodeReads(planes, readHasN, reads, planeWords)
 
 	results := make([]Result, len(cands))
 
@@ -270,7 +302,7 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 				defer wg.Done()
 				o := &outcomes[di]
 				o.retries, o.lost, o.err = e.launchWithRetry(context.Background(), st, -1, func() error {
-					return e.runCandidateBatch(st, di, chunk, readWords, readHasN, errThreshold, out)
+					return e.runCandidateBatch(st, di, chunk, planes, readHasN, errThreshold, out)
 				})
 			}(di, st, round[lo:hi], results[off+lo:off+hi])
 			lo = hi
@@ -361,16 +393,17 @@ func (e *Engine) FilterCandidateStream(ctx context.Context, in <-chan StreamCand
 }
 
 // encodeCandidateChunk is the candidate stream's host-side encode stage:
-// pack each candidate's read into the set's read buffer (2-bit, host
-// encoded), mark undefined or out-of-geometry candidates in the flag
-// buffer, and submit the prefetches. The reference buffer is untouched —
-// it is the engine-lifetime unified-memory reference.
+// pack each candidate's read into the set's read buffer (2-bit interleaved,
+// the host-encoded transfer format, written through the buffer's word view),
+// mark undefined or out-of-geometry candidates in the flag buffer, and submit
+// the prefetches. The reference buffer is untouched — it is the
+// engine-lifetime unified-memory reference.
 func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []StreamCandidate) {
 	n := len(items)
 	L := e.cfg.ReadLen
 	encWords := bitvec.EncodedWords(L)
 	flags := set.flagBuf.Bytes()
-	rb := set.readBuf.Bytes()
+	rb := set.readBuf.Words()
 	ref := e.ref
 
 	workers := len(st.encWords)
@@ -389,25 +422,21 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 			hi = n
 		}
 		wg.Add(1)
-		go func(wk, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			words := st.encWords[wk]
 			for i := lo; i < hi; i++ {
 				c := items[i]
 				// Out-of-geometry candidates (FilterCandidates' validation
 				// errors) and 'N'-touched candidates both flag undefined:
 				// the former defensively, the latter by design.
 				if len(c.Read) != L || c.Pos < 0 || int(c.Pos)+L > ref.length ||
-					ref.hasN(c.Pos, L) || dna.TryEncodeInto(words, c.Read) >= 0 {
+					ref.hasN(c.Pos, L) || dna.TryEncodeInto(rb[i*encWords:][:encWords], c.Read) >= 0 {
 					flags[i] = 1
 					continue
 				}
-				for w, v := range words {
-					binary.LittleEndian.PutUint64(rb[(i*encWords+w)*8:], v)
-				}
 				flags[i] = 0
 			}
-		}(wk, lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 
@@ -421,8 +450,8 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 }
 
 // launchCandidateBatch is the candidate stream's device-side stage: the
-// kernel reads each packed read from the buffer set and extracts its
-// reference segment from the device-resident encoded reference by index, as
+// kernel reads each packed read in place from the buffer set and its
+// reference window in place from the device-resident planes, as
 // runCandidateBatch does for the one-shot path.
 func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSet,
 	items []StreamCandidate, errThreshold int, out []Result) error {
@@ -431,13 +460,10 @@ func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSe
 	if n == 0 {
 		return nil
 	}
-	L := e.cfg.ReadLen
-	encWords := bitvec.EncodedWords(L)
+	encWords := bitvec.EncodedWords(e.cfg.ReadLen)
 	flags := set.flagBuf.Bytes()
-	rb := set.readBuf.Bytes()
-	refBuf := e.ref.bufs[devIdx]
-	refRaw := refBuf.Bytes()
-	refBuf.DeviceTouch(0, refBuf.Len()) // on-demand migration on Kepler
+	rb := set.readBuf.Words()
+	refLo, refHi := e.ref.planes(devIdx)
 
 	lc := st.sys.Launch
 	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
@@ -448,31 +474,25 @@ func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSe
 			out[tid] = Result{Accept: true, Undefined: true}
 			return
 		}
-		rw := st.readWords[worker]
-		base := tid * encWords * 8
-		for w := 0; w < encWords; w++ {
-			rw[w] = binary.LittleEndian.Uint64(rb[base+w*8:])
-		}
-		fw := st.refWords[worker]
-		extractFromRaw(fw, refRaw, int(items[tid].Pos), L)
-		est, accept := st.kernels[worker].FilterEncoded(rw, fw, errThreshold)
+		est, accept := st.kernels[worker].FilterEncodedAt(rb[tid*encWords:][:encWords],
+			refLo, refHi, planeOff(items[tid].Pos), errThreshold)
 		out[tid] = Result{Accept: accept, Estimate: uint16(est)}
 	})
 }
 
-// runCandidateBatch executes one device's share of an index-named round.
+// runCandidateBatch executes one device's share of an index-named round:
+// each thread hands the kernel its read's planes, the resident reference
+// planes and the window's bit offset in them.
 func (e *Engine) runCandidateBatch(st *deviceState, devIdx int, chunk []Candidate,
-	readWords []uint64, readHasN []bool, errThreshold int, out []Result) error {
+	planes []uint64, readHasN []bool, errThreshold int, out []Result) error {
 
 	n := len(chunk)
 	if n == 0 {
 		return nil
 	}
 	L := e.cfg.ReadLen
-	encWords := bitvec.EncodedWords(L)
-	refBuf := e.ref.bufs[devIdx]
-	refRaw := refBuf.Bytes()
-	refBuf.DeviceTouch(0, refBuf.Len()) // on-demand migration on Kepler
+	planeWords := bitvec.MaskWords(L)
+	refLo, refHi := e.ref.planes(devIdx)
 
 	lc := st.sys.Launch
 	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
@@ -484,34 +504,8 @@ func (e *Engine) runCandidateBatch(st *deviceState, devIdx int, chunk []Candidat
 			out[tid] = Result{Accept: true, Undefined: true}
 			return
 		}
-		rw := readWords[int(c.ReadID)*encWords : (int(c.ReadID)+1)*encWords]
-		// Extract the candidate segment from the unified-memory reference:
-		// read the word span covering [Pos, Pos+L) and shift into place.
-		fw := st.refWords[worker]
-		extractFromRaw(fw, refRaw, int(c.Pos), L)
-		est, accept := st.kernels[worker].FilterEncoded(rw, fw, errThreshold)
+		readLo, readHi := readPlanes(planes, c.ReadID, planeWords)
+		est, accept := st.kernels[worker].FilterPlanes(readLo, readHi, refLo, refHi, planeOff(c.Pos), errThreshold)
 		out[tid] = Result{Accept: accept, Estimate: uint16(est)}
 	})
-}
-
-// extractFromRaw is bitvec.ExtractChars reading directly from the little-
-// endian byte image of the encoded reference in unified memory.
-func extractFromRaw(dst []uint64, raw []byte, start, n int) {
-	wordOff := start / dna.BasesPerWord
-	bitOff := uint(start%dna.BasesPerWord) * 2
-	outWords := bitvec.EncodedWords(n)
-	totalWords := len(raw) / 8
-	for i := 0; i < outWords; i++ {
-		var w uint64
-		if j := wordOff + i; j < totalWords {
-			w = binary.LittleEndian.Uint64(raw[j*8:]) >> bitOff
-			if bitOff != 0 && j+1 < totalWords {
-				w |= binary.LittleEndian.Uint64(raw[(j+1)*8:]) << (64 - bitOff)
-			}
-		}
-		dst[i] = w
-	}
-	if rem := n % dna.BasesPerWord; rem != 0 {
-		dst[outWords-1] &= (uint64(1) << uint(2*rem)) - 1
-	}
 }

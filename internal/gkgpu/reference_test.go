@@ -169,8 +169,8 @@ func TestReferenceNRecording(t *testing.T) {
 		t.Fatalf("packed %d bases in %d mask words, want %d in %d",
 			r.length, len(r.nMask), len(genome), bitvec.MaskWords(len(genome)))
 	}
-	if r.words != nil {
-		t.Fatal("GPU engine kept a host copy of the code words beside its unified-memory buffers")
+	if r.lo != nil || r.hi != nil {
+		t.Fatal("GPU engine kept a host copy of the planes beside its unified-memory buffers")
 	}
 	// Exactly the four N bits are set, each at bit p%64 of word p/64.
 	set := 0

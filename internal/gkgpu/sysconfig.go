@@ -36,11 +36,12 @@ func Configure(spec cuda.DeviceSpec, readLen, maxE int, encoding EncodingActor,
 	encWords := bitvec.EncodedWords(readLen)
 	maskWords := bitvec.MaskWords(readLen)
 
-	// Stack frame: two encoded-domain buffers (the raw-byte path's encode
-	// targets) plus the accumulated final mask, mirroring filter.Kernel's
-	// allocation — the fused pipeline carries the per-mask intermediate
-	// state in registers, so the old shift/XOR/amendment scratch slices are
-	// gone (64-bit words, 8 bytes each).
+	// Stack frame: the read's and the reference window's encoding (as bit
+	// planes, the same two bits per base as the interleaved words counted
+	// here) plus the accumulated final mask, approximating filter.Kernel's
+	// allocation — the kernel carries the per-mask intermediate state in
+	// registers, so there are no shift/XOR/amendment scratch slices (64-bit
+	// words, 8 bytes each).
 	threadLoad := 2*encWords*8 + maskWords*8
 
 	var perPair int

@@ -301,6 +301,8 @@ func LoadBenchReport(path string) (BenchReport, error) {
 // reports "unknown") the comparison is printed anyway but framed by a loud
 // warning: rates measured at different widths are not a perf trajectory,
 // which is exactly the apples-to-oranges mistake the pre-PR-7 captures made.
+// Baseline rows the current suite no longer has are listed too, as retired
+// rows, so a row cannot leave the trajectory unnoticed.
 func CompareBench(baseline, cur BenchReport, out io.Writer) {
 	crossWidth := baseline.CPUs != cur.CPUs || baseline.GOMAXPROCS != cur.GOMAXPROCS
 	warn := func() {
@@ -320,15 +322,18 @@ func CompareBench(baseline, cur BenchReport, out io.Writer) {
 		fmt.Fprintln(out, "****************************************************************")
 	}
 	old := make(map[string]BenchEntry)
+	var oldNames []string // baseline order, for the retired rows
 	for _, rows := range [][]BenchEntry{baseline.Kernels, baseline.Filters, baseline.Index} {
 		for _, e := range rows {
 			old[e.Name] = e
+			oldNames = append(oldNames, e.Name)
 		}
 	}
 	fmt.Fprintf(out, "vs baseline %s (label %q):\n", baseline.Stamp, baseline.Label)
 	for _, rows := range [][]BenchEntry{cur.Kernels, cur.Filters, cur.Index} {
 		for _, e := range rows {
 			o, ok := old[e.Name]
+			delete(old, e.Name)
 			if !ok {
 				fmt.Fprintf(out, "  %-32s %12.0f ns/op   (new row, no baseline)\n", e.Name, e.NsPerOp)
 				continue
@@ -340,6 +345,11 @@ func CompareBench(baseline, cur BenchReport, out io.Writer) {
 				fmt.Fprintf(out, "  %-32s %12.0f -> %12.0f ns/op    (x%.2f)\n",
 					e.Name, o.NsPerOp, e.NsPerOp, o.NsPerOp/e.NsPerOp)
 			}
+		}
+	}
+	for _, name := range oldNames {
+		if o, ok := old[name]; ok {
+			fmt.Fprintf(out, "  %-32s %12.0f ns/op   (retired row: in the baseline, not in this suite)\n", name, o.NsPerOp)
 		}
 	}
 	if crossWidth {

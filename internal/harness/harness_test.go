@@ -240,3 +240,48 @@ func TestGenomeScaleExperimentRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareBenchListsRetiredRows: a baseline row the current suite dropped
+// (the batch-fused rows, since PR 14) must be named in the comparison, beside
+// the matched and the new rows — once, and not when it is still measured.
+func TestCompareBenchListsRetiredRows(t *testing.T) {
+	baseline := BenchReport{Stamp: "OLD", CPUs: 1, GOMAXPROCS: 1,
+		Kernels: []BenchEntry{
+			{Name: "kernel-fused-L100-e5", NsPerOp: 700, PairsPerSec: 1.4e6},
+			{Name: "batch-fused-L100-e5-w1", NsPerOp: 650, PairsPerSec: 1.5e6},
+		},
+		Index: []BenchEntry{{Name: "index-lookup-500k", NsPerOp: 25}},
+	}
+	cur := BenchReport{Stamp: "NEW", CPUs: 1, GOMAXPROCS: 1,
+		Kernels: []BenchEntry{
+			{Name: "kernel-fused-L100-e5", NsPerOp: 300, PairsPerSec: 3.3e6},
+			{Name: "kernel-planes-L100-e5", NsPerOp: 250, PairsPerSec: 4e6},
+		},
+		Index: []BenchEntry{{Name: "index-lookup-500k", NsPerOp: 25}},
+	}
+	var out strings.Builder
+	CompareBench(baseline, cur, &out)
+	text := out.String()
+	for row, want := range map[string]string{
+		"kernel-fused-L100-e5":   "(x",
+		"kernel-planes-L100-e5":  "new row",
+		"batch-fused-L100-e5-w1": "retired row",
+		"index-lookup-500k":      "(x",
+	} {
+		var line string
+		for _, l := range strings.Split(text, "\n") {
+			if strings.Contains(l, " "+row+" ") {
+				if line != "" {
+					t.Errorf("row %s reported twice:\n%s", row, text)
+				}
+				line = l
+			}
+		}
+		if !strings.Contains(line, want) {
+			t.Errorf("row %s: line %q does not say %q\n%s", row, line, want, text)
+		}
+	}
+	if strings.Count(text, "retired row") != 1 {
+		t.Errorf("want exactly one retired row:\n%s", text)
+	}
+}

@@ -240,7 +240,7 @@ type closureSet struct {
 
 // inlinedClosures finds `f := func(...){...}` bindings inside fd whose
 // variable is only ever used in call position — the pattern the compiler
-// keeps off the heap, and the pattern maskPass uses for its fused helpers.
+// keeps off the heap (the pre-PR-15 kernel's fused helpers were written so).
 func inlinedClosures(info *types.Info, fd *ast.FuncDecl) *closureSet {
 	cs := &closureSet{lits: map[*ast.FuncLit]bool{}, objs: map[types.Object]bool{}}
 	candidates := map[types.Object]*ast.FuncLit{}

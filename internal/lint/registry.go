@@ -12,22 +12,26 @@ package lint
 // Keys are FuncKey form: pkgpath.Func, or pkgpath.Recv.Method with the
 // receiver's pointer stripped.
 var NoAllocRegistry = []string{
-	// The fused 64-bit kernel: one filtration end to end.
+	// The bit-plane block kernel: the core (one filtration end to end on
+	// planes), its interleaved-input adapters and the raw-byte entry point.
+	"repro/internal/filter.Kernel.FilterPlanes",
 	"repro/internal/filter.Kernel.FilterEncoded",
+	"repro/internal/filter.Kernel.FilterEncodedAt",
 	"repro/internal/filter.Kernel.FilterChecked",
-	"repro/internal/filter.Kernel.maskPass",
-	"repro/internal/filter.Kernel.maskPassPair",
-	"repro/internal/filter.Kernel.windowEstimate",
-	"repro/internal/filter.Kernel.countErrors",
+	"repro/internal/filter.Kernel.countRuns",
 	"repro/internal/filter.Kernel.ReadLen",
+	"repro/internal/filter.span",
+	"repro/internal/filter.amendWord",
 
-	// Bit-vector primitives the kernel leans on.
+	// Bit-vector primitives the kernel leans on: the in-place window reads,
+	// the adapters' plane split, and the error counters.
 	"repro/internal/bitvec.EncodedWords",
-	"repro/internal/bitvec.ExtractChars",
+	"repro/internal/bitvec.MaskWords",
+	"repro/internal/bitvec.Window",
+	"repro/internal/bitvec.WindowZero",
+	"repro/internal/bitvec.Deinterleave",
 	"repro/internal/bitvec.extractEven",
-	"repro/internal/bitvec.CollapsePair",
 	"repro/internal/bitvec.CountWindowsWord",
-	"repro/internal/bitvec.CountWindowsLUT",
 	"repro/internal/bitvec.CountRunsLUT",
 
 	// The 2-bit codec's hot-path forms.
@@ -35,6 +39,8 @@ var NoAllocRegistry = []string{
 	"repro/internal/dna.IsACGT",
 	"repro/internal/dna.WordsFor",
 	"repro/internal/dna.TryEncodeInto",
+	"repro/internal/dna.TryEncodePlanes",
+	"repro/internal/dna.unknownBytes",
 
 	// The bit-vector verifier: one thresholded distance on prepared masks.
 	"repro/internal/align.Verifier.Distance",
@@ -51,10 +57,14 @@ var NoAllocRegistry = []string{
 
 	// The CPU baseline's per-worker steady states: one claimed block of a
 	// pair batch or an index-named candidate batch on a persistent kernel,
-	// and the packed reference's window 'N' test the candidate block runs.
+	// and what the candidate block runs per candidate — the packed
+	// reference's window 'N' test, the read's plane slot, the window's bit
+	// offset.
 	"repro/internal/gkgpu.cpuFilterRange",
 	"repro/internal/gkgpu.cpuCandidateRange",
 	"repro/internal/gkgpu.packedRef.hasN",
+	"repro/internal/gkgpu.readPlanes",
+	"repro/internal/gkgpu.planeOff",
 
 	// The streaming pipeline's steady-state per-batch accounting: runStream
 	// recycles batches through a pool, and these are the helpers that run
