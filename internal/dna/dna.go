@@ -228,10 +228,17 @@ func Complement(b byte) byte { return complementTable[b] }
 // ReverseComplement returns the reverse complement of seq as a new slice.
 func ReverseComplement(seq []byte) []byte {
 	out := make([]byte, len(seq))
-	for i, b := range seq {
-		out[len(seq)-1-i] = complementTable[b]
-	}
+	ReverseComplementInto(out, seq)
 	return out
+}
+
+// ReverseComplementInto writes the reverse complement of seq into dst, which
+// must be as long as seq and must not overlap it.
+func ReverseComplementInto(dst, seq []byte) {
+	dst = dst[:len(seq)]
+	for i, b := range seq {
+		dst[len(seq)-1-i] = complementTable[b]
+	}
 }
 
 // Upper normalizes a sequence to upper case in place and returns it.

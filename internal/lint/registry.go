@@ -46,13 +46,19 @@ var NoAllocRegistry = []string{
 	"repro/internal/align.Verifier.Distance",
 	"repro/internal/align.abs",
 
-	// CSR seed index lookup and the contig-coordinate accessors every
-	// candidate's boundary check goes through.
+	// CSR seed index lookup, the three steps of a probe it is built from, the
+	// seeder's staged block over the same steps, and the contig-coordinate
+	// accessors every candidate's boundary check goes through.
 	"repro/internal/mapper.Index.Lookup",
+	"repro/internal/mapper.seedKey",
+	"repro/internal/mapper.Index.bucketBounds",
+	"repro/internal/mapper.Index.equalRange",
+	"repro/internal/mapper.seeder.seedBlock",
 	"repro/internal/mapper.Contig.End",
 	"repro/internal/mapper.Reference.ContigOff",
 	"repro/internal/mapper.Reference.ContigOf",
 	"repro/internal/mapper.Reference.Locate",
+	"repro/internal/mapper.Reference.locate",
 	"repro/internal/mapper.Reference.WindowContig",
 
 	// The CPU baseline's per-worker steady states: one claimed block of a

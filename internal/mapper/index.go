@@ -54,6 +54,14 @@ import (
 // (position-stable, so hit lists stay in ascending reference order exactly
 // as the map layout appended them).
 //
+// A probe is three steps — seedKey, bucketBounds, equalRange — and three
+// dependent loads: the bucket's bounds in offsets, the bucket's first keys,
+// the hit list in pos. Each is a line of an array far larger than any cache
+// (k = 13 over 2 Mb: 32 MB of offsets, 12 bytes per entry), so a probe walked
+// alone is three cache misses in series. Lookup is that walk, for callers
+// with one seed; the mapper's seeder takes a block of probes through the same
+// three steps one stage at a time, so the misses of different probes overlap.
+//
 // Positions and bucket offsets are 64-bit, so a reference is bounded only
 // by memory — a >2^31-base genome (the SneakySnake/SOAP3-dp evaluation
 // scale) indexes like any other. An optional seed step (accel-align's
@@ -120,7 +128,7 @@ func NewReferenceIndex(r *Reference, k int) (*Index, error) {
 // NewSteppedReferenceIndex builds the index with a seed step: only windows
 // whose contig-relative start is divisible by step are indexed, shrinking
 // the index ~step× (accel-align's kmer_step). The step is recorded in the
-// index and Mapper.candidates compensates automatically by probing step
+// index and the mapper's seeder compensates automatically by probing step
 // consecutive read offsets per pigeonhole seed, so any exact seed whose
 // surrounding k+step-1 bases are error-free still finds a sampled hit.
 // step 1 is bit-identical to NewReferenceIndex.
@@ -497,7 +505,8 @@ func (x *Index) Reference() *Reference { return x.ref }
 // when the seed contains an undefined base or has no hits. The returned
 // slice is a view into the index's positions array — ascending, read-only,
 // and produced without allocating. Positions address the concatenated
-// sequence; every hit's k-window lies wholly inside one contig.
+// sequence; every hit's k-window lies wholly inside one contig. One call is
+// one metrics.SeedLookups count.
 //
 //gk:noalloc
 func (x *Index) Lookup(seed []byte) []int64 {
@@ -505,20 +514,51 @@ func (x *Index) Lookup(seed []byte) []int64 {
 	if len(seed) != x.k {
 		return nil
 	}
-	var key uint32
+	key, ok := seedKey(seed)
+	if !ok {
+		return nil
+	}
+	lo, hi := x.bucketBounds(key)
+	first, last := x.equalRange(key, lo, hi)
+	if first == last {
+		return nil
+	}
+	return x.pos[first:last]
+}
+
+// seedKey packs a seed into its 2-bit k-mer key — the first of the three
+// steps of a probe, shared by Lookup and the mapper's seeder. ok is false
+// when the seed holds an undefined base: no indexed window contains one.
+//
+//gk:noalloc
+func seedKey(seed []byte) (key uint32, ok bool) {
 	for _, b := range seed {
-		code, ok := dna.Code(b)
-		if !ok {
-			return nil
+		code, defined := dna.Code(b)
+		if !defined {
+			return 0, false
 		}
 		key = key<<2 | uint32(code)
 	}
-	bucket := key >> x.shift
-	lo := int(x.offsets[bucket])
-	hi := int(x.offsets[bucket+1])
+	return key, true
+}
+
+// bucketBounds returns the span of keys/pos holding key's bucket: the
+// probe's second step and its first dependent load.
+//
+//gk:noalloc
+func (x *Index) bucketBounds(key uint32) (lo, hi int) {
+	b := key >> x.shift
+	return int(x.offsets[b]), int(x.offsets[b+1])
+}
+
+// equalRange returns the span of key inside its (key-sorted) bucket
+// keys[lo:hi), empty when the key is absent: the probe's third step and the
+// index's one search. The binary searches are hand-rolled to keep the hot
+// path free of closure allocations.
+//
+//gk:noalloc
+func (x *Index) equalRange(key uint32, lo, hi int) (first, last int) {
 	keys := x.keys
-	// Equal range of key inside its (key-sorted) bucket; hand-rolled binary
-	// searches keep the hot path free of closure allocations.
 	first, j := lo, hi
 	for first < j {
 		m := int(uint(first+j) >> 1)
@@ -529,9 +569,9 @@ func (x *Index) Lookup(seed []byte) []int64 {
 		}
 	}
 	if first == hi || keys[first] != key {
-		return nil
+		return first, first
 	}
-	last, j := first+1, hi
+	last, j = first+1, hi
 	for last < j {
 		m := int(uint(last+j) >> 1)
 		if keys[m] <= key {
@@ -540,7 +580,7 @@ func (x *Index) Lookup(seed []byte) []int64 {
 			j = m
 		}
 	}
-	return x.pos[first:last]
+	return first, last
 }
 
 // DistinctKmers returns the number of distinct indexed k-mers (diagnostics).

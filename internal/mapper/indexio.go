@@ -59,7 +59,8 @@ var (
 	// ErrIndexChecksum: the payload bytes do not match the stored CRC.
 	ErrIndexChecksum = errors.New("mapper: GKIX index checksum mismatch")
 	// ErrIndexGeometry: the header declares an impossible index geometry
-	// (k, step, or bucket/shift combination no build could produce).
+	// (k, step, or bucket/shift combination no build could produce), or the
+	// arrays are not the CSR it declares (see Index.validate).
 	ErrIndexGeometry = errors.New("mapper: corrupt GKIX index geometry")
 	// ErrIndexMismatch: a well-formed index that does not belong to the
 	// reference (or configuration) it is being loaded against.
@@ -295,14 +296,53 @@ func LoadIndex(r io.Reader, ref *Reference) (*Index, error) {
 		x.pos = unsafe.Slice((*int64)(unsafe.Pointer(&posWords[0])), nEntries)
 	}
 
-	// Structural spot checks the CRC cannot express: offsets must be a
-	// monotone prefix ending at nEntries (a well-formed CSR), and every
-	// position must land inside the reference.
-	if x.offsets[0] != 0 || x.offsets[nBuckets] != nEntries {
-		return nil, fmt.Errorf("%w (offsets span [%d,%d], entries %d)",
-			ErrIndexGeometry, x.offsets[0], x.offsets[nBuckets], nEntries)
+	// What the CRC cannot express — a payload that is intact but was never a
+	// CSR: every probe indexes keys and pos by these values unchecked.
+	if err := x.validate(); err != nil {
+		return nil, err
 	}
 	return x, nil
+}
+
+// validate holds a loaded index's arrays to what every probe assumes: offsets
+// is a monotone prefix from 0 to the entry count; every entry lies in the
+// bucket its key names; inside a bucket keys do not descend, and equal keys'
+// positions ascend; every position's k-window lies inside the reference. A
+// violation is ErrIndexGeometry. Buckets are the keys' high bits laid out in
+// order, so the key-order clauses together say the keys ascend over the
+// whole array — which lets both passes run straight down their arrays with
+// no per-bucket loop (half the buckets are empty: a loop over each one's
+// entries is a mispredicted branch per bucket, and measured twice this).
+func (x *Index) validate() error {
+	nEntries := uint64(len(x.pos))
+	nBuckets := uint64(len(x.offsets) - 1)
+	if x.offsets[0] != 0 || x.offsets[nBuckets] != nEntries {
+		return fmt.Errorf("%w (offsets span [%d,%d], entries %d)",
+			ErrIndexGeometry, x.offsets[0], x.offsets[nBuckets], nEntries)
+	}
+	for b, lo := range x.offsets[:nBuckets] {
+		if hi := x.offsets[b+1]; lo > hi {
+			return fmt.Errorf("%w (bucket %d spans [%d,%d))", ErrIndexGeometry, b, lo, hi)
+		}
+	}
+	maxPos := int64(len(x.seq) - x.k)
+	var prevKey uint32
+	var prevPos int64
+	for i, key := range x.keys {
+		pos := x.pos[i]
+		b := uint64(key >> x.shift)
+		if b >= nBuckets || uint64(i) < x.offsets[b] || uint64(i) >= x.offsets[b+1] {
+			return fmt.Errorf("%w (entry %d: key %#x outside its bucket)", ErrIndexGeometry, i, key)
+		}
+		if i > 0 && (key < prevKey || key == prevKey && pos <= prevPos) {
+			return fmt.Errorf("%w (entry %d out of order)", ErrIndexGeometry, i)
+		}
+		if pos < 0 || pos > maxPos {
+			return fmt.Errorf("%w (entry %d: position %d outside [0,%d])", ErrIndexGeometry, i, pos, maxPos)
+		}
+		prevKey, prevPos = key, pos
+	}
+	return nil
 }
 
 // trailingBits returns log2 of a power of two.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/dna"
 	"repro/internal/gkgpu"
+	"repro/internal/metrics"
 )
 
 // PreFilter is the pre-alignment filtering hook between seeding and
@@ -97,7 +98,7 @@ type Stats struct {
 	Mappings           int64
 	MappedReads        int64
 	SeedSeconds        float64 // wall: seeding + candidate collection
-	PreprocessSeconds  float64 // wall: batching/buffer preparation
+	PreprocessSeconds  float64 // wall: buffer preparation before filtering; zero since seeding builds the filter's candidate list itself
 	FilterWallSeconds  float64 // wall: pre-alignment filtering
 	FilterKernelModel  float64 // modelled device kernel seconds
 	FilterModelSeconds float64 // modelled end-to-end filter seconds
@@ -235,65 +236,6 @@ func (m *Mapper) Index() *Index { return m.idx }
 // Reference exposes the mapper's contig table.
 func (m *Mapper) Reference() *Reference { return m.ref }
 
-// candidates runs pigeonhole seeding for one read: e+1 seeds at evenly
-// spread offsets; each hit proposes the window that would place the read at
-// that seed offset. When the index is stepped, each pigeonhole seed fans
-// out over the step consecutive read offsets starting at its own — the
-// index holds one in every step contig-relative window starts, so whatever
-// phase the true alignment has, exactly one probe in the fan lines up with
-// a sampled reference window (found whenever the k+step-1 bases around the
-// seed are error-free, the stepped pigeonhole trade-off); at step 1 the fan
-// is the single historical probe. Windows that would run past the start or
-// end of the hit's contig — including into a neighbouring contig of the
-// concatenated sequence — are dropped here, before filtering, so a
-// cross-boundary candidate never reaches verification. Duplicates are
-// merged.
-func (m *Mapper) candidates(read []byte, e int) []int64 {
-	L := m.cfg.ReadLen
-	k := m.idx.k
-	step := m.idx.step
-	nSeeds := e + 1
-	if maxSeeds := L / k; nSeeds > maxSeeds {
-		nSeeds = maxSeeds
-	}
-	if nSeeds < 1 {
-		nSeeds = 1
-	}
-	var out []int64
-	for s := 0; s < nSeeds; s++ {
-		var off int
-		if nSeeds == 1 {
-			off = 0
-		} else {
-			off = s * (L - k) / (nSeeds - 1)
-		}
-		for o := off; o < off+step && o+k <= L; o++ {
-			for _, hit := range m.idx.Lookup(read[o : o+k]) {
-				pos := hit - int64(o)
-				// The hit's k-window is inside one contig by construction;
-				// the proposed read window must be too — WindowContig
-				// rejects windows out of range or straddling a contig
-				// boundary.
-				if m.ref.WindowContig(int(pos), L) < 0 {
-					continue
-				}
-				out = append(out, pos)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	slices.Sort(out)
-	dedup := out[:1]
-	for _, p := range out[1:] {
-		if p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	return dedup
-}
-
 // workers resolves the configured fan-out width against the machine.
 func (m *Mapper) workers() int {
 	if w := m.cfg.StreamWorkers; w > 0 {
@@ -302,170 +244,224 @@ func (m *Mapper) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// query is one oriented sequence to map: a read, or its reverse complement
-// under Config.BothStrands. It carries its own read id and strand, so a slab
-// of queries needs no table beside it.
+// query names one oriented sequence of a slab: a read, or its reverse
+// complement under Config.BothStrands.
 type query struct {
 	readID  int
 	reverse bool
-	seq     []byte
 }
 
-// orient appends the queries of one read to qs: the sequence as given, then
-// its reverse complement under Config.BothStrands.
-func (m *Mapper) orient(qs []query, readID int, seq []byte) []query {
-	qs = append(qs, query{readID: readID, seq: seq})
-	if m.cfg.BothStrands {
-		qs = append(qs, query{readID: readID, reverse: true, seq: dna.ReverseComplement(seq)})
+// slab is one batch of oriented queries, built by a feeder and mapped by
+// mapSlab. seqs is kept beside queries because it is the reads argument of
+// FilterCandidates as it stands: query i's candidates name it by i.
+type slab struct {
+	queries []query
+	seqs    [][]byte // seqs[i] is queries[i]'s sequence
+
+	// rc is the byte arena reverse complements are cut from. newSlab sizes
+	// it for the whole slab; a zero slab's grows in chunks — an arena that
+	// fills is left to the sequences cut from it and replaced by one twice as
+	// large.
+	rc []byte
+}
+
+// newSlab returns an empty slab with room for n records of per queries each:
+// all of a record's queries but its first are reverse complements.
+func (m *Mapper) newSlab(n, per int) *slab {
+	return &slab{queries: make([]query, 0, n*per), seqs: make([][]byte, 0, n*per),
+		rc: make([]byte, 0, n*(per-1)*m.cfg.ReadLen)}
+}
+
+// reset empties the slab for the next batch, keeping its storage — for a
+// feeder that builds a slab only after the last one is mapped.
+func (sl *slab) reset() {
+	sl.queries, sl.seqs, sl.rc = sl.queries[:0], sl.seqs[:0], sl.rc[:0]
+}
+
+// revComp returns the reverse complement of seq in the slab's own storage.
+func (sl *slab) revComp(seq []byte) []byte {
+	lo := len(sl.rc)
+	if cap(sl.rc)-lo < len(seq) {
+		sl.rc, lo = make([]byte, 0, max(len(seq), 2*cap(sl.rc))), 0
 	}
-	return qs
+	sl.rc = sl.rc[:lo+len(seq)]
+	rc := sl.rc[lo:len(sl.rc):len(sl.rc)]
+	dna.ReverseComplementInto(rc, seq)
+	return rc
 }
 
-// slabCand is one candidate of a slab. A slab's candidates are in query
-// order, so a worker verifying a block of them prepares each query's masks
-// once.
-type slabCand struct {
-	query int // index into the slab's queries
-	pos   int64
+// queriesPerRead is how many queries orient appends per read.
+func (m *Mapper) queriesPerRead() int {
+	if m.cfg.BothStrands {
+		return 2
+	}
+	return 1
+}
+
+// orient appends the queries of one read to the slab: the sequence as given,
+// then its reverse complement under Config.BothStrands.
+func (m *Mapper) orient(sl *slab, readID int, seq []byte) {
+	sl.queries = append(sl.queries, query{readID: readID})
+	sl.seqs = append(sl.seqs, seq)
+	if m.cfg.BothStrands {
+		sl.queries = append(sl.queries, query{readID: readID, reverse: true})
+		sl.seqs = append(sl.seqs, sl.revComp(seq))
+	}
+}
+
+// worker is one pool worker's state, kept for a whole mapSlabs run: its
+// seeder, its verifier, and what its share of the verify loop produced — the
+// mappings it kept and plain tallies, merged once when the run ends.
+type worker struct {
+	seeder   seeder
+	verifier align.Verifier
+	kept     []Mapping
+
+	verified, rejected, undefined int64
+}
+
+// run is what a mapSlabs call keeps across its slabs: the pool's workers and
+// the slab-sized tables mapSlab refills.
+type run struct {
+	workers []worker
+	spans   []span            // per query: where its candidates lie, and in whose arena
+	cands   []gkgpu.Candidate // the slab's candidates in query order
+}
+
+// newRun sets up the worker pool of one run at threshold e.
+func (m *Mapper) newRun(e int) *run {
+	r := &run{workers: make([]worker, m.workers())}
+	for w := range r.workers {
+		r.workers[w].seeder = newSeeder(m.idx, m.cfg.ReadLen, e)
+	}
+	return r
 }
 
 // mapSlab is the mapper's one seeding → filter → verify core, the paper's
 // slab-batched mrFAST integration: every query of the slab is seeded, the
 // slab's candidates go through the pre-alignment filter in one
 // FilterCandidates call, and the survivors are verified. Seeding and
-// verification fan out over the worker pool (the engines parallelize
-// filtering internally) into per-query and per-candidate slots, so the
-// mappings appended to out — in candidate order — are the serial walk's for
-// any pool width. Stage walls and counters accumulate into st. verifiers
-// holds one align.Verifier per pool worker and is reused across slabs.
-func (m *Mapper) mapSlab(queries []query, e int, verifiers []align.Verifier, out []Mapping, st *Stats) ([]Mapping, error) {
+// verification fan out over the run's workers (the engines parallelize
+// filtering internally). Each verify worker appends the mappings it keeps to
+// its own list, so the order mappings are collected in depends on the pool
+// width and on which worker claimed which block. The set does not, no two of
+// its members share (read, contig, position, strand), and mapSlabs sorts on
+// exactly that key — so the output is the serial walk's, byte for byte, for
+// any width. Stage walls and the candidate count accumulate into st, the
+// verify tallies into the workers.
+func (m *Mapper) mapSlab(sl *slab, e int, r *run, st *Stats) error {
 	L := m.cfg.ReadLen
 	ref := m.idx.seq
 
 	seedStart := time.Now()
-	perQuery := make([][]int64, len(queries))
-	gkgpu.ParallelFor(len(verifiers), len(queries), 8, func(_, lo, hi int) {
-		for qi := lo; qi < hi; qi++ {
-			perQuery[qi] = m.candidates(queries[qi].seq, e)
-		}
-	})
-	var cands []slabCand
-	for qi := range perQuery {
-		for _, pos := range perQuery[qi] {
-			cands = append(cands, slabCand{query: qi, pos: pos})
-		}
-	}
+	cands := r.seed(sl.seqs)
 	st.SeedSeconds += time.Since(seedStart).Seconds()
 	st.CandidatePairs += int64(len(cands))
 	if len(cands) == 0 {
-		return out, nil
+		return nil
 	}
 
-	// Preprocessing fills the filtering buffers ("we fill the buffers with
+	// The slab is already in the filter's form ("we fill the buffers with
 	// multiple reads and their candidate location indices"); verdicts stays
 	// nil without a filter, and every candidate goes to verification.
 	var verdicts []gkgpu.Result
 	if m.cfg.Filter != nil {
-		prepStart := time.Now()
-		seqs := make([][]byte, len(queries))
-		for qi := range queries {
-			seqs[qi] = queries[qi].seq
-		}
-		gcands := make([]gkgpu.Candidate, len(cands))
-		for i, c := range cands {
-			gcands[i] = gkgpu.Candidate{ReadID: int64(c.query), Pos: c.pos}
-		}
-		st.PreprocessSeconds += time.Since(prepStart).Seconds()
 		filtStart := time.Now()
 		var err error
-		verdicts, err = m.cfg.Filter.FilterCandidates(seqs, gcands, e)
+		verdicts, err = m.cfg.Filter.FilterCandidates(sl.seqs, cands, e)
 		st.FilterWallSeconds += time.Since(filtStart).Seconds()
 		if err != nil {
-			return nil, fmt.Errorf("mapper: pre-alignment filter: %w", err)
+			return fmt.Errorf("mapper: pre-alignment filter: %w", err)
 		}
 		if len(verdicts) != len(cands) {
-			return nil, fmt.Errorf("mapper: pre-alignment filter returned %d results for %d candidates",
+			return fmt.Errorf("mapper: pre-alignment filter returned %d results for %d candidates",
 				len(verdicts), len(cands))
 		}
 	}
 
-	// Verification: thresholded edit distance for surviving candidates, into
-	// per-candidate slots; the serial pass below tallies stats and appends
-	// the kept mappings in candidate order.
+	// Verification: thresholded edit distance for surviving candidates. A
+	// slab's candidates are in query order, so a worker verifying a block of
+	// them prepares each query's masks once. A block's contig lookups count
+	// into metrics.ContigLocates once, as its probes did in seedBlock.
 	verifyStart := time.Now()
-	slots := make([]Mapping, len(cands))
-	kept := make([]bool, len(cands))
-	gkgpu.ParallelFor(len(verifiers), len(cands), 32, func(w, lo, hi int) {
-		v := &verifiers[w]
-		prepared := -1
+	gkgpu.ParallelFor(len(r.workers), len(cands), 32, func(w, lo, hi int) {
+		wk := &r.workers[w]
+		v := &wk.verifier
+		prepared := int64(-1)
+		var verified, rejected, undefined int64
 		for i := lo; i < hi; i++ {
-			if verdicts != nil && !verdicts[i].Accept {
-				continue
+			if verdicts != nil {
+				if !verdicts[i].Accept {
+					rejected++
+					continue
+				}
+				if verdicts[i].Undefined {
+					undefined++
+				}
 			}
+			verified++
 			c := cands[i]
-			q := queries[c.query]
-			if c.query != prepared {
-				v.Prepare(q.seq)
-				prepared = c.query
+			q := sl.queries[c.ReadID]
+			if c.ReadID != prepared {
+				v.Prepare(sl.seqs[c.ReadID])
+				prepared = c.ReadID
 			}
-			window := ref[c.pos : int(c.pos)+L]
-			ci, rel := m.ref.Locate(int(c.pos))
+			window := ref[c.Pos : int(c.Pos)+L]
+			ci, rel := m.ref.locate(int(c.Pos))
 			if m.cfg.Traceback {
 				if al, ok := v.Align(window, e); ok {
-					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-						Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
-					kept[i] = true
+					wk.kept = append(wk.kept, Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
+						Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse})
 				}
 			} else if d, ok := v.Distance(window, e); ok {
-				slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-					Distance: d, Reverse: q.reverse}
-				kept[i] = true
+				wk.kept = append(wk.kept, Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
+					Distance: d, Reverse: q.reverse})
 			}
 		}
+		metrics.ContigLocates.Add(uint64(verified))
+		wk.verified += verified
+		wk.rejected += rejected
+		wk.undefined += undefined
 	})
-	for i := range cands {
-		if verdicts != nil {
-			if !verdicts[i].Accept {
-				st.RejectedPairs++
-				continue
-			}
-			if verdicts[i].Undefined {
-				st.UndefinedPairs++
-			}
-		}
-		st.VerificationPairs++
-		if kept[i] {
-			out = append(out, slots[i])
-		}
-	}
 	st.VerifySeconds += time.Since(verifyStart).Seconds()
-	return out, nil
+	return nil
 }
 
 // mapSlabs is the loop behind every entry point: it maps the slabs next
 // hands it, one at a time, until next returns none, and returns the mappings
 // in (read, contig, position, strand) order with the run's statistics. A
-// slab is garbage once it is mapped, so a run's memory beyond its output is
-// bounded by the slab, whatever fed it.
-func (m *Mapper) mapSlabs(e int, next func() []query) ([]Mapping, Stats, error) {
+// slab is garbage once it is mapped (next may hand the same one back,
+// refilled), so a run's memory beyond its output is bounded by the slab,
+// whatever fed it.
+func (m *Mapper) mapSlabs(e int, next func() *slab) ([]Mapping, Stats, error) {
 	if e > m.cfg.MaxE {
 		return nil, Stats{}, fmt.Errorf("mapper: threshold %d exceeds configured %d", e, m.cfg.MaxE)
 	}
 	var st Stats
-	var mappings []Mapping
 	totalStart := time.Now()
 	filterBefore := m.filterStats()
-	verifiers := make([]align.Verifier, m.workers())
-	for queries := next(); len(queries) > 0; queries = next() {
-		for _, q := range queries {
+	r := m.newRun(e)
+	for sl := next(); sl != nil && len(sl.queries) > 0; sl = next() {
+		for _, q := range sl.queries {
 			if !q.reverse {
 				st.Reads++
 			}
 		}
-		var err error
-		if mappings, err = m.mapSlab(queries, e, verifiers, mappings, &st); err != nil {
+		if err := m.mapSlab(sl, e, r, &st); err != nil {
 			return nil, Stats{}, err
 		}
+	}
+	// Merge the workers: the first list takes the others' mappings, and the
+	// sort below makes the order they arrive in immaterial.
+	mappings := r.workers[0].kept
+	for w := range r.workers {
+		wk := &r.workers[w]
+		if w > 0 {
+			mappings = append(mappings, wk.kept...)
+		}
+		st.VerificationPairs += wk.verified
+		st.RejectedPairs += wk.rejected
+		st.UndefinedPairs += wk.undefined
 	}
 	sortMappings(mappings)
 	st.Mappings = int64(len(mappings))
@@ -488,13 +484,13 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 		}
 	}
 	lo := 0
-	return m.mapSlabs(e, func() []query {
-		hi := min(lo+m.cfg.MaxReadsPerBatch, len(reads))
-		var qs []query
-		for ; lo < hi; lo++ {
-			qs = m.orient(qs, lo, reads[lo])
+	sl := m.newSlab(min(m.cfg.MaxReadsPerBatch, len(reads)), m.queriesPerRead())
+	return m.mapSlabs(e, func() *slab {
+		sl.reset()
+		for hi := min(lo+m.cfg.MaxReadsPerBatch, len(reads)); lo < hi; lo++ {
+			m.orient(sl, lo, reads[lo])
 		}
-		return qs
+		return sl
 	})
 }
 
@@ -516,31 +512,38 @@ func (st *Stats) setFilterModel(before, after gkgpu.Stats) {
 	st.FilterPrepModel = after.HostPrepSeconds - before.HostPrepSeconds
 }
 
-// sortMappings puts a mapping list into the mapper's canonical report order:
-// (read, contig, position, strand). Contigs order as the reference lays them
-// out, so the order equals the historical flat-position order; the strand
-// tie-break keeps it fully deterministic — every entry point must emit
-// byte-identical output — even for the rare read whose forward and
-// reverse-complement queries map at the same position.
+// sortMappings puts a mapping list into the mapper's canonical report order,
+// compareMappings'. mapSlab collects a run's mappings in whatever order its
+// workers produce them; this sort is what makes every entry point emit
+// byte-identical output for any pool width.
 func sortMappings(mappings []Mapping) {
-	slices.SortFunc(mappings, func(a, b Mapping) int {
-		if c := cmp.Compare(a.ReadID, b.ReadID); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Contig, b.Contig); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
-			return c
-		}
-		switch {
-		case a.Reverse == b.Reverse:
-			return 0
-		case b.Reverse:
-			return -1
-		}
-		return 1
-	})
+	slices.SortFunc(mappings, compareMappings)
+}
+
+// compareMappings orders mappings by (read, contig, position, strand).
+// Contigs order as the reference lays them out, so the order equals the
+// historical flat-position order. The key is total over one run's mappings —
+// a query's candidates are distinct, so no two mappings share read, strand
+// and position, and the strand field separates the rare read whose forward
+// and reverse-complement queries map at the same position — so a run's
+// sorted list does not depend on the order it was collected in.
+func compareMappings(a, b Mapping) int {
+	if c := cmp.Compare(a.ReadID, b.ReadID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Contig, b.Contig); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+		return c
+	}
+	switch {
+	case a.Reverse == b.Reverse:
+		return 0
+	case b.Reverse:
+		return -1
+	}
+	return 1
 }
 
 // countMappedReads counts the distinct reads in a mapping list already in

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/dna"
 )
 
 // ReadPair is one mate pair from an FR (forward/reverse) paired-end library:
@@ -80,13 +78,13 @@ func (m *Mapper) MapPairs(pairs []ReadPair, e int, win InsertWindow) ([]PairMapp
 		}
 	}
 	lo := 0
-	mappings, st, err := m.mapSlabs(e, func() []query {
-		hi := min(lo+m.pairsPerSlab(), len(pairs))
-		var qs []query
-		for ; lo < hi; lo++ {
-			qs = m.orientPair(qs, lo, pairs[lo].R1, pairs[lo].R2)
+	sl := m.newSlab(min(m.pairsPerSlab(), len(pairs)), 2*m.queriesPerRead())
+	mappings, st, err := m.mapSlabs(e, func() *slab {
+		sl.reset()
+		for hi := min(lo+m.pairsPerSlab(), len(pairs)); lo < hi; lo++ {
+			m.orientPair(sl, lo, pairs[lo].R1, pairs[lo].R2)
 		}
-		return qs
+		return sl
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -100,12 +98,12 @@ func (m *Mapper) pairsPerSlab() int {
 	return max(m.cfg.MaxReadsPerBatch/2, 1)
 }
 
-// orientPair appends the queries of mate pair pairID to qs: R1 as read
+// orientPair appends the queries of mate pair pairID to the slab: R1 as read
 // 2·pairID and the reverse complement of R2 as read 2·pairID+1, so both mates
 // map in the forward strand's coordinates.
-func (m *Mapper) orientPair(qs []query, pairID int, r1, r2 []byte) []query {
-	qs = m.orient(qs, 2*pairID, r1)
-	return m.orient(qs, 2*pairID+1, dna.ReverseComplement(r2))
+func (m *Mapper) orientPair(sl *slab, pairID int, r1, r2 []byte) {
+	m.orient(sl, 2*pairID, r1)
+	m.orient(sl, 2*pairID+1, sl.revComp(r2))
 }
 
 // resolveConcordant groups the interleaved-mate mappings of a finished run

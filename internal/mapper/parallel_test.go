@@ -55,6 +55,7 @@ func TestMapReadsWorkerWidthIdentity(t *testing.T) {
 				return mappings, st
 			}
 			want, wantSt := run(1)
+			mustBeStrictlyOrdered(t, want, "workers=1")
 			for _, workers := range []int{2, 4, 0} { // 0 = GOMAXPROCS
 				got, gotSt := run(workers)
 				if len(got) != len(want) {

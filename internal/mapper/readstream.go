@@ -30,38 +30,40 @@ type PairRead struct {
 // fails or a record is rejected, the rest is discarded — so a producer's
 // sends never block; mapChannel returns once it is closed.
 func mapChannel[T any](m *Mapper, in <-chan T, e, perSlab int,
-	add func(qs []query, id int, rec T) ([]query, error)) ([]Mapping, Stats, error) {
+	add func(sl *slab, id int, rec T) error) ([]Mapping, Stats, error) {
 
-	slabs := make(chan []query)
+	slabs := make(chan *slab)
 	stop := make(chan struct{}) // closed when the core takes no more slabs
 	var addErr error
 	go func() {
 		defer close(slabs)
 		defer drain(in)
-		var qs []query
+		// Whether the input fills a slab is not known until it has, so a
+		// collected slab starts empty and grows as its records arrive.
+		sl := new(slab)
 		n := 0
 		for rec := range in {
-			if qs, addErr = add(qs, n, rec); addErr != nil {
+			if addErr = add(sl, n, rec); addErr != nil {
 				return
 			}
 			if n++; n%perSlab != 0 {
 				continue
 			}
 			select {
-			case slabs <- qs:
-				qs = nil
+			case slabs <- sl:
+				sl = new(slab)
 			case <-stop:
 				return
 			}
 		}
-		if len(qs) > 0 {
+		if len(sl.queries) > 0 {
 			select {
-			case slabs <- qs:
+			case slabs <- sl:
 			case <-stop:
 			}
 		}
 	}()
-	mappings, st, err := m.mapSlabs(e, func() []query { return <-slabs })
+	mappings, st, err := m.mapSlabs(e, func() *slab { return <-slabs })
 	close(stop)
 	for range slabs { // closed by the collector once in is drained
 	}
@@ -85,12 +87,13 @@ func mapChannel[T any](m *Mapper, in <-chan T, e, perSlab int,
 // the remaining input is drained and discarded so the producer never
 // blocks.
 func (m *Mapper) MapReadStream(in <-chan Read, e int) ([]Mapping, Stats, error) {
-	return mapChannel(m, in, e, m.cfg.MaxReadsPerBatch, func(qs []query, id int, r Read) ([]query, error) {
+	return mapChannel(m, in, e, m.cfg.MaxReadsPerBatch, func(sl *slab, id int, r Read) error {
 		if len(r.Seq) != m.cfg.ReadLen {
-			return nil, fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
+			return fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
 				id, r.Name, len(r.Seq), m.cfg.ReadLen)
 		}
-		return m.orient(qs, id, r.Seq), nil
+		m.orient(sl, id, r.Seq)
+		return nil
 	})
 }
 
@@ -108,12 +111,13 @@ func (m *Mapper) MapPairStream(in <-chan PairRead, e int, win InsertWindow) ([]P
 		drain(in)
 		return nil, Stats{}, err
 	}
-	mappings, st, err := mapChannel(m, in, e, m.pairsPerSlab(), func(qs []query, id int, p PairRead) ([]query, error) {
+	mappings, st, err := mapChannel(m, in, e, m.pairsPerSlab(), func(sl *slab, id int, p PairRead) error {
 		if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
-			return nil, fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
+			return fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
 				id, p.Name, len(p.R1), len(p.R2), m.cfg.ReadLen)
 		}
-		return m.orientPair(qs, id, p.R1, p.R2), nil
+		m.orientPair(sl, id, p.R1, p.R2)
+		return nil
 	})
 	if err != nil {
 		return nil, Stats{}, err

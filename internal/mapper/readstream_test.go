@@ -128,6 +128,7 @@ func TestChannelFedMatchesSlabbed(t *testing.T) {
 								t.Fatalf("%s %s: %v", run.name, label, err)
 							}
 							mustEqualMappings(t, got, wantReads, run.name+" "+label)
+							mustBeStrictlyOrdered(t, got, run.name+" "+label)
 							if !sameCounters(st, wantReadSt) {
 								t.Fatalf("%s %s: counters drifted:\n got %+v\nwant %+v", run.name, label, st, wantReadSt)
 							}

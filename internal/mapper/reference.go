@@ -144,11 +144,20 @@ func (r *Reference) ContigOf(pos int) int {
 }
 
 // Locate translates a concatenated position into (contig index,
-// contig-relative position). pos must be inside the reference.
+// contig-relative position). pos must be inside the reference. One call is
+// one metrics.ContigLocates count.
 //
 //gk:noalloc
 func (r *Reference) Locate(pos int) (contig, rel int) {
 	metrics.ContigLocates.Inc()
+	return r.locate(pos)
+}
+
+// locate is Locate without the count, for the verify loop, which counts a
+// block's lookups at once.
+//
+//gk:noalloc
+func (r *Reference) locate(pos int) (contig, rel int) {
 	c := r.ContigOf(pos)
 	if c < 0 {
 		panic(fmt.Sprintf("mapper: position %d outside reference of length %d", pos, len(r.seq))) //gk:allow noalloc: cold panic path, unreachable for in-range positions

@@ -4,22 +4,79 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/dna"
 )
 
-// samQName makes a FASTQ name SAM-legal: the name up to the first
+// samWriter renders alignment records into one reused line buffer: a record
+// costs appends into storage the last one left behind, not a trip through
+// fmt's verbs and an allocation per field.
+type samWriter struct {
+	bw    *bufio.Writer
+	qname []byte // the current record's (or pair's) QNAME
+	line  []byte
+}
+
+// setQName makes record id's QNAME current: its FASTQ name up to the first
 // whitespace (SAM QNAMEs cannot contain it; FASTQ headers often carry a
-// description after the id), or the fallback when nothing remains.
-func samQName(name, fallback string) string {
-	if i := strings.IndexAny(name, " \t"); i >= 0 {
-		name = name[:i]
+// description after the id), or fallback followed by id when names does not
+// cover the record or nothing remains of its name.
+func (w *samWriter) setQName(names []string, id int, fallback string) {
+	w.qname = w.qname[:0]
+	if id < len(names) {
+		name := names[id]
+		if i := strings.IndexAny(name, " \t"); i >= 0 {
+			name = name[:i]
+		}
+		w.qname = append(w.qname, name...)
 	}
-	if name == "" {
-		return fallback
+	if len(w.qname) == 0 {
+		w.qname = strconv.AppendInt(append(w.qname, fallback...), int64(id), 10)
 	}
-	return name
+}
+
+// samRecord is what one alignment line says beyond its QNAME. Positions are
+// as printed, 1-based; an unpaired record has rnext "*" and zero pnext/tlen.
+type samRecord struct {
+	flag        int
+	rname       string
+	pos         int
+	cigar       string // empty: the whole read matches, <len>M
+	rnext       string
+	pnext, tlen int
+	seq         []byte
+	revComp     bool // SEQ is seq's reverse complement
+	nm          int
+}
+
+// write emits one record under the current QNAME.
+func (w *samWriter) write(r samRecord) error {
+	b := append(w.line[:0], w.qname...)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.flag), 10)
+	b = append(append(b, '\t'), r.rname...)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.pos), 10)
+	b = append(b, "\t255\t"...)
+	if r.cigar == "" {
+		b = append(strconv.AppendInt(b, int64(len(r.seq)), 10), 'M')
+	} else {
+		b = append(b, r.cigar...)
+	}
+	b = append(append(b, '\t'), r.rnext...)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.pnext), 10)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.tlen), 10)
+	b = append(b, '\t')
+	seq := len(b)
+	b = append(b, r.seq...)
+	if r.revComp {
+		dna.ReverseComplementInto(b[seq:], r.seq)
+	}
+	b = strconv.AppendInt(append(b, "\t*\tNM:i:"...), int64(r.nm), 10)
+	b = append(b, '\n')
+	w.line = b
+	_, err := w.bw.Write(b)
+	return err
 }
 
 // writeSAMHeader emits @HD, one @SQ per contig (in reference order), and @PG.
@@ -53,8 +110,8 @@ func contigName(ref *Reference, contig int) (string, error) {
 // names slice falls back to read%d for the uncovered reads, which is how
 // simulated read sets are written.
 func WriteSAM(w io.Writer, ref *Reference, names []string, reads [][]byte, mappings []Mapping) error {
-	bw := bufio.NewWriter(w)
-	if err := writeSAMHeader(bw, ref); err != nil {
+	sw := samWriter{bw: bufio.NewWriter(w)}
+	if err := writeSAMHeader(sw.bw, ref); err != nil {
 		return err
 	}
 	for _, m := range mappings {
@@ -65,26 +122,17 @@ func WriteSAM(w io.Writer, ref *Reference, names []string, reads [][]byte, mappi
 		if err != nil {
 			return err
 		}
-		read := reads[m.ReadID]
 		flag := 0
 		if m.Reverse {
 			flag = 16 // SAM reverse-strand flag; SEQ is the aligned orientation
-			read = dna.ReverseComplement(read)
 		}
-		cigar := m.CIGAR
-		if cigar == "" {
-			cigar = fmt.Sprintf("%dM", len(read))
-		}
-		qname := fmt.Sprintf("read%d", m.ReadID)
-		if m.ReadID < len(names) {
-			qname = samQName(names[m.ReadID], qname)
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t255\t%s\t*\t0\t0\t%s\t*\tNM:i:%d\n",
-			qname, flag, rname, m.Pos+1, cigar, read, m.Distance); err != nil {
+		sw.setQName(names, m.ReadID, "read")
+		if err := sw.write(samRecord{flag: flag, rname: rname, pos: m.Pos + 1, cigar: m.CIGAR, rnext: "*",
+			seq: reads[m.ReadID], revComp: m.Reverse, nm: m.Distance}); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return sw.bw.Flush()
 }
 
 // WritePairedSAM emits resolved concordant pairs as standard paired-end SAM:
@@ -98,8 +146,8 @@ func WriteSAM(w io.Writer, ref *Reference, names []string, reads [][]byte, mappi
 // libraries). names carries the pairs' FASTQ names (pair%d fallback); pairs
 // supplies the mate sequences.
 func WritePairedSAM(w io.Writer, ref *Reference, names []string, pairs []ReadPair, resolved []PairMapping) error {
-	bw := bufio.NewWriter(w)
-	if err := writeSAMHeader(bw, ref); err != nil {
+	sw := samWriter{bw: bufio.NewWriter(w)}
+	if err := writeSAMHeader(sw.bw, ref); err != nil {
 		return err
 	}
 	for _, pm := range resolved {
@@ -120,27 +168,10 @@ func WritePairedSAM(w io.Writer, ref *Reference, names []string, pairs []ReadPai
 		if pm.Mate1.Contig != pm.Mate2.Contig {
 			rnext1, rnext2 = rname2, rname1
 		}
-		p := pairs[pm.PairID]
-		fallback := fmt.Sprintf("pair%d", pm.PairID)
-		qname := fallback
-		if pm.PairID < len(names) {
-			qname = samQName(names[pm.PairID], fallback)
-			// Both records share one QNAME; drop R1's legacy mate suffix.
-			if t := strings.TrimSuffix(qname, "/1"); t != "" {
-				qname = t
-			}
-		}
-		// Aligned-orientation sequences. Mate1's query is R1 itself; Mate2's
-		// query is the reverse complement of R2, so the R2 record prints
-		// revcomp(R2) when that query mapped forward (the usual FR case) and
-		// R2 as sequenced when it mapped reversed (opposite-strand fragment).
-		seq1 := p.R1
-		if pm.Mate1.Reverse {
-			seq1 = dna.ReverseComplement(p.R1)
-		}
-		seq2 := dna.ReverseComplement(p.R2)
-		if pm.Mate2.Reverse {
-			seq2 = p.R2
+		// Both records share one QNAME; drop R1's legacy mate suffix.
+		sw.setQName(names, pm.PairID, "pair")
+		if n := len(sw.qname); n > 2 && string(sw.qname[n-2:]) == "/1" {
+			sw.qname = sw.qname[:n-2]
 		}
 		const paired, proper = 0x1, 0x2
 		f1 := paired | proper | 0x40
@@ -157,22 +188,21 @@ func WritePairedSAM(w io.Writer, ref *Reference, names []string, pairs []ReadPai
 		if pm.Mate2.Pos < pm.Mate1.Pos {
 			tlen1, tlen2 = -pm.Insert, pm.Insert
 		}
-		cigar1 := pm.Mate1.CIGAR
-		if cigar1 == "" {
-			cigar1 = fmt.Sprintf("%dM", len(seq1))
-		}
-		cigar2 := pm.Mate2.CIGAR
-		if cigar2 == "" {
-			cigar2 = fmt.Sprintf("%dM", len(seq2))
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t255\t%s\t%s\t%d\t%d\t%s\t*\tNM:i:%d\n",
-			qname, f1, rname1, pm.Mate1.Pos+1, cigar1, rnext1, pm.Mate2.Pos+1, tlen1, seq1, pm.Mate1.Distance); err != nil {
+		// Aligned-orientation sequences. Mate1's query is R1 itself; Mate2's
+		// query is the reverse complement of R2, so the R2 record prints
+		// revcomp(R2) when that query mapped forward (the usual FR case) and
+		// R2 as sequenced when it mapped reversed (opposite-strand fragment).
+		p := pairs[pm.PairID]
+		if err := sw.write(samRecord{flag: f1, rname: rname1, pos: pm.Mate1.Pos + 1, cigar: pm.Mate1.CIGAR,
+			rnext: rnext1, pnext: pm.Mate2.Pos + 1, tlen: tlen1,
+			seq: p.R1, revComp: pm.Mate1.Reverse, nm: pm.Mate1.Distance}); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t255\t%s\t%s\t%d\t%d\t%s\t*\tNM:i:%d\n",
-			qname, f2, rname2, pm.Mate2.Pos+1, cigar2, rnext2, pm.Mate1.Pos+1, tlen2, seq2, pm.Mate2.Distance); err != nil {
+		if err := sw.write(samRecord{flag: f2, rname: rname2, pos: pm.Mate2.Pos + 1, cigar: pm.Mate2.CIGAR,
+			rnext: rnext2, pnext: pm.Mate1.Pos + 1, tlen: tlen2,
+			seq: p.R2, revComp: !pm.Mate2.Reverse, nm: pm.Mate2.Distance}); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return sw.bw.Flush()
 }

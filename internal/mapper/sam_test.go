@@ -1,10 +1,14 @@
 package mapper
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dna"
 )
 
 func TestWriteSAMThreadsNames(t *testing.T) {
@@ -138,5 +142,60 @@ func TestWritePairedSAMFlagInvariants(t *testing.T) {
 		if (f1&0x10 != 0) == (f2&0x10 != 0) {
 			t.Fatalf("reverse=%v: FR mates must align on opposite strands: %d %d", reverse, f1, f2)
 		}
+	}
+}
+
+// TestSAMWriterMatchesFprintf holds the record-append helper to the line the
+// writers used to format through fmt, verb for verb, and its QNAME rule to
+// the one they used to apply: SAM bytes may not move.
+func TestSAMWriterMatchesFprintf(t *testing.T) {
+	names := []string{"SRR1.1 desc", "", " leading", "\ttab", "frag/1", "/1", "x/1\tdesc", "plain"}
+	for id := 0; id < len(names)+2; id++ {
+		want := fmt.Sprintf("read%d", id)
+		if id < len(names) {
+			name := names[id]
+			if i := strings.IndexAny(name, " \t"); i >= 0 {
+				name = name[:i]
+			}
+			if name != "" {
+				want = name
+			}
+		}
+		var sw samWriter
+		sw.setQName(names, id, "read")
+		if string(sw.qname) != want {
+			t.Errorf("QNAME of record %d: got %q, want %q", id, sw.qname, want)
+		}
+	}
+
+	recs := []samRecord{
+		{flag: 0, rname: "chr1", pos: 1, rnext: "*", seq: []byte("ACGTN"), nm: 0},
+		{flag: 16, rname: "chr1", pos: 1234567, rnext: "*", seq: []byte("AACCGGTTN"), revComp: true, nm: 3},
+		{flag: 99, rname: "c", pos: 11, cigar: "3M1I2M1D4M", rnext: "=", pnext: 27, tlen: 20, seq: []byte("AACCAACCAA"), nm: 2},
+		{flag: 147, rname: "c", pos: 27, rnext: "other", pnext: 11, tlen: -20, seq: []byte("GGTT"), revComp: true, nm: 15},
+		{flag: 0, rname: "", pos: 0, rnext: "*", seq: nil, nm: 0},
+	}
+	var got, want bytes.Buffer
+	sw := samWriter{bw: bufio.NewWriter(&got)}
+	sw.setQName([]string{"q"}, 0, "read")
+	for _, r := range recs {
+		if err := sw.write(r); err != nil {
+			t.Fatal(err)
+		}
+		seq, cigar := r.seq, r.cigar
+		if r.revComp {
+			seq = dna.ReverseComplement(seq)
+		}
+		if cigar == "" {
+			cigar = fmt.Sprintf("%dM", len(seq))
+		}
+		fmt.Fprintf(&want, "%s\t%d\t%s\t%d\t255\t%s\t%s\t%d\t%d\t%s\t*\tNM:i:%d\n",
+			"q", r.flag, r.rname, r.pos, cigar, r.rnext, r.pnext, r.tlen, seq, r.nm)
+	}
+	if err := sw.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("record bytes drifted:\n--- got ---\n%s--- want ---\n%s", got.String(), want.String())
 	}
 }

@@ -24,6 +24,20 @@ func mustEqualMappings(t *testing.T, got, want []Mapping, label string) {
 	}
 }
 
+// mustBeStrictlyOrdered asserts that no two mappings of one run compare equal
+// under sortMappings' key: the sorted list is then the same whatever order
+// the verify workers collected it in, which is what lets them append to
+// lists of their own.
+func mustBeStrictlyOrdered(t *testing.T, mappings []Mapping, label string) {
+	t.Helper()
+	for i := 1; i < len(mappings); i++ {
+		if compareMappings(mappings[i-1], mappings[i]) >= 0 {
+			t.Fatalf("%s: mappings %d and %d are not strictly ordered: %+v, %+v",
+				label, i-1, i, mappings[i-1], mappings[i])
+		}
+	}
+}
+
 func TestMapStreamMatchesMapReads(t *testing.T) {
 	// The ordering/consistency contract of channel-fed ingestion: whatever
 	// the worker count or filter, MapReadStream must produce byte-identical
