@@ -1,7 +1,7 @@
 package align
 
 import (
-	"math"
+	"slices"
 	"strconv"
 )
 
@@ -25,36 +25,33 @@ type Alignment struct {
 
 // CIGAR renders the operations run-length encoded, extended style
 // (=/X/I/D). Use CIGARCompat for the classic M-style string.
-func (a Alignment) CIGAR() string {
-	return renderCigar(a.Ops, func(op Op) byte { return byte(op) })
-}
+func (a Alignment) CIGAR() string { return renderCigar(a.Ops, false) }
 
 // CIGARCompat renders the classic SAM CIGAR where matches and mismatches
 // both appear as 'M'.
-func (a Alignment) CIGARCompat() string {
-	return renderCigar(a.Ops, func(op Op) byte {
-		if op == OpMatch || op == OpMismatch {
-			return 'M'
-		}
-		return byte(op)
-	})
-}
+func (a Alignment) CIGARCompat() string { return renderCigar(a.Ops, true) }
 
-func renderCigar(ops []Op, classify func(Op) byte) string {
+// renderCigar run-length encodes ops; compat folds '=' and 'X' into 'M'.
+func renderCigar(ops []Op, compat bool) string {
 	if len(ops) == 0 {
 		return "*"
 	}
 	var arr [32]byte // most CIGARs fit: the string is then the only allocation
 	buf := arr[:0]
-	runClass := classify(ops[0])
-	runLen := 1
-	for _, op := range ops[1:] {
-		c := classify(op)
+	var runClass byte
+	runLen := 0
+	for _, op := range ops {
+		c := byte(op)
+		if compat && (op == OpMatch || op == OpMismatch) {
+			c = 'M'
+		}
 		if c == runClass {
 			runLen++
 			continue
 		}
-		buf = append(strconv.AppendInt(buf, int64(runLen), 10), runClass)
+		if runLen > 0 {
+			buf = append(strconv.AppendInt(buf, int64(runLen), 10), runClass)
+		}
 		runClass, runLen = c, 1
 	}
 	buf = append(strconv.AppendInt(buf, int64(runLen), 10), runClass)
@@ -64,103 +61,79 @@ func renderCigar(ops []Op, classify func(Op) byte) string {
 // Align computes a global alignment of a (the read) against b within an
 // edit-distance budget, returning the distance and traceback. It returns
 // ok=false when the distance exceeds maxDist. Like DistanceBanded it prepares
-// a pooled Verifier per call; hold a Verifier to align one read against many
-// windows.
+// a pooled Verifier per call, and so copies the operations out of it; hold a
+// Verifier to align one read against many windows.
 func Align(a, b []byte, maxDist int) (Alignment, bool) {
 	v := verifiers.Get().(*Verifier)
 	v.Prepare(a)
 	al, ok := v.Align(b, maxDist)
+	al.Ops = slices.Clone(al.Ops)
 	verifiers.Put(v)
 	return al, ok
 }
 
 // Align computes the global alignment of the prepared read against window
-// when their distance is at most e. Distance answers first, so a miss costs
-// no DP; on a hit the band that is filled for the traceback has half-width d,
-// the distance just found, not e — every cell of every optimal path lies
-// within d of the main diagonal, so the traceback (diagonal before insertion
-// before deletion) takes the steps it would take in any wider band. The band
-// lives in the verifier's reusable buffer; only Ops is allocated.
+// when their distance is at most e: Distance's pass, run once with every
+// advanced block's deltas recorded, and a walk back from the bottom-right
+// cell over the record. A step is taken when the predecessor's value plus the
+// step's cost equals the cell's — diagonal before insertion before deletion —
+// and each such equality is one recorded bit of the cell's own block and
+// column: D0 clear (diagonal + 1), Pv set (above + 1), Ph set (left + 1). The
+// pass's values are exact on every cell of every optimal path and never below
+// the true distance elsewhere (see Distance), so the walk stays on optimal
+// paths, inside the band, and takes the steps it would take on the full
+// matrix.
+//
+// The record and Ops live in the verifier: Align allocates only when the
+// pair is larger than any before it, and Ops is valid until the verifier's
+// next Align or Prepare.
 func (v *Verifier) Align(window []byte, e int) (Alignment, bool) {
-	d, ok := v.Distance(window, e)
+	a, b := v.pat, window
+	m, n := len(a), len(b)
+	if abs(m-n) > e {
+		return Alignment{}, false // before a window of any length sizes the record
+	}
+	blocks := (m + wordBits - 1) / wordBits
+	if len(v.rec) < blocks*n {
+		v.rec = make([]blockDeltas, blocks*n)
+	}
+	if len(v.ops) < m+n {
+		v.ops = make([]Op, m+n)
+	}
+	d, ok := v.record(window, e)
 	if !ok {
 		return Alignment{}, false
 	}
-	a, b := v.pat, window
-	m, n := len(a), len(b)
-	// Out-of-band and out-of-matrix cells hold inf (or a little more); the
-	// path's own cells are ≤ d, so the equalities below never match one.
-	const inf = math.MaxInt32 / 2
-	width := 2*d + 1
-	if need := (m + 1) * width; cap(v.band) < need {
-		v.band = make([]int32, need)
-	}
-	// rows[i*width+k] is D[i][j] with j = i + k - d.
-	rows := v.band[:(m+1)*width]
-	for k := 0; k < width; k++ {
-		if j := k - d; j >= 0 && j <= n {
-			rows[k] = int32(j)
-		} else {
-			rows[k] = inf
-		}
-	}
-	for i := 1; i <= m; i++ {
-		prev, cur := rows[(i-1)*width:i*width], rows[i*width:(i+1)*width]
-		for k := range cur {
-			j := i + k - d
-			switch {
-			case j < 0 || j > n:
-				cur[k] = inf
-				continue
-			case j == 0:
-				cur[k] = int32(i)
-				continue
-			}
-			best := prev[k] // substitution / match
-			if a[i-1] != b[j-1] {
-				best++
-			}
-			if k+1 < width { // read base against a gap
-				best = min(best, prev[k+1]+1)
-			}
-			if k > 0 { // reference base against a gap
-				best = min(best, cur[k-1]+1)
-			}
-			cur[k] = best
-		}
-	}
-
-	// Traceback from (m, n).
-	ops := make([]Op, 0, m+d)
-	i, k := m, n-m+d
-	for {
-		j := i + k - d
-		if i == 0 && j == 0 {
-			break
-		}
-		cur := rows[i*width+k]
+	ops := v.ops[:m+n]
+	at := len(ops)
+	for i, j := m, n; i > 0 || j > 0; {
+		op := OpDel
 		switch {
-		case i > 0 && j > 0 && a[i-1] == b[j-1] && rows[(i-1)*width+k] == cur:
-			ops = append(ops, OpMatch)
-			i--
-		case i > 0 && j > 0 && a[i-1] != b[j-1] && rows[(i-1)*width+k]+1 == cur:
-			ops = append(ops, OpMismatch)
-			i--
-		case i > 0 && k+1 < width && rows[(i-1)*width+k+1]+1 == cur:
-			// Consumed a read base without a reference base.
-			ops = append(ops, OpIns)
-			i--
-			k++
-		case j > 0 && k > 0 && rows[i*width+k-1]+1 == cur:
-			ops = append(ops, OpDel)
-			k--
+		case j == 0:
+			op = OpIns
+		case i == 0: // row 0: only reference bases are left
+		case a[i-1] == b[j-1]:
+			op = OpMatch // D0 is then always set
 		default:
-			panic("align: traceback found no predecessor in the band")
+			cell := &v.rec[(j-1)*blocks+(i-1)/wordBits]
+			bit := uint64(1) << (uint(i-1) % wordBits)
+			switch {
+			case cell.d0&bit == 0:
+				op = OpMismatch
+			case cell.pv&bit != 0:
+				op = OpIns // consumed a read base without a reference base
+			case cell.ph&bit == 0:
+				panic("align: traceback found no predecessor in the record")
+			}
+		}
+		at--
+		ops[at] = op
+		if op != OpDel {
+			i--
+		}
+		if op != OpIns {
+			j--
 		}
 	}
-	// Reverse into read-major order.
-	for lo, hi := 0, len(ops)-1; lo < hi; lo, hi = lo+1, hi-1 {
-		ops[lo], ops[hi] = ops[hi], ops[lo]
-	}
-	return Alignment{Distance: d, Ops: ops}, true
+	return Alignment{Distance: d, Ops: ops[at:]}, true
 }

@@ -7,9 +7,11 @@ import "sync"
 // answers "is the global edit distance between the prepared read and this
 // window at most e, and if so what is it" with the blocked Myers/Hyyrö
 // bit-vector recurrence restricted to an Ukkonen band, over scratch it owns:
-// Prepare builds the pattern masks once per read, and Distance then costs no
-// allocation however many candidate windows the read has. Every byte is its
-// own symbol (Edlib's NW semantics: 'N' matches only 'N').
+// Prepare builds the pattern masks once per read, and Distance — or Align,
+// the same pass with its deltas recorded and walked back into the alignment's
+// operations — then costs no allocation however many candidate windows the
+// read has. Every byte is its own symbol (Edlib's NW semantics: 'N' matches
+// only 'N').
 //
 // A Verifier is not safe for concurrent use; the mapper keeps one per worker.
 // The zero value is ready for Prepare.
@@ -17,7 +19,8 @@ type Verifier struct {
 	pat    []byte        // private copy of the prepared read
 	peq    [][256]uint64 // peq[blk][c] has bit i set when pat[blk*64+i] == c
 	pv, mv []uint64      // vertical +1 / -1 delta vectors, one word per block
-	band   []int32       // Align's traceback band, (len(pat)+1) × (2d+1)
+	rec    []blockDeltas // Align's record, one entry per block per column
+	ops    []Op          // Align's operations, written from the back
 }
 
 // Prepare makes read the pattern of the following Distance and Align calls.
@@ -77,23 +80,84 @@ func (v *Verifier) Distance(window []byte, e int) (int, bool) {
 		hp, hn := uint64(1), uint64(0) // horizontal delta entering from above: +1
 		for b := first; b <= last; b++ {
 			eq, p, q := peq[b][c], pv[b], mv[b]
-			xv := eq | q
-			eq |= hn
-			xh := (((eq & p) + p) ^ p) | eq
-			ph := q | ^(xh | p)
-			mh := p & xh
+			var xh uint64
+			xh, _, pv[b], mv[b], hp, hn = blockStep(eq, p, q, hp, hn)
 			if b == diag/wordBits {
 				d0 = xh | q
 			}
-			hpOut, hnOut := ph>>(wordBits-1), mh>>(wordBits-1)
-			ph = ph<<1 | hp
-			mh = mh<<1 | hn
-			pv[b] = mh | ^(xv | ph)
-			mv[b] = ph & xv
-			hp, hn = hpOut, hnOut
 		}
 		if diag >= 0 {
 			score += 1 - int(d0>>(uint(diag)%wordBits)&1)
+			if score > e {
+				return 0, false
+			}
+		}
+	}
+	return score, true
+}
+
+// blockStep advances one 64-row block by one column: Hyyrö's update of the
+// vertical deltas (p, q) = (+1, -1) under the column's match mask eq, with
+// the horizontal delta (hp, hn) entering at the block's top row and leaving
+// at its bottom one. Besides the new state it returns xh, whose union with q
+// is D0 (bit i set: the cell equals its diagonal neighbour), and ph before
+// the shift (bit i set: the cell is one more than its left neighbour); Align
+// records both. It is the verifier's only copy of the recurrence, and it stays
+// within the inliner's budget only because the callers form xh|q themselves.
+//
+//gk:noalloc
+func blockStep(eq, p, q, hp, hn uint64) (xh, ph, pv, mv, hpOut, hnOut uint64) {
+	xv := eq | q
+	eq |= hn
+	xh = (((eq & p) + p) ^ p) | eq
+	ph = q | ^(xh | p)
+	mh := p & xh
+	hpOut, hnOut = ph>>(wordBits-1), mh>>(wordBits-1)
+	php := ph<<1 | hp
+	mh = mh<<1 | hn
+	return xh, ph, mh | ^(xv | php), php & xv, hpOut, hnOut
+}
+
+// blockDeltas is what Align's walk needs of one block in one column, a bit per
+// cell: d0 set when the cell equals its diagonal neighbour, pv set when it is
+// one more than the cell above, ph set when it is one more than the cell to
+// its left.
+type blockDeltas struct{ d0, pv, ph uint64 }
+
+// record is Distance keeping what it computes: block b's deltas in column j
+// go to v.rec[j*blocks+b], for every block the column advances. The
+// columns, band and cut-off are Distance's, so the two answer alike; the
+// store is kept out of Distance's loop because a flag tested per block costs
+// the distance-only callers a fifth of their time. Align, its one caller,
+// has sized v.rec and settled the length gap: |m-n| ≤ e.
+//
+//gk:noalloc
+func (v *Verifier) record(window []byte, e int) (int, bool) {
+	m, n := len(v.pat), len(window)
+	delta := m - n
+	score := abs(delta)
+	if m == 0 || n == 0 {
+		return score, true
+	}
+	blocks := (m + wordBits - 1) / wordBits
+	peq, pv, mv := v.peq[:blocks], v.pv[:blocks], v.mv[:blocks]
+	for b := range pv {
+		pv[b], mv[b] = ^uint64(0), 0
+	}
+	slack := (e - score) / 2
+	lo, hi := min(0, delta)-slack, max(0, delta)+slack
+	for j, c := range window {
+		first, last := max(j+lo, 0)/wordBits, min(j+hi, m-1)/wordBits
+		col := v.rec[j*blocks:][:blocks]
+		hp, hn := uint64(1), uint64(0)
+		for b := first; b <= last; b++ {
+			eq, p, q := peq[b][c], pv[b], mv[b]
+			var xh, ph uint64
+			xh, ph, pv[b], mv[b], hp, hn = blockStep(eq, p, q, hp, hn)
+			col[b] = blockDeltas{d0: xh | q, pv: pv[b], ph: ph}
+		}
+		if diag := j + delta; diag >= 0 {
+			score += 1 - int(col[diag/wordBits].d0>>(uint(diag)%wordBits)&1)
 			if score > e {
 				return 0, false
 			}

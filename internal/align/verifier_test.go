@@ -183,8 +183,8 @@ func TestVerifierPrepareCopies(t *testing.T) {
 
 // refAlign is the pre-bit-vector Align, kept verbatim as the traceback
 // oracle: a (2·maxDist+1)-wide row DP and the diagonal / insertion /
-// deletion tie-break. Verifier.Align fills a narrower band and must still
-// emit the same operations.
+// deletion tie-break. Verifier.Align walks the bit vectors its one pass
+// recorded and must still emit the same operations.
 func refAlign(a, b []byte, maxDist int) (Alignment, bool) {
 	m, n := len(a), len(b)
 	if maxDist < 0 || abs(m-n) > maxDist {
@@ -283,23 +283,31 @@ func refAlign(a, b []byte, maxDist int) (Alignment, bool) {
 
 // TestAlignMatchesOldTraceback pins CIGARs byte-identical to the old
 // full-width band: same ok, same distance, same operation string, across
-// thresholds well above the distance (where the new band is far narrower
-// than the old one) and indel-rich pairs (where ties are common).
+// reads of one to seven blocks, thresholds well above the distance (where
+// the pass advances blocks no optimal path enters) and indel-rich pairs
+// (where ties are common).
 func TestAlignMatchesOldTraceback(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var v Verifier
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		m := 1 + rng.Intn(220)
+		if trial%3 == 0 { // five blocks and more
+			m = 257 + rng.Intn(144)
+		}
 		a := dna.RandomSeq(rng, m)
 		if trial%7 == 0 { // low-complexity reads make tied paths the rule
 			a = bytes.Repeat([]byte("AC"), m)[:m]
 		}
-		b := dna.ApplyEdits(a, dna.RandomEdits(rng, m, rng.Intn(min(m, 14)), 0.6))
+		edits := rng.Intn(min(m, 14))
+		if trial%5 == 0 {
+			edits = rng.Intn(min(m, 71))
+		}
+		b := dna.ApplyEdits(a, dna.RandomEdits(rng, m, edits, 0.6))
 		if trial%11 == 0 {
 			sprinkle(rng, b)
 		}
 		v.Prepare(a)
-		for _, e := range []int{0, 2, 5, 15, 40} {
+		for _, e := range []int{0, 2, 5, 15, 40, 70} {
 			want, wantOK := refAlign(a, b, e)
 			got, ok := v.Align(b, e)
 			if ok != wantOK {
@@ -316,6 +324,25 @@ func TestAlignMatchesOldTraceback(t *testing.T) {
 				t.Fatalf("trial %d e=%d: package Align disagrees with Verifier.Align", trial, e)
 			}
 		}
+	}
+}
+
+// TestAlignOpsLifetime: Verifier.Align's Ops are the verifier's scratch,
+// good until its next Align or Prepare; the package-level Align returns a
+// copy, because its verifier goes back to a pool.
+func TestAlignOpsLifetime(t *testing.T) {
+	a, b := []byte("ACGTACGTAC"), []byte("ACGTTCGTAC")
+	kept, ok := Align(a, b, 2)
+	if !ok || kept.CIGAR() != "4=1X5=" {
+		t.Fatalf("Align = (%s, %v)", kept.CIGAR(), ok)
+	}
+	for i := 0; i < 4; i++ { // whichever pooled verifier served kept, reuse it
+		if al, ok := Align([]byte("TTTTTTTTTTTT"), []byte("TTTTTT"), 6); !ok || al.CIGAR() != "6I6=" {
+			t.Fatalf("Align = (%s, %v)", al.CIGAR(), ok)
+		}
+	}
+	if got := kept.CIGAR(); got != "4=1X5=" {
+		t.Fatalf("a later Align rewrote a returned alignment: %s", got)
 	}
 }
 
@@ -397,14 +424,21 @@ func FuzzAlignTraceback(f *testing.F) {
 		if ok != (want <= e) {
 			t.Fatalf("Align ok=%v, DP distance %d, e=%d", ok, want, e)
 		}
+		// Replaying to the DP distance proves the path optimal; only the old
+		// traceback's operations prove the tie-break did not drift.
+		old, oldOK := refAlign(a, b, e)
+		if ok != oldOK || al.Distance != old.Distance || string(al.Ops) != string(old.Ops) {
+			t.Fatalf("Align = (%d, %s, %v), old Align (%d, %s, %v)\na=%q\nb=%q",
+				al.Distance, al.CIGAR(), ok, old.Distance, old.CIGAR(), oldOK, a, b)
+		}
 		if !ok {
 			return
 		}
-		d, _ := v.Distance(b, e)
 		out, edits, legal := replayOps(a, b, al.Ops)
 		if !legal || !bytes.Equal(out, b) {
 			t.Fatalf("ops %s do not replay a into b\na=%q\nb=%q", al.CIGAR(), a, b)
 		}
+		d, _ := v.Distance(b, e)
 		if edits != want || al.Distance != want || d != want {
 			t.Fatalf("ops imply %d edits, Align says %d, Distance says %d, DP says %d", edits, al.Distance, d, want)
 		}
@@ -412,11 +446,11 @@ func FuzzAlignTraceback(f *testing.F) {
 }
 
 // TestVerifierZeroAllocs is the verification hot-path guard: once a verifier
-// has seen its longest read, Prepare and Distance — hit, miss, early cut-off
-// — allocate nothing, however the reads alternate. The mapper runs this once
-// per surviving candidate.
+// has seen its longest read, Prepare, Distance and Align — hit, miss, early
+// cut-off — allocate nothing, however the reads alternate. The mapper runs
+// one of the two once per surviving candidate.
 func TestVerifierZeroAllocs(t *testing.T) {
-	for _, fn := range []string{"Verifier.Distance", "abs"} {
+	for _, fn := range []string{"Verifier.Distance", "Verifier.record", "blockStep", "abs"} {
 		if !lint.IsNoAlloc("repro/internal/align", fn) {
 			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
 		}
@@ -431,6 +465,7 @@ func TestVerifierZeroAllocs(t *testing.T) {
 			other := dna.RandomSeq(rng, tc.L/2)
 			similar := dna.ApplyEdits(read, dna.RandomEdits(rng, tc.L, tc.e/2, 0.5))
 			dissimilar := dna.RandomSeq(rng, tc.L)
+			short := read[:tc.L-tc.e-1] // settled by the length gap
 			var v Verifier
 			v.Prepare(read)
 			if allocs := testing.AllocsPerRun(200, func() {
@@ -441,6 +476,19 @@ func TestVerifierZeroAllocs(t *testing.T) {
 				v.Distance(dissimilar, tc.e)
 			}); allocs != 0 {
 				t.Fatalf("Prepare+Distance allocated %.1f allocs/op, want 0", allocs)
+			}
+			if _, ok := v.Align(similar, tc.e); !ok {
+				t.Fatal("Align missed the similar window")
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				v.Prepare(other)
+				v.Align(dissimilar, tc.e)
+				v.Prepare(read)
+				v.Align(similar, tc.e)
+				v.Align(dissimilar, tc.e)
+				v.Align(short, tc.e)
+			}); allocs != 0 {
+				t.Fatalf("Prepare+Align allocated %.1f allocs/op, want 0", allocs)
 			}
 		})
 	}

@@ -2,6 +2,10 @@ package dna
 
 import (
 	"bytes"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -105,6 +109,101 @@ func FuzzEncodePlanes(f *testing.F) {
 			if l != code&1 || h != code>>1 {
 				t.Fatalf("base %d of %q: planes hold %d/%d, interleaved code is %02b", i, seq, l, h, code)
 			}
+		}
+	})
+}
+
+// lineNumbered is the position every text-decoder error must open with.
+var lineNumbered = regexp.MustCompile(`^dna: fast[aq] line ([0-9]+): `)
+
+// checkLineNumbered fails unless err names a line of data (or the one just
+// past its end, where a truncated record is noticed).
+func checkLineNumbered(t *testing.T, err error, data []byte) {
+	t.Helper()
+	m := lineNumbered.FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("error without a line number: %v", err)
+	}
+	lines := bytes.Count(data, []byte("\n")) + 1
+	if n, _ := strconv.Atoi(m[1]); n < 1 || n > lines {
+		t.Fatalf("error names line %d of %d: %v", n, lines, err)
+	}
+}
+
+// FuzzFASTQScanner feeds the incremental FASTQ decoder arbitrary bytes — the
+// read file is the one input of a mapping run nobody generated. It must never
+// panic; a refusal names a line of the input and is final; and whatever it
+// accepts is well-framed (non-empty sequence, one quality per base) and
+// survives WriteFASTQ → ReadFASTQ unchanged.
+func FuzzFASTQScanner(f *testing.F) {
+	f.Add([]byte("@r1\nACGT\n+\nIIII\n"))
+	f.Add([]byte("\n\n@r1 desc\r\nACGTN\r\n+r1\r\n!!!!!\r\n\n@r2\nA\n+\nI"))
+	f.Add([]byte("@r1\nACGT\nACGT\n+\nIIIIIIII\n")) // wrapped sequence
+	f.Add([]byte("@r1\nACGT\n+\nIII\n"))            // short quality
+	f.Add([]byte("@r1\nACGT\n\n+\nIIII\n"))         // blank inside a record
+	f.Add([]byte("@r1\nACGT\n+\n"))                 // truncated
+	f.Add([]byte("r1\nACGT\n+\nIIII\n"))            // no '@'
+	f.Add([]byte("@\n@\n+\n@\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewFASTQScanner(bytes.NewReader(data))
+		var recs []Record
+		for s.Scan() {
+			rec := s.Record()
+			if len(rec.Seq) == 0 || len(rec.Qual) != len(rec.Seq) {
+				t.Fatalf("accepted an ill-framed record: %+v", rec)
+			}
+			recs = append(recs, rec)
+		}
+		if err := s.Err(); err != nil {
+			checkLineNumbered(t, err, data)
+			if s.Scan() || s.Err() != err {
+				t.Fatalf("Scan went on after %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTQ(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadFASTQ(&buf)
+		if err != nil || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip: %+v (%v), first read %+v", again, err, recs)
+		}
+	})
+}
+
+// FuzzReadFASTA does the same for the reference reader: no panic, a refusal
+// names a line, and accepted records survive WriteFASTA → ReadFASTA. The
+// round trip is asked only of sequences made of printable ASCII other than
+// '>': ReadFASTA keeps whatever bytes a sequence line holds between its
+// trimmed ends, and WriteFASTA's 70-column wrap can put such a byte at the
+// head of a line, where a '>' reads back as a header and a blank is trimmed.
+func FuzzReadFASTA(f *testing.F) {
+	f.Add([]byte(">chr1 Homo sapiens\nACGT\nACGT\n>chr2\nNNNN\n"))
+	f.Add([]byte("\n>a\tb  c \r\n\r\nAC\r\n  GT  \n>\n>empty\n"))
+	f.Add([]byte("ACGT\n>late\n")) // sequence before header
+	f.Add([]byte(">long\n" + strings.Repeat("ACGTACGTAC", 15)))
+	f.Add([]byte(">>x y\n>z"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadFASTA(bytes.NewReader(data))
+		if err != nil {
+			checkLineNumbered(t, err, data)
+			return
+		}
+		for _, rec := range recs {
+			for _, c := range rec.Seq {
+				if c <= ' ' || c >= 0x7f || c == '>' {
+					return
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTA(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadFASTA(&buf)
+		if err != nil || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip: %+v (%v), first read %+v", again, err, recs)
 		}
 	})
 }

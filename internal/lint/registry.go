@@ -42,8 +42,12 @@ var NoAllocRegistry = []string{
 	"repro/internal/dna.TryEncodePlanes",
 	"repro/internal/dna.unknownBytes",
 
-	// The bit-vector verifier: one thresholded distance on prepared masks.
+	// The bit-vector verifier: one thresholded distance on prepared masks,
+	// the same pass recording its deltas for Align's traceback, and the
+	// block update the two share.
 	"repro/internal/align.Verifier.Distance",
+	"repro/internal/align.Verifier.record",
+	"repro/internal/align.blockStep",
 	"repro/internal/align.abs",
 
 	// CSR seed index lookup, the three steps of a probe it is built from, the

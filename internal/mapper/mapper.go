@@ -48,7 +48,7 @@ type Config struct {
 	MaxReadsPerBatch int
 	Filter           PreFilter
 	// Traceback makes verification produce CIGAR strings for SAM output at
-	// the cost of materializing the DP band.
+	// the cost of recording the verifier's pass and walking it back.
 	Traceback bool
 	// BothStrands also maps the reverse complement of every read, as real
 	// short read mappers do; reverse-strand mappings carry Reverse=true.
