@@ -330,7 +330,8 @@ func main() {
 	}
 	fmt.Printf("reads:               %s\n", metrics.FmtInt(st.Reads))
 	fmt.Printf("candidate mappings:  %s\n", metrics.FmtInt(st.CandidatePairs))
-	fmt.Printf("verification pairs:  %s\n", metrics.FmtInt(st.VerificationPairs))
+	fmt.Printf("verification pairs:  %s (%s settled on the wavefront, %s handed over to the column pass)\n",
+		metrics.FmtInt(st.VerificationPairs), metrics.FmtInt(st.WavefrontPairs), metrics.FmtInt(st.HandedOverPairs))
 	fmt.Printf("rejected pairs:      %s (%.1f%% reduction)\n",
 		metrics.FmtInt(st.RejectedPairs), 100*st.Reduction())
 	fmt.Printf("undefined pairs:     %s\n", metrics.FmtInt(st.UndefinedPairs))

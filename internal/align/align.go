@@ -2,37 +2,45 @@
 // reproduction. The paper uses Edlib's global alignment as ground truth for
 // every accuracy experiment; Edlib is an implementation of Myers' 1999
 // bit-vector algorithm, which this package reimplements (blocked variant for
-// sequences longer than one machine word, per Hyyrö 2003). Verifier, the
-// same recurrence thresholded at e inside an Ukkonen band over reusable
-// scratch, is the mapper's verification kernel, and a plain quadratic DP acts
-// as the reference implementation in tests.
+// sequences longer than one machine word, per Hyyrö 2003): Distance and the
+// semi-global forms run it over the whole matrix. Verifier, the mapper's
+// verification kernel, answers "at most e, and how many" over reusable
+// scratch: a wavefront of furthest-reaching diagonals (Ukkonen / Myers O(ND))
+// settles the pairs that keep pace with a read of at most e edits, and the
+// same bit-vector recurrence, thresholded at e inside an Ukkonen band, takes
+// the rest. A plain quadratic DP acts as the reference implementation in
+// tests.
 package align
 
-const (
-	wordBits = 64
-	highBit  = uint64(1) << (wordBits - 1)
-)
+const wordBits = 64
 
 // Distance returns the global (Needleman-Wunsch / Levenshtein) edit distance
 // between a and b using the blocked Myers bit-vector algorithm. It matches
 // Edlib's NW mode: every character is an ordinary symbol, so 'N' matches only
 // 'N'.
 func Distance(a, b []byte) int {
-	m, n := len(a), len(b)
-	if m == 0 {
-		return n
-	}
-	if n == 0 {
-		return m
-	}
-	// Myers' algorithm treats `a` as the pattern (rows). Keeping the pattern
-	// as the shorter string minimizes the block count.
-	if m > n {
+	// lastRow takes its first argument as the pattern (rows). Keeping the
+	// pattern as the shorter string minimizes the block count.
+	if len(a) > len(b) {
 		a, b = b, a
-		m, n = n, m
 	}
+	if len(a) == 0 {
+		return len(b)
+	}
+	last, _ := lastRow(a, b, 1) // global mode: the first DP row is 0,1,2,...
+	return last
+}
+
+// lastRow runs the blocked Myers/Hyyrö recurrence over the whole matrix of a
+// non-empty pattern (rows) against text (columns) and follows the pattern's
+// last row: it returns that row's value in the final column and its minimum
+// over every column, column 0 included. top is the horizontal delta of the
+// row above the matrix: 1 when the first DP row is 0, 1, 2, … (leading text
+// is paid for), 0 when it is all zeros (leading text is free).
+func lastRow(pattern, text []byte, top uint64) (last, best int) {
+	m := len(pattern)
 	blocks := (m + wordBits - 1) / wordBits
-	peq := buildPeq(a, blocks)
+	peq := buildPeq(pattern, blocks)
 	zero := make([]uint64, blocks)
 
 	pv := make([]uint64, blocks)
@@ -40,54 +48,24 @@ func Distance(a, b []byte) int {
 	for i := range pv {
 		pv[i] = ^uint64(0)
 	}
-	lastBit := uint((m - 1) % wordBits)
-	score := m
-	for j := 0; j < n; j++ {
-		eqAll := peq[b[j]]
+	lastBit := uint((m - 1) % wordBits) // the final pattern row may fall inside a partially used block
+	score, best := m, m
+	for _, c := range text {
+		eqAll := peq[c]
 		if eqAll == nil {
 			eqAll = zero
 		}
-		hin := 1 // global mode: the first DP row is 0,1,2,...
-		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
+		var p, xh, ph uint64
+		hp, hn := top, uint64(0)
+		for blk := range pv {
+			p = pv[blk]
+			xh, ph, pv[blk], mv[blk], hp, hn = blockStep(eqAll[blk], p, mv[blk], hp, hn)
 		}
-		score += hin
+		// The last row's horizontal delta: ph is its +1 bits, p&xh its -1 bits.
+		score += int(ph>>lastBit&1) - int(p&xh>>lastBit&1)
+		best = min(best, score)
 	}
-	return score
-}
-
-// advanceBlock performs one column step of Hyyrö's blocked Myers algorithm on
-// a single 64-row block. hin is the horizontal delta entering the block from
-// above (-1, 0, +1); the returned hout is the horizontal delta at the block's
-// last row — or, when last is set, at lastBit (the final pattern row, which
-// may fall inside a partially used block).
-func advanceBlock(pv, mv, eq uint64, hin int, last bool, lastBit uint) (pvOut, mvOut uint64, hout int) {
-	var hinIsNeg, hinIsPos uint64
-	if hin < 0 {
-		hinIsNeg = 1
-	} else if hin > 0 {
-		hinIsPos = 1
-	}
-	xv := eq | mv
-	eq |= hinIsNeg
-	xh := (((eq & pv) + pv) ^ pv) | eq
-	ph := mv | ^(xh | pv)
-	mh := pv & xh
-
-	outBit := uint(wordBits - 1)
-	if last {
-		outBit = lastBit
-	}
-	hout = int((ph>>outBit)&1) - int((mh>>outBit)&1)
-
-	ph = ph<<1 | hinIsPos
-	mh = mh<<1 | hinIsNeg
-	pvOut = mh | ^(xv | ph)
-	mvOut = ph & xv
-	return pvOut, mvOut, hout
+	return score, best
 }
 
 // buildPeq precomputes the match bitvectors: peq[c][blk] has bit i set when

@@ -3,89 +3,25 @@ package align
 // DistanceSemiGlobal returns the minimum edit distance between the pattern
 // and any infix of the text — Edlib's HW mode, where gaps before and after
 // the pattern's placement in the text are free. It runs the blocked Myers
-// algorithm with a zero first row (hin = 0) and tracks the minimum of the
-// last DP row across columns. mrFAST-style verification against an extended
-// window (read length + 2e) uses exactly this mode.
+// algorithm with a zero first row and takes the minimum of the last DP row
+// across columns. mrFAST-style verification against an extended window (read
+// length + 2e) uses exactly this mode.
 func DistanceSemiGlobal(pattern, text []byte) int {
-	m, n := len(pattern), len(text)
-	if m == 0 {
+	if len(pattern) == 0 {
 		return 0
 	}
-	if n == 0 {
-		return m
-	}
-	blocks := (m + wordBits - 1) / wordBits
-	peq := buildPeq(pattern, blocks)
-	zero := make([]uint64, blocks)
-
-	pv := make([]uint64, blocks)
-	mv := make([]uint64, blocks)
-	for i := range pv {
-		pv[i] = ^uint64(0)
-	}
-	lastBit := uint((m - 1) % wordBits)
-	score := m
-	best := m
-	for j := 0; j < n; j++ {
-		eqAll := peq[text[j]]
-		if eqAll == nil {
-			eqAll = zero
-		}
-		hin := 0 // HW mode: the first DP row is all zeros
-		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
-		}
-		score += hin
-		if score < best {
-			best = score
-		}
-	}
+	_, best := lastRow(pattern, text, 0)
 	return best
 }
 
 // DistancePrefix returns the minimum edit distance between the pattern and
 // any prefix of the text — Edlib's SHW mode, where only the gap after the
-// pattern is free.
+// pattern is free: leading text must be consumed (first row 0..n).
 func DistancePrefix(pattern, text []byte) int {
-	m, n := len(pattern), len(text)
-	if m == 0 {
+	if len(pattern) == 0 {
 		return 0
 	}
-	if n == 0 {
-		return m
-	}
-	blocks := (m + wordBits - 1) / wordBits
-	peq := buildPeq(pattern, blocks)
-	zero := make([]uint64, blocks)
-
-	pv := make([]uint64, blocks)
-	mv := make([]uint64, blocks)
-	for i := range pv {
-		pv[i] = ^uint64(0)
-	}
-	lastBit := uint((m - 1) % wordBits)
-	score := m
-	best := m
-	for j := 0; j < n; j++ {
-		eqAll := peq[text[j]]
-		if eqAll == nil {
-			eqAll = zero
-		}
-		hin := 1 // SHW mode: leading text must be consumed (first row 0..n)
-		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
-		}
-		score += hin
-		if score < best {
-			best = score
-		}
-	}
+	_, best := lastRow(pattern, text, 1)
 	return best
 }
 

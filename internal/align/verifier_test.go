@@ -401,8 +401,9 @@ func FuzzVerifierDistance(f *testing.F) {
 		e = fuzzBudget(e)
 		want := DistanceDP(a, b)
 		var v Verifier
-		v.Prepare(b) // a dirty verifier: Prepare(a) must clear b's masks
-		v.Prepare(a)
+		v.Prepare(b) // a dirty verifier: at e ≥ m the column pass builds b's masks,
+		v.Distance(a, len(a)+len(b))
+		v.Prepare(a) // and a's first hand-over must clear them
 		checkContract(t, &v, a, b, e, want)
 		if d, ok := DistanceBanded(a, b, e); ok != (want <= e) || (ok && d != want) {
 			t.Fatalf("DistanceBanded = (%d,%v), DP distance %d, e=%d", d, ok, want, e)
@@ -446,11 +447,14 @@ func FuzzAlignTraceback(f *testing.F) {
 }
 
 // TestVerifierZeroAllocs is the verification hot-path guard: once a verifier
-// has seen its longest read, Prepare, Distance and Align — hit, miss, early
-// cut-off — allocate nothing, however the reads alternate. The mapper runs
-// one of the two once per surviving candidate.
+// has seen its longest read, Prepare, Distance and Align allocate nothing,
+// however the reads alternate and whichever stage settles the pair — a hit
+// and a miss finished on the wavefront, a pair handed over to the column pass,
+// the hand-over that builds a read's masks after Prepares that built none, a
+// length gap. The mapper runs one of the two once per surviving candidate.
 func TestVerifierZeroAllocs(t *testing.T) {
-	for _, fn := range []string{"Verifier.Distance", "Verifier.record", "blockStep", "abs"} {
+	for _, fn := range []string{"Verifier.Distance", "Verifier.wavefront", "matchLen", "load64", "wavefrontWidth",
+		"Verifier.buildMasks", "Verifier.columns", "Verifier.record", "blockStep", "abs"} {
 		if !lint.IsNoAlloc("repro/internal/align", fn) {
 			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
 		}
@@ -461,34 +465,55 @@ func TestVerifierZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, tc := range []struct{ L, e int }{{100, 5}, {300, 15}, {50, 1}, {64, 40}} {
 		t.Run(fmt.Sprintf("L%d-e%d", tc.L, tc.e), func(t *testing.T) {
-			read := dna.RandomSeq(rng, tc.L)
-			other := dna.RandomSeq(rng, tc.L/2)
-			similar := dna.ApplyEdits(read, dna.RandomEdits(rng, tc.L, tc.e/2, 0.5))
-			dissimilar := dna.RandomSeq(rng, tc.L)
-			short := read[:tc.L-tc.e-1] // settled by the length gap
+			L, e := tc.L, tc.e
+			read := dna.RandomSeq(rng, L)
+			other := dna.RandomSeq(rng, L/2)
+			windows := []struct {
+				w    []byte
+				want string
+			}{
+				{substituted(read, L/2), wantHit},
+				{cat(read[:L-e-1], bytes.Repeat([]byte("x"), e+1)), wantMiss},
+				{substituted(read, 0), wantOver0},
+				{dna.ApplyEdits(read, dna.RandomEdits(rng, L, e/2, 0.5)), ""}, // whichever stage
+				{dna.RandomSeq(rng, L), ""},
+				{read[:L-e-1], wantLengths},
+			}
 			var v Verifier
-			v.Prepare(read)
-			if allocs := testing.AllocsPerRun(200, func() {
-				v.Prepare(other)
-				v.Distance(dissimilar, tc.e)
-				v.Prepare(read)
-				v.Distance(similar, tc.e)
-				v.Distance(dissimilar, tc.e)
-			}); allocs != 0 {
-				t.Fatalf("Prepare+Distance allocated %.1f allocs/op, want 0", allocs)
-			}
-			if _, ok := v.Align(similar, tc.e); !ok {
-				t.Fatal("Align missed the similar window")
-			}
-			if allocs := testing.AllocsPerRun(200, func() {
-				v.Prepare(other)
-				v.Align(dissimilar, tc.e)
-				v.Prepare(read)
-				v.Align(similar, tc.e)
-				v.Align(dissimilar, tc.e)
-				v.Align(short, tc.e)
-			}); allocs != 0 {
-				t.Fatalf("Prepare+Align allocated %.1f allocs/op, want 0", allocs)
+			for _, traceback := range []bool{false, true} {
+				verify := func(w []byte) bool {
+					if traceback {
+						_, ok := v.Align(w, e)
+						return ok
+					}
+					_, ok := v.Distance(w, e)
+					return ok
+				}
+				// The first round sizes the scratch and checks that the
+				// windows are what they are named.
+				for _, win := range windows {
+					v.Prepare(read)
+					finished, handed := v.Finished, v.HandedOver
+					ok := verify(win.w)
+					if got := leftBy(&v, finished, handed, read, win.w, e, ok); win.want != "" && got != win.want {
+						t.Fatalf("traceback=%v: window is %s, want %s", traceback, got, win.want)
+					}
+				}
+				if allocs := testing.AllocsPerRun(200, func() {
+					// Two reads whose masks are never built, then one whose
+					// first window is handed over.
+					v.Prepare(other)
+					verify(other)
+					v.Prepare(read)
+					verify(windows[0].w)
+					v.Prepare(read)
+					for i := len(windows) - 1; i >= 0; i-- {
+						verify(windows[i].w)
+					}
+					verify(windows[2].w)
+				}); allocs != 0 {
+					t.Fatalf("traceback=%v: Prepare and verify allocated %.1f allocs/op, want 0", traceback, allocs)
+				}
 			}
 		})
 	}

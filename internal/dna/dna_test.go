@@ -338,6 +338,23 @@ func TestFASTAErrors(t *testing.T) {
 	if string(recs[0].Seq) != "ACGT" {
 		t.Fatalf("wrapped read = %s", recs[0].Seq)
 	}
+	// A sequence byte the writer's wrap could turn into a header or lose is
+	// refused where it stands; the line's own trimmed ends are not part of it.
+	for _, tc := range []struct{ in, want string }{
+		{">x\nAC>GT\n", "dna: fasta line 2: "},
+		{">x\nACGT\n\nAC GT\n", "dna: fasta line 4: "},
+		{">x\nAC\tGT\n", "dna: fasta line 2: "},
+		{">x\nACGT\n>y\nAC\x00GT\n", "dna: fasta line 4: "},
+		{">x\nAC\xffGT", "dna: fasta line 2: "},
+		{">x\nAC\x7fGT\n", "dna: fasta line 2: "},
+	} {
+		if _, err := ReadFASTA(strings.NewReader(tc.in)); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("ReadFASTA(%q): %v, want an error opening with %q", tc.in, err, tc.want)
+		}
+	}
+	if recs, err := ReadFASTA(strings.NewReader(">x\n \tACGT*-n \r\n")); err != nil || string(recs[0].Seq) != "ACGT*-n" {
+		t.Errorf("trimmed ends and printable symbols: %+v, %v", recs, err)
+	}
 }
 
 func TestFASTQRoundTrip(t *testing.T) {

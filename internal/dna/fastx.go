@@ -27,7 +27,10 @@ const fastaBufSize = 1 << 16
 // ReadFASTA parses all records from a FASTA stream. It tolerates wrapped
 // sequence lines and blank lines, and imposes no limit on line length (an
 // unwrapped chromosome on a single line is read in chunks). Headers are
-// split at the first whitespace into Record.Name and Record.Desc.
+// split at the first whitespace into Record.Name and Record.Desc. A sequence
+// line, between its trimmed ends, holds printable ASCII other than '>' and
+// the blank — anything else is refused, so every accepted record survives
+// WriteFASTA's wrap.
 func ReadFASTA(r io.Reader) ([]Record, error) {
 	br := bufio.NewReaderSize(r, fastaBufSize)
 	var recs []Record
@@ -56,6 +59,13 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 		}
 		if cur == nil {
 			return nil, fmt.Errorf("dna: fasta line %d: sequence before header", line)
+		}
+		// WriteFASTA wraps a sequence anywhere: a '>' could come back as a
+		// header and a blank be trimmed away, so neither may enter one.
+		for _, c := range b {
+			if c <= ' ' || c >= 0x7f || c == '>' {
+				return nil, fmt.Errorf("dna: fasta line %d: byte %q in a sequence line", line, c)
+			}
 		}
 		cur.Seq = append(cur.Seq, b...)
 	}

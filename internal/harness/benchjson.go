@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/dna"
 	"repro/internal/filter"
 	"repro/internal/mapper"
@@ -56,6 +57,16 @@ type BenchReport struct {
 	Filters []BenchEntry `json:"filters"`
 	// Index covers the CSR seed index: build and lookup.
 	Index []BenchEntry `json:"index"`
+	// Verifier is the mapper's verification kernel at its steady state — one
+	// Prepare, then Distance or Align per window — at the rig's two read
+	// shapes, one row per kind of window: the wavefront settles some kinds
+	// and hands others to the column pass, so no single row stands for it.
+	Verifier []BenchEntry `json:"verifier,omitempty"`
+}
+
+// sections lists a report's rows in print order.
+func (r BenchReport) sections() [][]BenchEntry {
+	return [][]BenchEntry{r.Kernels, r.Filters, r.Index, r.Verifier}
 }
 
 // benchPairsPerSec converts a benchmark over `pairs` pairs per op into a rate.
@@ -261,6 +272,51 @@ func RunBenchJSON(dir, label string, out io.Writer) (string, error) {
 		rep.Index = append(rep.Index, entry("index-load-500k", ld, 0))
 	}
 
+	// Verifier: 64 windows of one kind against one prepared read, the way a
+	// mapper worker meets a read's candidates. Read and window are equally
+	// long, as the mapper's are: the read is the first L bases of an edited
+	// copy of the window's locus.
+	for _, g := range []struct{ L, e int }{{100, 5}, {300, 15}} {
+		rng := rand.New(rand.NewSource(42))
+		locus := dna.RandomSeq(rng, g.L+g.e)
+		read := locus[:g.L]
+		for _, kind := range []struct {
+			name  string
+			edits int // -1: an unrelated window
+		}{{"hit-d1", 1}, {"hit-de", g.e}, {"near-miss", g.e + 3}, {"random-miss", -1}} {
+			windows := make([][]byte, 64)
+			for i := range windows {
+				if kind.edits < 0 {
+					windows[i] = dna.RandomSeq(rng, g.L)
+					continue
+				}
+				windows[i] = dna.ApplyEdits(locus, dna.RandomEdits(rng, g.L, kind.edits, 0.3))[:g.L]
+			}
+			var v align.Verifier
+			v.Prepare(read)
+			for _, traceback := range []bool{false, true} {
+				name := "verifier-distance"
+				if traceback {
+					name = "verifier-align"
+				}
+				r := testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for _, w := range windows {
+							if traceback {
+								v.Align(w, g.e)
+							} else {
+								v.Distance(w, g.e)
+							}
+						}
+					}
+				})
+				rep.Verifier = append(rep.Verifier,
+					entry(fmt.Sprintf("%s-L%d-e%d-%s", name, g.L, g.e, kind.name), r, len(windows)))
+			}
+		}
+	}
+
 	path := fmt.Sprintf("%s/BENCH_%s.json", dir, rep.Stamp)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -271,12 +327,12 @@ func RunBenchJSON(dir, label string, out io.Writer) (string, error) {
 	}
 	if out != nil {
 		fmt.Fprintf(out, "wrote %s (gomaxprocs=%d benchtime=%s)\n", path, rep.GOMAXPROCS, rep.BenchTime)
-		for _, e := range rep.Kernels {
-			fmt.Fprintf(out, "  %-32s %12.0f ns/op %12.0f pairs/s %4d allocs/op\n",
+		for _, e := range append(rep.Kernels, rep.Verifier...) {
+			fmt.Fprintf(out, "  %-40s %12.0f ns/op %12.0f pairs/s %4d allocs/op\n",
 				e.Name, e.NsPerOp, e.PairsPerSec, e.AllocsPerOp)
 		}
 		for _, e := range rep.Index {
-			fmt.Fprintf(out, "  %-32s %12.0f ns/op %4d allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
+			fmt.Fprintf(out, "  %-40s %12.0f ns/op %4d allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
 		}
 	}
 	return path, nil
@@ -323,33 +379,33 @@ func CompareBench(baseline, cur BenchReport, out io.Writer) {
 	}
 	old := make(map[string]BenchEntry)
 	var oldNames []string // baseline order, for the retired rows
-	for _, rows := range [][]BenchEntry{baseline.Kernels, baseline.Filters, baseline.Index} {
+	for _, rows := range baseline.sections() {
 		for _, e := range rows {
 			old[e.Name] = e
 			oldNames = append(oldNames, e.Name)
 		}
 	}
 	fmt.Fprintf(out, "vs baseline %s (label %q):\n", baseline.Stamp, baseline.Label)
-	for _, rows := range [][]BenchEntry{cur.Kernels, cur.Filters, cur.Index} {
+	for _, rows := range cur.sections() {
 		for _, e := range rows {
 			o, ok := old[e.Name]
 			delete(old, e.Name)
 			if !ok {
-				fmt.Fprintf(out, "  %-32s %12.0f ns/op   (new row, no baseline)\n", e.Name, e.NsPerOp)
+				fmt.Fprintf(out, "  %-40s %12.0f ns/op   (new row, no baseline)\n", e.Name, e.NsPerOp)
 				continue
 			}
 			if e.PairsPerSec > 0 && o.PairsPerSec > 0 {
-				fmt.Fprintf(out, "  %-32s %12.0f -> %12.0f pairs/s  (x%.2f)\n",
+				fmt.Fprintf(out, "  %-40s %12.0f -> %12.0f pairs/s  (x%.2f)\n",
 					e.Name, o.PairsPerSec, e.PairsPerSec, e.PairsPerSec/o.PairsPerSec)
 			} else if o.NsPerOp > 0 {
-				fmt.Fprintf(out, "  %-32s %12.0f -> %12.0f ns/op    (x%.2f)\n",
+				fmt.Fprintf(out, "  %-40s %12.0f -> %12.0f ns/op    (x%.2f)\n",
 					e.Name, o.NsPerOp, e.NsPerOp, o.NsPerOp/e.NsPerOp)
 			}
 		}
 	}
 	for _, name := range oldNames {
 		if o, ok := old[name]; ok {
-			fmt.Fprintf(out, "  %-32s %12.0f ns/op   (retired row: in the baseline, not in this suite)\n", name, o.NsPerOp)
+			fmt.Fprintf(out, "  %-40s %12.0f ns/op   (retired row: in the baseline, not in this suite)\n", name, o.NsPerOp)
 		}
 	}
 	if crossWidth {

@@ -257,7 +257,8 @@ func TestCompareBenchListsRetiredRows(t *testing.T) {
 			{Name: "kernel-fused-L100-e5", NsPerOp: 300, PairsPerSec: 3.3e6},
 			{Name: "kernel-planes-L100-e5", NsPerOp: 250, PairsPerSec: 4e6},
 		},
-		Index: []BenchEntry{{Name: "index-lookup-500k", NsPerOp: 25}},
+		Index:    []BenchEntry{{Name: "index-lookup-500k", NsPerOp: 25}},
+		Verifier: []BenchEntry{{Name: "verifier-distance-L100-e5-hit-d1", NsPerOp: 6000, PairsPerSec: 1e7}},
 	}
 	var out strings.Builder
 	CompareBench(baseline, cur, &out)
@@ -267,6 +268,8 @@ func TestCompareBenchListsRetiredRows(t *testing.T) {
 		"kernel-planes-L100-e5":  "new row",
 		"batch-fused-L100-e5-w1": "retired row",
 		"index-lookup-500k":      "(x",
+
+		"verifier-distance-L100-e5-hit-d1": "new row", // the section added in PR 19 is compared too
 	} {
 		var line string
 		for _, l := range strings.Split(text, "\n") {

@@ -42,10 +42,17 @@ var NoAllocRegistry = []string{
 	"repro/internal/dna.TryEncodePlanes",
 	"repro/internal/dna.unknownBytes",
 
-	// The bit-vector verifier: one thresholded distance on prepared masks,
-	// the same pass recording its deltas for Align's traceback, and the
-	// block update the two share.
+	// The verifier: one thresholded distance, the wavefront pass it and
+	// Align try first with its byte compare, and behind the hand-over the
+	// lazy mask build, the column pass, the same pass recording its deltas
+	// for Align's traceback, and the block update the two share.
 	"repro/internal/align.Verifier.Distance",
+	"repro/internal/align.Verifier.wavefront",
+	"repro/internal/align.wavefrontWidth",
+	"repro/internal/align.matchLen",
+	"repro/internal/align.load64",
+	"repro/internal/align.Verifier.buildMasks",
+	"repro/internal/align.Verifier.columns",
 	"repro/internal/align.Verifier.record",
 	"repro/internal/align.blockStep",
 	"repro/internal/align.abs",

@@ -93,6 +93,8 @@ type Stats struct {
 	Reads              int64
 	CandidatePairs     int64 // candidate mappings found by seeding
 	VerificationPairs  int64 // candidates that enter verification
+	WavefrontPairs     int64 // of those, settled on the verifier's wavefront
+	HandedOverPairs    int64 // of those, handed over to the verifier's column pass
 	RejectedPairs      int64 // candidates removed by the filter
 	UndefinedPairs     int64 // candidates passed through for 'N'
 	Mappings           int64
@@ -381,7 +383,7 @@ func (m *Mapper) mapSlab(sl *slab, e int, r *run, st *Stats) error {
 
 	// Verification: thresholded edit distance for surviving candidates. A
 	// slab's candidates are in query order, so a worker verifying a block of
-	// them prepares each query's masks once. A block's contig lookups count
+	// them prepares each query once. A block's contig lookups count
 	// into metrics.ContigLocates once, as its probes did in seedBlock.
 	verifyStart := time.Now()
 	gkgpu.ParallelFor(len(r.workers), len(cands), 32, func(w, lo, hi int) {
@@ -460,6 +462,8 @@ func (m *Mapper) mapSlabs(e int, next func() *slab) ([]Mapping, Stats, error) {
 			mappings = append(mappings, wk.kept...)
 		}
 		st.VerificationPairs += wk.verified
+		st.WavefrontPairs += int64(wk.verifier.Finished)
+		st.HandedOverPairs += int64(wk.verifier.HandedOver)
 		st.RejectedPairs += wk.rejected
 		st.UndefinedPairs += wk.undefined
 	}

@@ -56,6 +56,13 @@ func TestMapReadsWorkerWidthIdentity(t *testing.T) {
 			}
 			want, wantSt := run(1)
 			mustBeStrictlyOrdered(t, want, "workers=1")
+			// Every verified pair is settled by exactly one of the verifier's
+			// two stages, and which one depends on the pair alone.
+			if wantSt.WavefrontPairs == 0 || wantSt.HandedOverPairs == 0 ||
+				wantSt.WavefrontPairs+wantSt.HandedOverPairs != wantSt.VerificationPairs {
+				t.Fatalf("%d verified = %d on the wavefront + %d handed over: the run does not say how it verified",
+					wantSt.VerificationPairs, wantSt.WavefrontPairs, wantSt.HandedOverPairs)
+			}
 			for _, workers := range []int{2, 4, 0} { // 0 = GOMAXPROCS
 				got, gotSt := run(workers)
 				if len(got) != len(want) {
@@ -68,6 +75,8 @@ func TestMapReadsWorkerWidthIdentity(t *testing.T) {
 				}
 				if gotSt.CandidatePairs != wantSt.CandidatePairs ||
 					gotSt.VerificationPairs != wantSt.VerificationPairs ||
+					gotSt.WavefrontPairs != wantSt.WavefrontPairs ||
+					gotSt.HandedOverPairs != wantSt.HandedOverPairs ||
 					gotSt.RejectedPairs != wantSt.RejectedPairs ||
 					gotSt.UndefinedPairs != wantSt.UndefinedPairs ||
 					gotSt.Mappings != wantSt.Mappings ||
