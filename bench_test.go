@@ -376,7 +376,7 @@ func BenchmarkFig8MultiGPU(b *testing.B) {
 }
 
 // BenchmarkAblation measures the cost of each kernel design element in
-// isolation (the DESIGN.md ablation experiments).
+// isolation (the `gkbench -exp ablation` experiment's variants).
 func BenchmarkAblation(b *testing.B) {
 	pairs := benchPairs(b, "set3", 1_000)
 	variants := []struct {

@@ -81,7 +81,6 @@ func main() {
 		seedStep  = flag.Int("seedstep", 0, "seed step for the in-memory index build (0 = every window; ignored with -index)")
 		e         = flag.Int("e", 5, "edit distance threshold")
 		preFilter = flag.String("prefilter", "gpu", "pre-alignment filter: gpu, cpu, or none")
-		encoding  = flag.String("encoding", "device", "encoding actor for the GPU engine: device or host")
 		nGPUs     = flag.Int("gpus", 1, "simulated GPU count")
 		batch     = flag.Int("batch", 100_000, "reads per slab: seeded together, filtered in one call, verified together")
 		samOut    = flag.String("sam", "", "write mappings as SAM to this file (paired records under -paired)")
@@ -195,14 +194,8 @@ func main() {
 		SeedStep: *seedStep}
 	switch *preFilter {
 	case "gpu":
-		enc := gkgpu.EncodeOnDevice
-		if *encoding == "host" {
-			enc = gkgpu.EncodeOnHost
-		}
 		cctx := cuda.NewUniformContext(*nGPUs, cuda.GTX1080Ti())
-		eng, err := gkgpu.NewEngine(gkgpu.Config{
-			ReadLen: *readLen, MaxE: *e, Encoding: enc, MaxBatchPairs: 1 << 16,
-		}, cctx)
+		eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: *readLen, MaxE: *e, MaxBatchPairs: 1 << 16}, cctx)
 		if err != nil {
 			fatal(err)
 		}

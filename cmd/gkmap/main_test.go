@@ -107,7 +107,7 @@ func TestInjectFaultsWiring(t *testing.T) {
 	lc := cuda.LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}
 	died := false
 	for i := 0; i < 16 && !died; i++ {
-		if err := cctx.Device(0).Launch(lc, 32, func(worker, tid int) {}); errors.Is(err, cuda.ErrDeviceLost) {
+		if err := cctx.Device(0).Launch(lc, 32, func(worker, lo, hi int) {}); errors.Is(err, cuda.ErrDeviceLost) {
 			died = true
 		}
 	}

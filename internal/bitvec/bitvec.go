@@ -182,13 +182,6 @@ func AndInto(dst, a, b []uint64) {
 	}
 }
 
-// OrInto writes a|b into dst.
-func OrInto(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] | b[i]
-	}
-}
-
 // extractEven compresses the 32 even-indexed bits of x (bits 0,2,4,...,62)
 // into the low 32 bits of the result, preserving order.
 //
@@ -330,18 +323,14 @@ func ClearTail(mask []uint64, n int) {
 // LUT windows; the effect is identical: without amendment the final AND
 // across masks would let a dominant 0 in one mask hide a genuine mismatch
 // signalled by every other mask.
+//
+// The kernel performs this same amendment per block, in a register; this
+// slice form remains for the trace path and as the oracle its tests check
+// against.
 func Amend(dst, src []uint64, n int) {
-	tmpUp1 := make([]uint64, len(src))
-	tmpDn1 := make([]uint64, len(src))
-	tmpDn2 := make([]uint64, len(src))
-	AmendScratch(dst, src, n, tmpUp1, tmpDn1, tmpDn2)
-}
-
-// AmendScratch is Amend with caller-provided scratch buffers. The three
-// scratch slices must each have len(src) words. The kernel performs this same
-// amendment per block, in a register; this slice form remains for the trace
-// path and as the oracle its tests check against.
-func AmendScratch(dst, src []uint64, n int, up1, dn1, dn2 []uint64) {
+	up1 := make([]uint64, len(src))
+	dn1 := make([]uint64, len(src))
+	dn2 := make([]uint64, len(src))
 	// Pass 1: fill isolated single zeros: bit i set when src[i-1] and
 	// src[i+1] are both 1.
 	shiftBitsUp(up1, src, 1)
@@ -361,19 +350,6 @@ func AmendScratch(dst, src []uint64, n int, up1, dn1, dn2 []uint64) {
 		dst[i] |= dn1[i] | dn2[i]
 	}
 	ClearTail(dst, n)
-}
-
-// OnesCount returns the total number of set bits in the first n positions.
-func OnesCount(mask []uint64, n int) int {
-	total := 0
-	full := n / 64
-	for i := 0; i < full; i++ {
-		total += bits.OnesCount64(mask[i])
-	}
-	if rem := uint(n % 64); rem != 0 {
-		total += bits.OnesCount64(mask[full] & ((uint64(1) << rem) - 1))
-	}
-	return total
 }
 
 // CountRuns returns the number of maximal runs of consecutive 1s within the
@@ -530,11 +506,6 @@ func LongestZeroRun(mask []uint64, lo, hi int) (start, length int) {
 // Bit reports whether mask bit i is set.
 func Bit(mask []uint64, i int) bool {
 	return mask[i/64]>>(uint(i%64))&1 == 1
-}
-
-// SetBit sets mask bit i.
-func SetBit(mask []uint64, i int) {
-	mask[i/64] |= uint64(1) << uint(i%64)
 }
 
 // String renders the first n bits of a mask as a '0'/'1' string, position 0

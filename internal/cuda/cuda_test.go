@@ -159,11 +159,20 @@ func TestLaunchExecutesEveryThread(t *testing.T) {
 	const n = 10_000
 	var hits [n]int32
 	lc := LaunchConfig{Blocks: (n + 1023) / 1024, ThreadsPerBlock: 1024, RegsPerThread: 48}
-	err := d.Launch(lc, n, func(worker, tid int) {
-		atomic.AddInt32(&hits[tid], 1)
+	var badWorker atomic.Bool
+	err := d.Launch(lc, n, func(worker, lo, hi int) {
+		if worker < 0 || worker >= MaxWorkers(n) {
+			badWorker.Store(true)
+		}
+		for tid := lo; tid < hi; tid++ {
+			atomic.AddInt32(&hits[tid], 1)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if badWorker.Load() {
+		t.Fatalf("a worker index fell outside [0,%d)", MaxWorkers(n))
 	}
 	for i, h := range hits {
 		if h != 1 {
@@ -174,8 +183,8 @@ func TestLaunchExecutesEveryThread(t *testing.T) {
 
 func TestLaunchValidation(t *testing.T) {
 	d := NewDevice(0, GTX1080Ti())
-	noop := func(int, int) {}
-	if err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 2048}, 10, func(w, t int) {}); err == nil {
+	noop := func(int, int, int) {}
+	if err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 2048}, 10, KernelFunc(noop)); err == nil {
 		t.Fatal("block size beyond device limit accepted")
 	}
 	if err := d.Launch(LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}, 64, KernelFunc(noop)); err == nil {

@@ -10,7 +10,7 @@ func launchN(t *testing.T, d *Device, n int) []error {
 	lc := LaunchConfig{Blocks: 1, ThreadsPerBlock: 32}
 	errs := make([]error, n)
 	for i := range errs {
-		errs[i] = d.Launch(lc, 32, func(worker, tid int) {})
+		errs[i] = d.Launch(lc, 32, func(worker, lo, hi int) {})
 	}
 	return errs
 }

@@ -3,24 +3,29 @@ package cuda
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
-// KernelFunc is the body of a simulated CUDA kernel, invoked once per
-// logical thread. worker identifies the OS-level executor (0..workers-1) so
-// callers can give each executor its own scratch state — the analogue of a
-// CUDA thread's reserved stack frame; tid is the logical thread index, one
-// per filtration, exactly as GateKeeper-GPU maps work ("each filtration is
-// performed by a single CUDA thread").
-type KernelFunc func(worker, tid int)
+// KernelFunc is the body of a simulated CUDA kernel, invoked with a block of
+// logical threads [lo, hi) — one thread per filtration, exactly as
+// GateKeeper-GPU maps work ("each filtration is performed by a single CUDA
+// thread") — for the body to loop over. worker identifies the OS-level
+// executor, in [0, MaxWorkers(threads)), so callers can give each executor
+// its own scratch state — the analogue of a CUDA thread's reserved stack
+// frame.
+type KernelFunc func(worker, lo, hi int)
 
-// Launch executes fn for logical threads 0..threads-1 under the given
+// launchGrain is how many logical threads an executor claims at a time: a
+// few warps, so stragglers balance across executors.
+const launchGrain = 4 * WarpSize
+
+// Launch executes fn over logical threads 0..threads-1 under the given
 // launch geometry. The geometry is validated against the device limits and
-// used for occupancy/power accounting; actual execution fans out over a
-// goroutine pool sized to the host. Launch blocks until every thread has
-// run — the engine's only synchronization point, like the paper's
-// per-batch cudaDeviceSynchronize.
+// used for occupancy/power accounting; actual execution is par.For over a
+// pool sized to the host (one executor runs inline). Launch blocks until
+// every thread has run — the engine's only synchronization point, like the
+// paper's per-batch cudaDeviceSynchronize.
 func (d *Device) Launch(lc LaunchConfig, threads int, fn KernelFunc) error {
 	if d.faults != nil {
 		// Injected faults fire before any thread runs, so a failed launch
@@ -42,40 +47,13 @@ func (d *Device) Launch(lc LaunchConfig, threads int, fn KernelFunc) error {
 	if lc.Threads() < threads {
 		return fmt.Errorf("cuda: geometry provides %d threads, need %d", lc.Threads(), threads)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > threads {
-		workers = threads
-	}
-	// Carve the logical thread space into warp-sized work units claimed
-	// atomically, so stragglers balance across executors.
-	const unit = 4 * WarpSize
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				start := int(next.Add(unit)) - unit
-				if start >= threads {
-					return
-				}
-				end := start + unit
-				if end > threads {
-					end = threads
-				}
-				for tid := start; tid < end; tid++ {
-					fn(worker, tid)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(MaxWorkers(threads), threads, launchGrain, fn)
 	return nil
 }
 
-// MaxWorkers returns the executor pool size Launch will use for the given
-// thread count; engines preallocate one scratch kernel per worker.
+// MaxWorkers returns the widest executor pool Launch starts for the given
+// thread count (fewer run when the threads make fewer blocks); engines
+// preallocate one scratch kernel per worker.
 func MaxWorkers(threads int) int {
 	w := runtime.GOMAXPROCS(0)
 	if threads < w {

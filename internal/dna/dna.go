@@ -16,7 +16,6 @@ package dna
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // Base codes used by the 2-bit encoding (Section 3.3 of the paper).
@@ -215,16 +214,6 @@ func Decode(words []uint64, n int) []byte {
 	return seq
 }
 
-// BaseAt returns the decoded base at position i of a packed sequence.
-func BaseAt(words []uint64, i int) byte {
-	code := (words[i/BasesPerWord] >> uint((i%BasesPerWord)*2)) & 0b11
-	return Alphabet[code]
-}
-
-// Complement returns the Watson-Crick complement of a single base. Unknown
-// bases map to 'N'.
-func Complement(b byte) byte { return complementTable[b] }
-
 // ReverseComplement returns the reverse complement of seq as a new slice.
 func ReverseComplement(seq []byte) []byte {
 	out := make([]byte, len(seq))
@@ -277,18 +266,4 @@ func Validate(seq []byte) error {
 		}
 	}
 	return nil
-}
-
-// FormatWords renders packed words as a human-readable base string; useful in
-// debugging output and the worked examples.
-func FormatWords(words []uint64, n int) string {
-	var sb strings.Builder
-	sb.Grow(n + n/8)
-	for i := 0; i < n; i++ {
-		if i > 0 && i%8 == 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteByte(BaseAt(words, i))
-	}
-	return sb.String()
 }

@@ -29,8 +29,9 @@ const (
 )
 
 // Ablation switches off individual design elements of the GateKeeper-GPU
-// kernel so their contribution can be measured in isolation (the ablation
-// experiments of DESIGN.md). The zero value is the full algorithm.
+// kernel so their contribution can be measured in isolation (the harness's
+// "ablation" experiment, `gkbench -exp ablation`). The zero value is the full
+// algorithm.
 type Ablation struct {
 	// SkipAmendment disables the short-zero-streak amendment; without it a
 	// single chance match inside any of the 2e+1 masks zeroes the AND and

@@ -2,21 +2,20 @@ package gkgpu
 
 import (
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/cuda"
 	"repro/internal/filter"
+	"repro/internal/par"
 )
 
-// cpuGrain is how many pairs a CPU worker claims per scheduling step: rare
+// hostGrain is how many pairs a host worker claims per scheduling step — the
+// CPU engine filtering them, the GPU engine's encode stage packing them: rare
 // enough cursor traffic to stay off the shared cache line, fine enough that
 // an uneven pair (one sealed after a block vs one folded to the end) cannot
 // strand a tail.
-const cpuGrain = 64
+const hostGrain = 64
 
 // CPUEngine is the GateKeeper-CPU baseline of Section 4.3: the same improved
 // GateKeeper algorithm executed by host threads ("we implement
@@ -38,12 +37,8 @@ type CPUEngine struct {
 	mu      sync.Mutex
 	kernels []*filter.Kernel
 	ref     *packedRef // loaded by SetReference for the index-named path
-	// Candidate-path scratch, reused across calls: every read of the call
-	// encoded once (encodeReads' plane slots), and whether it holds an
-	// unknown base.
-	readPlanes []uint64
-	readHasN   []bool
-	stats      Stats
+	cand    candidateScratch
+	stats   Stats
 }
 
 // NewCPUEngine builds the baseline for one geometry and logical core count.
@@ -70,7 +65,7 @@ func NewCPUEngine(readLen, maxE, cores int, setup Setup, model cuda.CostModel) (
 // read-length-keyed scratch is the expensive part, and reusing it is what
 // keeps the per-call steady state allocation-free inside the workers.
 func (c *CPUEngine) workersFor(n int) int {
-	workers := cuda.MaxWorkers((n + cpuGrain - 1) / cpuGrain)
+	workers := cuda.MaxWorkers((n + hostGrain - 1) / hostGrain)
 	if workers > c.cores {
 		workers = c.cores
 	}
@@ -78,47 +73,6 @@ func (c *CPUEngine) workersFor(n int) int {
 		c.kernels = append(c.kernels, filter.NewKernel(filter.ModeGPU, c.readLen, c.maxE))
 	}
 	return workers
-}
-
-// ParallelFor runs body over [0, n) across workers goroutines, each claiming
-// grain-sized blocks off a shared cursor, so a block of early-sealed pairs
-// doesn't leave its worker idle while another grinds through exhaustive
-// ones. It is the one host-side fan-out: the CPU engine's filtering and
-// the mapper's seeding and verification all run on it. Channel-free by
-// design — the block fully determines its worker's writes, so indexed
-// slices are the only shared state: body must touch only its [lo, hi) slots.
-// w names the calling worker, in [0, workers), so a body can keep per-worker
-// scratch. No more workers start than there are blocks to claim; one worker
-// runs inline.
-func ParallelFor(workers, n, grain int, body func(w, lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	workers = min(workers, (n+grain-1)/grain)
-	if workers <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				hi := int(cursor.Add(int64(grain)))
-				lo := hi - grain
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // FilterPairs filters every pair on the host, fanning out across goroutines
@@ -133,7 +87,7 @@ func (c *CPUEngine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error
 	defer c.mu.Unlock()
 	start := time.Now()
 	workers := c.workersFor(len(pairs))
-	ParallelFor(workers, len(pairs), cpuGrain, func(w, lo, hi int) {
+	par.For(workers, len(pairs), hostGrain, func(w, lo, hi int) {
 		cpuFilterRange(c.kernels[w], pairs[lo:hi], results[lo:hi], errThreshold)
 	})
 
@@ -182,81 +136,34 @@ func (c *CPUEngine) SetReference(seq []byte) error {
 }
 
 // FilterCandidates filters index-named candidates against the loaded
-// reference on the host, with the same validation, undefined semantics, and
-// result ordering as the GPU engine's FilterCandidates: decisions are
-// identical on both engines for the same inputs. Each distinct read is
-// encoded once per call, however many candidate locations it has.
+// reference on the host. It runs the GPU engine's prologue and kernel body
+// (candidateScratch.prepare, candidateRange), so validation, undefined
+// semantics, result ordering and decisions are the same on both engines for
+// the same inputs. Each distinct read is encoded once per call, however many
+// candidate locations it has.
 func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ref == nil {
-		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
-	}
-	if errThreshold < 0 || errThreshold > c.maxE {
-		return nil, fmt.Errorf("gkgpu: threshold %d outside [0,%d]", errThreshold, c.maxE)
-	}
-	L := c.readLen
-	for i, r := range reads {
-		if len(r) != L {
-			return nil, fmt.Errorf("gkgpu: read %d has length %d; engine compiled for %d", i, len(r), L)
-		}
-	}
-	for i, cd := range cands {
-		if cd.ReadID < 0 || int(cd.ReadID) >= len(reads) {
-			return nil, fmt.Errorf("gkgpu: candidate %d references read %d of %d", i, cd.ReadID, len(reads))
-		}
-		if cd.Pos < 0 || int(cd.Pos)+L > c.ref.length {
-			return nil, fmt.Errorf("gkgpu: candidate %d window [%d,%d) outside reference of %d",
-				i, cd.Pos, int(cd.Pos)+L, c.ref.length)
-		}
+	if err := c.cand.prepare(c.readLen, c.maxE, c.ref, reads, cands, errThreshold); err != nil {
+		return nil, err
 	}
 	results := make([]Result, len(cands))
 	start := time.Now()
-	planeWords := bitvec.MaskWords(L)
-	c.readPlanes = slices.Grow(c.readPlanes[:0], 2*len(reads)*planeWords)[:2*len(reads)*planeWords]
-	c.readHasN = slices.Grow(c.readHasN[:0], len(reads))[:len(reads)]
-	encodeReads(c.readPlanes, c.readHasN, reads, planeWords)
 	workers := c.workersFor(len(cands))
-	ParallelFor(workers, len(cands), cpuGrain, func(w, lo, hi int) {
-		cpuCandidateRange(c.kernels[w], c.ref, c.readPlanes, c.readHasN,
+	par.For(workers, len(cands), hostGrain, func(w, lo, hi int) {
+		candidateRange(c.kernels[w], c.ref, c.ref.lo, c.ref.hi, c.cand.planes, c.cand.hasN,
 			cands[lo:hi], results[lo:hi], errThreshold)
 	})
 
 	// Timing model: the index path matches the GPU engine's host-encoded
 	// transfer profile (reads shipped once, reference resident).
-	w := cuda.Workload{Pairs: len(cands), ReadLen: L, E: errThreshold, DeviceEncoded: false}
+	w := cuda.Workload{Pairs: len(cands), ReadLen: c.readLen, E: errThreshold, DeviceEncoded: false}
 	c.stats.KernelSeconds += c.model.CPUKernelSeconds(w, c.cores, c.setup.CPUFactor)
 	c.stats.FilterSeconds += c.model.CPUFilterSeconds(w, c.cores, c.setup.CPUFactor)
 	c.stats.Batches++
 	c.stats.countDecisions(results)
 	c.stats.WallSeconds += time.Since(start).Seconds()
 	return results, nil
-}
-
-// cpuCandidateRange is cpuFilterRange for index-named candidates, the host
-// form of the GPU engine's candidate kernel: a candidate whose read (readHasN,
-// set by the call's one encode walk) or reference window (the packed
-// reference's 'N' bitmap) holds an unknown base is Undefined+Accept without
-// touching the kernel; any other is filtered where it lies — the read's
-// planes in their slot of planes, the window at its bit offset in the packed
-// reference's.
-//
-//gk:noalloc
-func cpuCandidateRange(kern *filter.Kernel, ref *packedRef, planes []uint64, readHasN []bool,
-	cands []Candidate, out []Result, errThreshold int) {
-
-	L := kern.ReadLen()
-	planeWords := bitvec.MaskWords(L)
-	for i := range cands {
-		cd := cands[i]
-		if readHasN[cd.ReadID] || ref.hasN(cd.Pos, L) {
-			out[i] = Result{Accept: true, Undefined: true}
-			continue
-		}
-		readLo, readHi := readPlanes(planes, cd.ReadID, planeWords)
-		est, accept := kern.FilterPlanes(readLo, readHi, ref.lo, ref.hi, planeOff(cd.Pos), errThreshold)
-		out[i] = Result{Accept: accept, Estimate: uint16(est)}
-	}
 }
 
 // Stats returns the accumulated measurements.

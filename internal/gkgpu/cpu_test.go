@@ -157,6 +157,54 @@ func TestCPUEngineCandidatesMatchGPU(t *testing.T) {
 	}
 }
 
+// TestFilterCandidatesRejectsAlikeOnBothEngines runs every invalid
+// FilterCandidates input through both engines: each must refuse the whole
+// call, and in the same words — they share one prologue.
+func TestFilterCandidatesRejectsAlikeOnBothEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	genome := dna.RandomSeq(rng, 5_000)
+	read := dna.RandomSeq(rng, 100)
+	at := func(id, pos int64) []Candidate { return []Candidate{{ReadID: id, Pos: pos}} }
+	for _, tc := range []struct {
+		name      string
+		loaded    bool // SetReference(genome) before the call
+		reads     [][]byte
+		cands     []Candidate
+		threshold int
+	}{
+		{"threshold above compiled MaxE", true, [][]byte{read}, at(0, 0), 6},
+		{"negative threshold", true, [][]byte{read}, at(0, 0), -1},
+		{"short read", true, [][]byte{read, read[:50]}, at(0, 0), 5},
+		{"read ID past the reads", true, [][]byte{read}, at(1, 0), 5},
+		{"negative read ID", true, [][]byte{read}, at(-1, 0), 5},
+		{"window before the reference", true, [][]byte{read}, at(0, -1), 5},
+		{"window past the reference", true, [][]byte{read}, at(0, 4_901), 5},
+		{"no reference", false, [][]byte{read}, at(0, 0), 5},
+	} {
+		gpu := newTestEngine(t, EncodeOnDevice, 1)
+		cpu := newTestCPUEngine(t, 4)
+		if tc.loaded {
+			if err := gpu.SetReference(genome); err != nil {
+				t.Fatal(err)
+			}
+			if err := cpu.SetReference(genome); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, gpuErr := gpu.FilterCandidates(tc.reads, tc.cands, tc.threshold)
+		_, cpuErr := cpu.FilterCandidates(tc.reads, tc.cands, tc.threshold)
+		if gpuErr == nil || cpuErr == nil {
+			t.Fatalf("%s: accepted (gpu %v, cpu %v)", tc.name, gpuErr, cpuErr)
+		}
+		if gpuErr.Error() != cpuErr.Error() {
+			t.Fatalf("%s: gpu says %q, cpu says %q", tc.name, gpuErr, cpuErr)
+		}
+		if gpu.Stats().Pairs != 0 || cpu.Stats().Pairs != 0 {
+			t.Fatalf("%s: a refused call counted pairs", tc.name)
+		}
+	}
+}
+
 // TestCPUEngineWidthIdentity: the core count is a schedule, not a decision
 // input — any width produces bit-identical results for pairs and candidates.
 func TestCPUEngineWidthIdentity(t *testing.T) {
@@ -235,14 +283,14 @@ func TestCPUFilterRangeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCPUCandidateRangeZeroAllocs guards the candidate path's steady state:
+// TestCandidateRangeZeroAllocs guards the candidate path's steady state:
 // the 'N' test reads the bitmap and the kernel (FilterPlanes, the plane entry
 // point; TestFilterEncodedZeroAllocs guards it and the interleaved one
 // directly) reads the read's planes and the reference window where they lie,
 // so a claimed block (clean, N-window and N-read candidates alike) must not
 // allocate.
-func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
-	for _, fn := range []string{"cpuCandidateRange", "packedRef.hasN", "readPlanes", "planeOff"} {
+func TestCandidateRangeZeroAllocs(t *testing.T) {
+	for _, fn := range []string{"candidateRange", "packedRef.hasN", "readPlanes", "planeOff"} {
 		if !lint.IsNoAlloc("repro/internal/gkgpu", fn) {
 			t.Fatalf("%s is not in lint.NoAllocRegistry; static and runtime guards have drifted", fn)
 		}
@@ -273,9 +321,9 @@ func TestCPUCandidateRangeZeroAllocs(t *testing.T) {
 	out := make([]Result, len(cands))
 	kern := filter.NewKernel(filter.ModeGPU, 100, 5)
 	if allocs := testing.AllocsPerRun(200, func() {
-		cpuCandidateRange(kern, ref, planes, readHasN, cands, out, 5)
+		candidateRange(kern, ref, ref.lo, ref.hi, planes, readHasN, cands, out, 5)
 	}); allocs != 0 {
-		t.Fatalf("cpuCandidateRange allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("candidateRange allocated %.1f allocs/op, want 0", allocs)
 	}
 	if !out[7].Undefined || !out[len(out)-1].Undefined || out[0].Undefined {
 		t.Fatalf("undefined flags wrong: N read %+v, N window %+v, clean %+v", out[7], out[len(out)-1], out[0])

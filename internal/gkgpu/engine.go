@@ -13,6 +13,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/dna"
 	"repro/internal/filter"
+	"repro/internal/par"
 )
 
 // Stats accumulates the measurements of Section 4.3 across an engine's
@@ -102,24 +103,27 @@ func (s *bufferSet) free() {
 }
 
 // deviceState is the per-device slice of the engine: double-buffered unified
-// memory, one filter kernel per executor goroutine (the per-thread stack
-// frames), and the scratch arrays of the host-side encode pool.
+// memory and one filter kernel per executor goroutine (the per-thread stack
+// frames).
 type deviceState struct {
-	dev  *cuda.Device
-	sys  SystemConfig
-	sets [bufferSets]*bufferSet
-	// Kernel-side scratch: per-worker kernels and word views used while
-	// decoding packed input inside the simulated kernel.
-	kernels   []*filter.Kernel
-	readWords [][]uint64
-	refWords  [][]uint64
-	// Host-side encode-pool scratch, disjoint from the kernel scratch so the
-	// encode of one buffer set can overlap the launch of the other.
-	encWords [][]uint64
+	dev     *cuda.Device
+	sys     SystemConfig
+	sets    [bufferSets]*bufferSet
+	kernels []*filter.Kernel
 	// down marks the device quarantined: permanently failed (device lost)
 	// or repeatedly faulting. Quarantine outlives the stream that imposed
 	// it; every engine entry point skips down devices.
 	down atomic.Bool
+}
+
+// launch runs fn over n logical threads on the device's configured geometry,
+// with the grid cut down to what a ragged final batch needs.
+func (st *deviceState) launch(n int, fn cuda.KernelFunc) error {
+	lc := st.sys.Launch
+	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
+		lc.Blocks = need
+	}
+	return st.dev.Launch(lc, n, fn)
 }
 
 // Engine is a GateKeeper-GPU instance bound to a context of simulated
@@ -134,6 +138,7 @@ type Engine struct {
 	ctx    *cuda.Context
 	states []*deviceState
 	ref    *reference // loaded by SetReference for the index-named path
+	cand   candidateScratch
 
 	// runMu serializes buffer ownership: one FilterPairs call or one active
 	// stream at a time. statsMu guards the accumulated measurements, which
@@ -165,11 +170,13 @@ func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 		sys := Configure(dev.Spec, cfg.ReadLen, cfg.MaxE, cfg.Encoding,
 			cfg.ThreadsPerBlock, cfg.RegsPerThread, cfg.MaxBatchPairs)
 		st := &deviceState{dev: dev, sys: sys}
-		var seqBytes int
+		// A slot holds a sequence in its transfer format. The candidate
+		// stream ships encoded reads whatever the encoding actor, so a
+		// device-encoded slot holds at least the encoded form too (the
+		// larger of the two only for reads under 8 bases).
+		seqBytes := bitvec.EncodedWords(cfg.ReadLen) * 8
 		if cfg.Encoding == EncodeOnDevice {
-			seqBytes = cfg.ReadLen
-		} else {
-			seqBytes = bitvec.EncodedWords(cfg.ReadLen) * 8
+			seqBytes = max(cfg.ReadLen, seqBytes)
 		}
 		for i := range st.sets {
 			set, err := allocSet(dev, sys.BatchPairs, seqBytes)
@@ -179,13 +186,8 @@ func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 			}
 			st.sets[i] = set
 		}
-		workers := cuda.MaxWorkers(sys.BatchPairs)
-		mode := filter.ModeGPU
-		for w := 0; w < workers; w++ {
-			st.kernels = append(st.kernels, filter.NewKernel(mode, cfg.ReadLen, cfg.MaxE))
-			st.readWords = append(st.readWords, make([]uint64, bitvec.EncodedWords(cfg.ReadLen)))
-			st.refWords = append(st.refWords, make([]uint64, bitvec.EncodedWords(cfg.ReadLen)))
-			st.encWords = append(st.encWords, make([]uint64, bitvec.EncodedWords(cfg.ReadLen)))
+		for range cuda.MaxWorkers(sys.BatchPairs) {
+			st.kernels = append(st.kernels, filter.NewKernel(filter.ModeGPU, cfg.ReadLen, cfg.MaxE))
 		}
 		e.states = append(e.states, st)
 	}
@@ -448,6 +450,27 @@ func (e *Engine) liveRoundCap() int {
 	return cap
 }
 
+// eachShare runs fn once for every device with a non-zero share of a round,
+// all at once, handing it the device and the [lo, hi) of the round that is
+// its share, and returns when every device has finished.
+func (e *Engine) eachShare(shares []int, fn func(di int, st *deviceState, lo, hi int)) {
+	var wg sync.WaitGroup
+	next := 0
+	for di, st := range e.states {
+		if shares[di] == 0 {
+			continue
+		}
+		lo, hi := next, next+shares[di]
+		next = hi
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(di, st, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
 // classifyRoundErrs resolves a FilterPairs round's per-device errors: the
 // first failure is wrapped in the taxonomy, and a lost device is quarantined
 // so later calls re-weight onto the survivors. FilterPairs does not retry —
@@ -484,7 +507,6 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 	}
 	// Rounds run under runMu by design: the devices are the contended
 	// resource, and overlapping calls would interleave per-device batches.
-	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	if len(e.states) == 0 {
@@ -512,22 +534,10 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 		round := pairs[off:end]
 		w := e.workload(len(round), errThreshold)
 		shares := e.roundShares(len(round), w)
-		var wg sync.WaitGroup
 		errs := make([]error, len(e.states))
-		lo := 0
-		for di, st := range e.states {
-			if shares[di] == 0 {
-				continue
-			}
-			hi := lo + shares[di]
-			wg.Add(1)
-			go func(di int, st *deviceState, chunk []Pair, out []Result) {
-				defer wg.Done()
-				errs[di] = e.runBatch(st, st.sets[0], chunk, errThreshold, out)
-			}(di, st, round[lo:hi], results[off+lo:off+hi])
-			lo = hi
-		}
-		wg.Wait()
+		e.eachShare(shares, func(di int, st *deviceState, lo, hi int) {
+			errs[di] = e.runBatch(st, st.sets[0], round[lo:hi], errThreshold, results[off+lo:off+hi])
+		})
 		if err := e.classifyRoundErrs(errs); err != nil {
 			return nil, err
 		}
@@ -556,89 +566,55 @@ func (e *Engine) runBatch(st *deviceState, set *bufferSet, chunk []Pair, errThre
 	if len(chunk) == 0 {
 		return nil
 	}
-	e.encodeChunk(st, set, chunk)
+	e.encodeChunk(set, chunk)
 	e.prefetch(st, set)
 	return e.launchDecode(st, set, len(chunk), errThreshold, out)
 }
 
 // encodeChunk performs the preprocessing stage for one batch: filling the
-// unified buffers on the host, fanned out across the encode worker pool
-// (each worker packs a contiguous slice of the batch with its own scratch
-// words). A pair whose lengths do not match the compiled geometry is flagged
-// undefined so the kernel skips it — FilterPairs rejects such pairs up
-// front, but a stream must keep its slot to preserve ordering.
-func (e *Engine) encodeChunk(st *deviceState, set *bufferSet, chunk []Pair) {
+// unified buffers on the host, fanned out across the machine. A
+// device-encoded batch ships the ASCII bytes; a host-encoded one is packed
+// straight into the buffers' word views, where the kernel reads it. A pair
+// whose lengths do not match the compiled geometry is flagged undefined so
+// the kernel skips it — FilterPairs rejects such pairs up front, but a stream
+// must keep its slot to preserve ordering.
+func (e *Engine) encodeChunk(set *bufferSet, chunk []Pair) {
 	n := len(chunk)
 	L := e.cfg.ReadLen
 	encWords := bitvec.EncodedWords(L)
+	deviceEncoded := e.cfg.Encoding == EncodeOnDevice
 	flags := set.flagBuf.Bytes()
 	rb, fb := set.readBuf.Bytes(), set.refBuf.Bytes()
+	rw, fw := set.readBuf.Words(), set.refBuf.Words()
 
-	workers := len(st.encWords)
-	if workers > n {
-		workers = n
-	}
-	stride := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * stride
-		if lo >= n {
-			break
+	par.For(cuda.MaxWorkers(n), n, hostGrain, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := chunk[i]
+			switch {
+			case len(p.Read) != L || len(p.Ref) != L:
+				flags[i] = 1
+			case deviceEncoded:
+				copy(rb[i*L:], p.Read)
+				copy(fb[i*L:], p.Ref)
+				flags[i] = 0
+			// Encoding doubles as the 'N' scan: an unrecognized base is the
+			// undefined condition, so each sequence is walked once and no
+			// error value is allocated.
+			case dna.TryEncodeInto(rw[i*encWords:][:encWords], p.Read) >= 0 ||
+				dna.TryEncodeInto(fw[i*encWords:][:encWords], p.Ref) >= 0:
+				flags[i] = 1 // undefined: skip filtration in the kernel
+			default:
+				flags[i] = 0
+			}
 		}
-		hi := lo + stride
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			if e.cfg.Encoding == EncodeOnDevice {
-				for i := lo; i < hi; i++ {
-					p := chunk[i]
-					if len(p.Read) != L || len(p.Ref) != L {
-						flags[i] = 1
-						continue
-					}
-					copy(rb[i*L:], p.Read)
-					copy(fb[i*L:], p.Ref)
-					flags[i] = 0
-				}
-				return
-			}
-			words := st.encWords[wk]
-			encodeInto := func(dst []byte, seq []byte) bool {
-				// Encoding doubles as the 'N' scan: an unrecognized base is
-				// the undefined condition, so each sequence is walked once
-				// and no error value is allocated.
-				if len(seq) != L || dna.TryEncodeInto(words, seq) >= 0 {
-					return false
-				}
-				for w, v := range words {
-					binary.LittleEndian.PutUint64(dst[w*8:], v)
-				}
-				return true
-			}
-			for i := lo; i < hi; i++ {
-				p := chunk[i]
-				okR := encodeInto(rb[i*encWords*8:(i+1)*encWords*8], p.Read)
-				okF := encodeInto(fb[i*encWords*8:(i+1)*encWords*8], p.Ref)
-				if okR && okF {
-					flags[i] = 0
-				} else {
-					flags[i] = 1 // undefined: skip filtration in the kernel
-				}
-			}
-		}(wk, lo, hi)
-	}
-	wg.Wait()
+	})
 
-	if e.cfg.Encoding == EncodeOnDevice {
-		set.readBuf.HostWrite(0, n*L)
-		set.refBuf.HostWrite(0, n*L)
-	} else {
-		set.readBuf.HostWrite(0, n*encWords*8)
-		set.refBuf.HostWrite(0, n*encWords*8)
+	seqBytes := encWords * 8
+	if deviceEncoded {
+		seqBytes = L
 	}
+	set.readBuf.HostWrite(0, n*seqBytes)
+	set.refBuf.HostWrite(0, n*seqBytes)
 	set.flagBuf.HostWrite(0, n)
 }
 
@@ -655,54 +631,46 @@ func (e *Engine) prefetch(st *deviceState, set *bufferSet) {
 	}
 }
 
-// launchDecode launches the filtration kernel over an encoded buffer set and
-// decodes the result buffer into out.
+// launchDecode launches the filtration kernel over an encoded buffer set —
+// each thread reads its pair where encodeChunk left it — and decodes the
+// result buffer into out.
 func (e *Engine) launchDecode(st *deviceState, set *bufferSet, n, errThreshold int, out []Result) error {
 	L := e.cfg.ReadLen
 	encWords := bitvec.EncodedWords(L)
 	flags := set.flagBuf.Bytes()
 	res := set.resBuf.Bytes()
-	lc := st.sys.Launch
-	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
-		lc.Blocks = need // ragged final batch
-	}
-	err := st.dev.Launch(lc, n, func(worker, tid int) {
-		var r Result
-		if flags[tid] == 1 {
-			r = Result{Accept: true, Undefined: true}
-		} else if e.cfg.Encoding == EncodeOnDevice {
-			d, ferr := st.kernels[worker].FilterChecked(
-				set.readBuf.Bytes()[tid*L:(tid+1)*L],
-				set.refBuf.Bytes()[tid*L:(tid+1)*L],
-				errThreshold)
-			if ferr != nil {
-				r = Result{Accept: true} // defensive: pass to verification
+	rb, fb := set.readBuf.Bytes(), set.refBuf.Bytes()
+	rw, fw := set.readBuf.Words(), set.refBuf.Words()
+	err := st.launch(n, func(worker, lo, hi int) {
+		kern := st.kernels[worker]
+		for tid := lo; tid < hi; tid++ {
+			var r Result
+			if flags[tid] == 1 {
+				r = Result{Accept: true, Undefined: true}
+			} else if e.cfg.Encoding == EncodeOnDevice {
+				d, ferr := kern.FilterChecked(rb[tid*L:(tid+1)*L], fb[tid*L:(tid+1)*L], errThreshold)
+				if ferr != nil {
+					r = Result{Accept: true} // defensive: pass to verification
+				} else {
+					r = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
+				}
 			} else {
-				r = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
+				est, accept := kern.FilterEncoded(rw[tid*encWords:][:encWords], fw[tid*encWords:][:encWords], errThreshold)
+				r = Result{Accept: accept, Estimate: uint16(est)}
 			}
-		} else {
-			rw, fw := st.readWords[worker], st.refWords[worker]
-			rb := set.readBuf.Bytes()[tid*encWords*8:]
-			fb := set.refBuf.Bytes()[tid*encWords*8:]
-			for w := 0; w < encWords; w++ {
-				rw[w] = binary.LittleEndian.Uint64(rb[w*8:])
-				fw[w] = binary.LittleEndian.Uint64(fb[w*8:])
+			base := tid * resultStride
+			if r.Accept {
+				res[base] = 1
+			} else {
+				res[base] = 0
 			}
-			est, accept := st.kernels[worker].FilterEncoded(rw, fw, errThreshold)
-			r = Result{Accept: accept, Estimate: uint16(est)}
+			if r.Undefined {
+				res[base+1] = 1
+			} else {
+				res[base+1] = 0
+			}
+			binary.LittleEndian.PutUint16(res[base+2:], r.Estimate)
 		}
-		base := tid * resultStride
-		if r.Accept {
-			res[base] = 1
-		} else {
-			res[base] = 0
-		}
-		if r.Undefined {
-			res[base+1] = 1
-		} else {
-			res[base+1] = 0
-		}
-		binary.LittleEndian.PutUint16(res[base+2:], r.Estimate)
 	})
 	if err != nil {
 		return err

@@ -33,6 +33,17 @@
 // double-buffered per-device pipeline, with reads packed into the buffer
 // sets on the host and reference segments extracted by the kernel from the
 // device-resident encoded reference.
+//
+// The engine is one kernel body run by whichever processor is at hand.
+// FilterCandidates on Engine and on CPUEngine (the Section 4.3 baseline) share
+// one checked prologue (candidateScratch.prepare: validate, encode each read
+// once into engine-owned planes) and one body (candidateRange, the package's
+// only FilterPlanes call), handed to cuda.Device.Launch on the one and to
+// par.For on the other — and Launch is par.For behind a fault check, so every
+// fan-out in the package (kernel threads, the reference packer, the encode
+// stages) is the same cursor-claiming loop. Transfer buffers are read where
+// they lie: the host encodes straight into a unified buffer's word view and
+// the kernel's threads slice their operands out of it.
 package gkgpu
 
 import (

@@ -3,12 +3,14 @@ package gkgpu
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/cuda"
 	"repro/internal/dna"
+	"repro/internal/filter"
+	"repro/internal/par"
 )
 
 // Candidate names one filtration by indices instead of materialized
@@ -49,8 +51,11 @@ type packedRef struct {
 //gk:noalloc
 func planeOff(pos int64) int { return int(pos) + bitvec.CharsPerMaskWord }
 
+// packGrain is how many 64-base words a packing worker claims at a time.
+const packGrain = 1 << 10
+
 // packReference encodes seq in one parallel walk (multithreaded, as the
-// paper does with OpenMP). A worker's chunk is a run of whole 64-base words —
+// paper does with OpenMP). A worker's block is a run of whole 64-base words —
 // one word of each plane and of nMask — so no two workers write the same word.
 func packReference(seq []byte) *packedRef {
 	words := bitvec.MaskWords(len(seq))
@@ -60,20 +65,12 @@ func packReference(seq []byte) *packedRef {
 		hi:     make([]uint64, words+2),
 		nMask:  make([]uint64, words),
 	}
-	workers := cuda.MaxWorkers(words)
-	chunk := (words + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < words; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for wi := lo; wi < hi; wi++ {
-				base := wi * bitvec.CharsPerMaskWord
-				p.lo[wi+1], p.hi[wi+1], p.nMask[wi] = packWord(seq[base:min(base+bitvec.CharsPerMaskWord, len(seq))])
-			}
-		}(lo, min(lo+chunk, words))
-	}
-	wg.Wait()
+	par.For(cuda.MaxWorkers(words), words, packGrain, func(_, lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
+			base := wi * bitvec.CharsPerMaskWord
+			p.lo[wi+1], p.hi[wi+1], p.nMask[wi] = packWord(seq[base:min(base+bitvec.CharsPerMaskWord, len(seq))])
+		}
+	})
 	return p
 }
 
@@ -131,6 +128,72 @@ func encodeReads(planes []uint64, hasN []bool, reads [][]byte, planeWords int) {
 func readPlanes(planes []uint64, id int64, planeWords int) (lo, hi []uint64) {
 	slot := planes[2*int(id)*planeWords:][:2*planeWords]
 	return slot[:planeWords], slot[planeWords:]
+}
+
+// candidateScratch is an engine's reusable state for one FilterCandidates
+// call: every read of the call encoded once (encodeReads' plane slots), and
+// whether it holds an unknown base.
+type candidateScratch struct {
+	planes []uint64
+	hasN   []bool
+}
+
+// prepare is the FilterCandidates prologue both engines run under their lock:
+// check the call against the engine's compiled geometry and the loaded
+// reference (nil before SetReference), then encode every read once, whatever
+// its number of candidate locations.
+func (s *candidateScratch) prepare(readLen, maxE int, ref *packedRef, reads [][]byte, cands []Candidate, errThreshold int) error {
+	if errThreshold < 0 || errThreshold > maxE {
+		return fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, maxE)
+	}
+	for i, r := range reads {
+		if len(r) != readLen {
+			return fmt.Errorf("gkgpu: read %d has length %d; engine compiled for %d", i, len(r), readLen)
+		}
+	}
+	if ref == nil {
+		return fmt.Errorf("gkgpu: FilterCandidates before SetReference")
+	}
+	for i, c := range cands {
+		if c.ReadID < 0 || int(c.ReadID) >= len(reads) {
+			return fmt.Errorf("gkgpu: candidate %d references read %d of %d", i, c.ReadID, len(reads))
+		}
+		if c.Pos < 0 || int(c.Pos)+readLen > ref.length {
+			return fmt.Errorf("gkgpu: candidate %d window [%d,%d) outside reference of %d",
+				i, c.Pos, int(c.Pos)+readLen, ref.length)
+		}
+	}
+	planeWords := bitvec.MaskWords(readLen)
+	s.planes = slices.Grow(s.planes[:0], 2*len(reads)*planeWords)[:2*len(reads)*planeWords]
+	s.hasN = slices.Grow(s.hasN[:0], len(reads))[:len(reads)]
+	encodeReads(s.planes, s.hasN, reads, planeWords)
+	return nil
+}
+
+// candidateRange is the candidate kernel body, one block of index-named
+// candidates on one worker's kernel, whichever processor runs it: a candidate
+// whose read (readHasN, set by the call's one encode walk) or reference window
+// (ref's 'N' bitmap) holds an unknown base is Undefined+Accept without
+// touching the kernel; any other is filtered where it lies — the read's planes
+// in their slot of planes, the window at its bit offset in refLo/refHi
+// (the CPU engine's host planes, the GPU engine's unified-memory copy).
+//
+//gk:noalloc
+func candidateRange(kern *filter.Kernel, ref *packedRef, refLo, refHi, planes []uint64, readHasN []bool,
+	cands []Candidate, out []Result, errThreshold int) {
+
+	L := kern.ReadLen()
+	planeWords := bitvec.MaskWords(L)
+	for i := range cands {
+		cd := cands[i]
+		if readHasN[cd.ReadID] || ref.hasN(cd.Pos, L) {
+			out[i] = Result{Accept: true, Undefined: true}
+			continue
+		}
+		readLo, readHi := readPlanes(planes, cd.ReadID, planeWords)
+		est, accept := kern.FilterPlanes(readLo, readHi, refLo, refHi, planeOff(cd.Pos), errThreshold)
+		out[i] = Result{Accept: accept, Estimate: uint16(est)}
+	}
 }
 
 // reference is the GPU engine's loaded reference: the packed form's length
@@ -218,45 +281,24 @@ func (r *reference) free() {
 // device survives the call fails like a dead stream: the first classified
 // DeviceFault wrapped in ErrStreamAborted, and later calls fail fast.
 func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
-	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
-		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
-	}
-	L := e.cfg.ReadLen
-	for i, r := range reads {
-		if len(r) != L {
-			return nil, fmt.Errorf("gkgpu: read %d has length %d; engine compiled for %d", i, len(r), L)
-		}
-	}
 	// As in FilterPairs, rounds run under runMu by design. The reference is
 	// checked under it too: SetReference frees and replaces e.ref under
 	// runMu, so a check made any earlier could pass against a reference that
 	// is gone (or of another length) by the time the round runs.
-	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	if len(e.states) == 0 {
 		return nil, fmt.Errorf("gkgpu: engine is closed")
 	}
-	if e.ref == nil {
-		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
+	var ref *packedRef
+	if e.ref != nil {
+		ref = e.ref.packedRef
 	}
-	for i, c := range cands {
-		if c.ReadID < 0 || int(c.ReadID) >= len(reads) {
-			return nil, fmt.Errorf("gkgpu: candidate %d references read %d of %d", i, c.ReadID, len(reads))
-		}
-		if c.Pos < 0 || int(c.Pos)+L > e.ref.length {
-			return nil, fmt.Errorf("gkgpu: candidate %d window [%d,%d) outside reference of %d",
-				i, c.Pos, int(c.Pos)+L, e.ref.length)
-		}
+	L := e.cfg.ReadLen
+	if err := e.cand.prepare(L, e.cfg.MaxE, ref, reads, cands, errThreshold); err != nil {
+		return nil, err
 	}
 	wallStart := time.Now()
-
-	// Encode every read once, whatever its number of candidate locations.
-	planeWords := bitvec.MaskWords(L)
-	planes := make([]uint64, 2*len(reads)*planeWords)
-	readHasN := make([]bool, len(reads))
-	encodeReads(planes, readHasN, reads, planeWords)
-
 	results := make([]Result, len(cands))
 
 	// Decisions, clocks and device telemetry accumulate locally and commit
@@ -284,30 +326,23 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 		// transfer profile.
 		w := cuda.Workload{Pairs: len(round), ReadLen: L, E: errThreshold, DeviceEncoded: false}
 		shares := e.roundShares(len(round), w)
-		var wg sync.WaitGroup
 		type outcome struct {
 			retries int64
 			lost    bool // this launch quarantined the device
 			err     error
 		}
 		outcomes := make([]outcome, len(e.states))
-		lo := 0
-		for di, st := range e.states {
-			if shares[di] == 0 {
-				continue
-			}
-			hi := lo + shares[di]
-			wg.Add(1)
-			go func(di int, st *deviceState, chunk []Candidate, out []Result) {
-				defer wg.Done()
-				o := &outcomes[di]
-				o.retries, o.lost, o.err = e.launchWithRetry(context.Background(), st, -1, func() error {
-					return e.runCandidateBatch(st, di, chunk, planes, readHasN, errThreshold, out)
+		e.eachShare(shares, func(di int, st *deviceState, lo, hi int) {
+			chunk, out := round[lo:hi], results[off+lo:off+hi]
+			o := &outcomes[di]
+			o.retries, o.lost, o.err = e.launchWithRetry(context.Background(), st, -1, func() error {
+				refLo, refHi := e.ref.planes(di)
+				return st.launch(len(chunk), func(worker, lo, hi int) {
+					candidateRange(st.kernels[worker], ref, refLo, refHi, e.cand.planes, e.cand.hasN,
+						chunk[lo:hi], out[lo:hi], errThreshold)
 				})
-			}(di, st, round[lo:hi], results[off+lo:off+hi])
-			lo = hi
-		}
-		wg.Wait()
+			})
+		})
 		failed := false
 		for _, o := range outcomes {
 			faults.Retries += o.retries
@@ -406,39 +441,20 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 	rb := set.readBuf.Words()
 	ref := e.ref
 
-	workers := len(st.encWords)
-	if workers > n {
-		workers = n
-	}
-	stride := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * stride
-		if lo >= n {
-			break
-		}
-		hi := lo + stride
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				c := items[i]
-				// Out-of-geometry candidates (FilterCandidates' validation
-				// errors) and 'N'-touched candidates both flag undefined:
-				// the former defensively, the latter by design.
-				if len(c.Read) != L || c.Pos < 0 || int(c.Pos)+L > ref.length ||
-					ref.hasN(c.Pos, L) || dna.TryEncodeInto(rb[i*encWords:][:encWords], c.Read) >= 0 {
-					flags[i] = 1
-					continue
-				}
-				flags[i] = 0
+	par.For(cuda.MaxWorkers(n), n, hostGrain, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := items[i]
+			// Out-of-geometry candidates (FilterCandidates' validation
+			// errors) and 'N'-touched candidates both flag undefined:
+			// the former defensively, the latter by design.
+			if len(c.Read) != L || c.Pos < 0 || int(c.Pos)+L > ref.length ||
+				ref.hasN(c.Pos, L) || dna.TryEncodeInto(rb[i*encWords:][:encWords], c.Read) >= 0 {
+				flags[i] = 1
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			flags[i] = 0
+		}
+	})
 
 	set.readBuf.HostWrite(0, n*encWords*8)
 	set.flagBuf.HostWrite(0, n)
@@ -451,61 +467,27 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 
 // launchCandidateBatch is the candidate stream's device-side stage: the
 // kernel reads each packed read in place from the buffer set and its
-// reference window in place from the device-resident planes, as
-// runCandidateBatch does for the one-shot path.
+// reference window in place from the device-resident planes.
 func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSet,
 	items []StreamCandidate, errThreshold int, out []Result) error {
 
-	n := len(items)
-	if n == 0 {
+	if len(items) == 0 {
 		return nil
 	}
 	encWords := bitvec.EncodedWords(e.cfg.ReadLen)
 	flags := set.flagBuf.Bytes()
 	rb := set.readBuf.Words()
 	refLo, refHi := e.ref.planes(devIdx)
-
-	lc := st.sys.Launch
-	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
-		lc.Blocks = need
-	}
-	return st.dev.Launch(lc, n, func(worker, tid int) {
-		if flags[tid] == 1 {
-			out[tid] = Result{Accept: true, Undefined: true}
-			return
+	return st.launch(len(items), func(worker, lo, hi int) {
+		kern := st.kernels[worker]
+		for tid := lo; tid < hi; tid++ {
+			if flags[tid] == 1 {
+				out[tid] = Result{Accept: true, Undefined: true}
+				continue
+			}
+			est, accept := kern.FilterEncodedAt(rb[tid*encWords:][:encWords],
+				refLo, refHi, planeOff(items[tid].Pos), errThreshold)
+			out[tid] = Result{Accept: accept, Estimate: uint16(est)}
 		}
-		est, accept := st.kernels[worker].FilterEncodedAt(rb[tid*encWords:][:encWords],
-			refLo, refHi, planeOff(items[tid].Pos), errThreshold)
-		out[tid] = Result{Accept: accept, Estimate: uint16(est)}
-	})
-}
-
-// runCandidateBatch executes one device's share of an index-named round:
-// each thread hands the kernel its read's planes, the resident reference
-// planes and the window's bit offset in them.
-func (e *Engine) runCandidateBatch(st *deviceState, devIdx int, chunk []Candidate,
-	planes []uint64, readHasN []bool, errThreshold int, out []Result) error {
-
-	n := len(chunk)
-	if n == 0 {
-		return nil
-	}
-	L := e.cfg.ReadLen
-	planeWords := bitvec.MaskWords(L)
-	refLo, refHi := e.ref.planes(devIdx)
-
-	lc := st.sys.Launch
-	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
-		lc.Blocks = need
-	}
-	return st.dev.Launch(lc, n, func(worker, tid int) {
-		c := chunk[tid]
-		if readHasN[c.ReadID] || e.ref.hasN(c.Pos, L) {
-			out[tid] = Result{Accept: true, Undefined: true}
-			return
-		}
-		readLo, readHi := readPlanes(planes, c.ReadID, planeWords)
-		est, accept := st.kernels[worker].FilterPlanes(readLo, readHi, refLo, refHi, planeOff(c.Pos), errThreshold)
-		out[tid] = Result{Accept: accept, Estimate: uint16(est)}
 	})
 }

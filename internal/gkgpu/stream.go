@@ -111,7 +111,7 @@ func (e *Engine) FilterStream(ctx context.Context, in <-chan Pair, errThreshold 
 	out := make(chan Result, streamOutBuffer)
 	go runStream(e, ctx, in, errThreshold, out, streamOps[Pair]{
 		encode: func(st *deviceState, set *bufferSet, items []Pair) {
-			e.encodeChunk(st, set, items)
+			e.encodeChunk(set, items)
 			e.prefetch(st, set)
 		},
 		launch: func(st *deviceState, _ int, set *bufferSet, items []Pair, errThreshold int, res []Result) error {

@@ -367,6 +367,48 @@ func TestFilterCandidateStreamMatchesFilterCandidates(t *testing.T) {
 	}
 }
 
+// TestFilterCandidateStreamShortReadsDeviceEncoded is the regression for the
+// read-slot size: a device-encoded engine sized a slot for the ASCII bytes,
+// but the candidate stream writes every read encoded, and under 8 bases the
+// encoded word is the larger of the two — the stream ran off the buffer at
+// candidate 40 of a 64-pair batch.
+func TestFilterCandidateStreamShortReadsDeviceEncoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	genome := dna.RandomSeq(rng, 2_000)
+	cfg := Config{ReadLen: 5, MaxE: 1, Encoding: EncodeOnDevice, MaxBatchPairs: 64}
+	eng, err := NewEngine(cfg, cuda.NewUniformContext(1, cuda.GTX1080Ti()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	if err := eng.SetReference(genome); err != nil {
+		t.Fatal(err)
+	}
+	var reads [][]byte
+	var cands []Candidate
+	var scands []StreamCandidate
+	for i := 0; i < 60; i++ {
+		pos := rng.Intn(len(genome) - 5)
+		read := dna.MutateSubstitutions(rng, genome[pos:pos+5], rng.Intn(3))
+		reads = append(reads, read)
+		cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(pos)})
+		scands = append(scands, StreamCandidate{Read: read, Pos: int64(pos)})
+	}
+	want, err := eng.FilterCandidates(reads, cands, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainCandidateStream(t, eng, scands, 1)
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("candidate %d: stream %+v one-shot %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestFilterCandidateStreamDefensivePassThrough(t *testing.T) {
 	// Candidates FilterCandidates would reject as a whole call — windows
 	// outside the reference, wrong-length reads — keep their ordering slot

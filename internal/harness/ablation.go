@@ -12,7 +12,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "ablation",
-		PaperRef: "DESIGN.md (design-choice ablations)",
+		PaperRef: "beyond the paper (design-choice ablations)",
 		Title:    "Ablation of GateKeeper-GPU design elements on Set 3",
 		Run:      runAblation,
 	})

@@ -1,8 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation section. Each experiment is registered under the ID used in
-// DESIGN.md's per-experiment index, prints its measured rows next to the
-// paper's reference values, and scales with a single factor so the same
-// code runs in seconds on a laptop or for hours at paper scale.
+// evaluation section. Each experiment registers itself under an ID — the
+// registry is the experiment index: IDs() lists it, `gkbench -list` prints
+// it — prints its measured rows next to the paper's reference values, and
+// scales with a single factor so the same code runs in seconds on a laptop
+// or for hours at paper scale.
 package harness
 
 import (

@@ -72,13 +72,13 @@ var NoAllocRegistry = []string{
 	"repro/internal/mapper.Reference.locate",
 	"repro/internal/mapper.Reference.WindowContig",
 
-	// The CPU baseline's per-worker steady states: one claimed block of a
-	// pair batch or an index-named candidate batch on a persistent kernel,
-	// and what the candidate block runs per candidate — the packed
-	// reference's window 'N' test, the read's plane slot, the window's bit
-	// offset.
+	// The engines' per-worker steady states: one claimed block of the CPU
+	// baseline's pair batch, one block of an index-named candidate batch on
+	// either engine, and what the candidate block runs per candidate — the
+	// packed reference's window 'N' test, the read's plane slot, the window's
+	// bit offset.
 	"repro/internal/gkgpu.cpuFilterRange",
-	"repro/internal/gkgpu.cpuCandidateRange",
+	"repro/internal/gkgpu.candidateRange",
 	"repro/internal/gkgpu.packedRef.hasN",
 	"repro/internal/gkgpu.readPlanes",
 	"repro/internal/gkgpu.planeOff",

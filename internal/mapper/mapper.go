@@ -11,6 +11,7 @@ import (
 	"repro/internal/dna"
 	"repro/internal/gkgpu"
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // PreFilter is the pre-alignment filtering hook between seeding and
@@ -69,6 +70,25 @@ func (c *Config) applyDefaults() {
 	if c.MaxReadsPerBatch == 0 {
 		c.MaxReadsPerBatch = 100_000
 	}
+}
+
+// checkGeometry rejects a (defaulted) read and seed geometry no read could be
+// probed with.
+func (c Config) checkGeometry() error {
+	if c.ReadLen <= 0 {
+		return fmt.Errorf("mapper: read length %d", c.ReadLen)
+	}
+	if c.MaxE < 0 || c.MaxE >= c.ReadLen {
+		return fmt.Errorf("mapper: error threshold %d outside [0,%d)", c.MaxE, c.ReadLen)
+	}
+	if c.SeedLen > c.ReadLen {
+		return fmt.Errorf("mapper: seed length %d exceeds read length %d", c.SeedLen, c.ReadLen)
+	}
+	if c.SeedStep < 1 || c.SeedStep > c.ReadLen-c.SeedLen+1 {
+		return fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
+			c.SeedStep, c.ReadLen-c.SeedLen+1)
+	}
+	return nil
 }
 
 // Mapping is one reported alignment. Coordinates are contig-relative:
@@ -151,18 +171,8 @@ func New(ref []byte, cfg Config) (*Mapper, error) {
 // (contig, contig-relative position) coordinates.
 func NewFromReference(ref *Reference, cfg Config) (*Mapper, error) {
 	cfg.applyDefaults()
-	if cfg.ReadLen <= 0 {
-		return nil, fmt.Errorf("mapper: read length %d", cfg.ReadLen)
-	}
-	if cfg.MaxE < 0 || cfg.MaxE >= cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: error threshold %d outside [0,%d)", cfg.MaxE, cfg.ReadLen)
-	}
-	if cfg.SeedLen > cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: seed length %d exceeds read length %d", cfg.SeedLen, cfg.ReadLen)
-	}
-	if cfg.SeedStep < 1 || cfg.SeedStep > cfg.ReadLen-cfg.SeedLen+1 {
-		return nil, fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
-			cfg.SeedStep, cfg.ReadLen-cfg.SeedLen+1)
+	if err := cfg.checkGeometry(); err != nil {
+		return nil, err
 	}
 	idx, err := NewSteppedReferenceIndex(ref, cfg.SeedLen, cfg.SeedStep)
 	if err != nil {
@@ -202,18 +212,8 @@ func NewFromSerializedIndex(ref *Reference, path string, cfg Config) (*Mapper, e
 	}
 	cfg.SeedLen, cfg.SeedStep = idx.K(), idx.Step()
 	cfg.applyDefaults()
-	if cfg.ReadLen <= 0 {
-		return nil, fmt.Errorf("mapper: read length %d", cfg.ReadLen)
-	}
-	if cfg.MaxE < 0 || cfg.MaxE >= cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: error threshold %d outside [0,%d)", cfg.MaxE, cfg.ReadLen)
-	}
-	if cfg.SeedLen > cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: seed length %d exceeds read length %d", cfg.SeedLen, cfg.ReadLen)
-	}
-	if cfg.SeedStep < 1 || cfg.SeedStep > cfg.ReadLen-cfg.SeedLen+1 {
-		return nil, fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
-			cfg.SeedStep, cfg.ReadLen-cfg.SeedLen+1)
+	if err := cfg.checkGeometry(); err != nil {
+		return nil, err
 	}
 	return newMapperWithIndex(ref, cfg, idx)
 }
@@ -386,7 +386,7 @@ func (m *Mapper) mapSlab(sl *slab, e int, r *run, st *Stats) error {
 	// them prepares each query once. A block's contig lookups count
 	// into metrics.ContigLocates once, as its probes did in seedBlock.
 	verifyStart := time.Now()
-	gkgpu.ParallelFor(len(r.workers), len(cands), 32, func(w, lo, hi int) {
+	par.For(len(r.workers), len(cands), 32, func(w, lo, hi int) {
 		wk := &r.workers[w]
 		v := &wk.verifier
 		prepared := int64(-1)

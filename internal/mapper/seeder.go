@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gkgpu"
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // probe is one k-mer probe of the index in flight through a seeder's stages:
@@ -155,7 +156,7 @@ func (r *run) seed(seqs [][]byte) []gkgpu.Candidate {
 		r.workers[w].seeder.arena = r.workers[w].seeder.arena[:0]
 	}
 	const grain = 8 // queries per claim off the pool's cursor, and per staged block
-	gkgpu.ParallelFor(len(r.workers), len(seqs), grain, func(w, lo, hi int) {
+	par.For(len(r.workers), len(seqs), grain, func(w, lo, hi int) {
 		// A lone worker is handed the whole slab at once; it is cut as the
 		// pool would have cut it, so the probes in flight stay a few cache
 		// lines' worth at any width and the block scratch never grows with
