@@ -4,10 +4,11 @@
 // Pairs come either from a registered dataset profile (-set) or from a TSV
 // file (-pairs) with one "read<TAB>reference" pair per line.
 //
-// With -stream, pairs run through the GateKeeper-GPU engine's asynchronous
-// double-buffered streaming pipeline (Engine.FilterStream) on -gpus simulated
-// devices instead of the per-pair filter loop, and the engine's modelled
-// clocks are reported next to the accuracy numbers.
+// With -stream, pairs run through the GateKeeper-GPU engine
+// (Engine.FilterStream: batches collected off a channel and filtered in
+// synchronized rounds on -gpus simulated devices) instead of the per-pair
+// filter loop, and the engine's modelled clocks — those of the double-buffered
+// device — are reported next to the accuracy numbers.
 //
 // Usage:
 //
@@ -18,8 +19,8 @@
 //	gkfilter -set set3 -n 50000 -e 5 -stream -gpus 2 -fault-rate 0.05 -fault-die 3
 //
 // -fault-rate/-fault-seed/-fault-die inject deterministic device faults into
-// a -stream run: the engine retries, quarantines dying devices and
-// redispatches their batches, so decisions stay bit-identical while any
+// a -stream run: the engine retries, quarantines dying devices and re-runs
+// their share on the survivors, so decisions stay bit-identical while any
 // device survives; with none left the run exits non-zero with the classified
 // fault taxonomy after draining its input.
 package main
@@ -180,8 +181,8 @@ func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bo
 	if gpus < 1 {
 		return nil, fmt.Errorf("-gpus must be positive, got %d", gpus)
 	}
-	// Dispatch granularity: small enough that the workload spreads across
-	// every device (a few batches each), large enough to amortize launches.
+	// Batch granularity (per device): small enough that the run takes more
+	// than one batch, large enough to amortize launches.
 	streamBatch := len(reads) / (2 * gpus)
 	if streamBatch < 256 {
 		streamBatch = 256

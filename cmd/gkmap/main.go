@@ -16,16 +16,17 @@
 // included.
 //
 // Every mode runs the mapper's one slab core: -batch reads are seeded
-// together, filtered in one call and verified together. -stream selects
-// channel-fed ingestion (Mapper.MapReadStream / MapPairStream): reads enter
-// the mapper as they are decoded, the next slab is collected while the
-// current one maps, and the read set is never materialized unless -sam
-// needs the sequences back for output. Without it the reads are collected
-// first (Mapper.MapReads / MapPairs). With -paired, mate pairs (synthesized
-// FR pairs under -sim, or -reads-file plus -reads2; file mode is always
-// channel-fed) map as interleaved mates and concordant pairs are resolved
-// against the insert window; when no -insert-min/-max is given the window
-// is estimated from a sample of confidently mapped pairs; giving just one of
+// together, filtered in one call and verified together. The input decides
+// how reads reach it: FASTQ files are channel-fed (Mapper.MapReadStream /
+// MapPairStream) — reads enter the mapper as they are decoded, the next slab
+// is collected while the current one maps, and the read set is never
+// materialized unless -sam needs the sequences back for output — while -sim
+// reads, which exist as a slice already, go to Mapper.MapReads / MapPairs.
+// The output is byte-identical either way. With -paired, mate pairs
+// (synthesized FR pairs under -sim, or -reads-file plus -reads2) map as
+// interleaved mates and concordant pairs are resolved against the insert
+// window; when no -insert-min/-max is given the window is estimated from a
+// sample of confidently mapped pairs; giving just one of
 // -insert-min/-insert-max pins that bound and estimates the other. -sam
 // writes single-end records, or standard paired records (flags,
 // RNEXT/PNEXT/TLEN) under -paired, with QNAMEs taken from the FASTQ input.
@@ -33,10 +34,9 @@
 // Usage:
 //
 //	gkmap -sim -genome 500000 -reads 5000 -e 5 -prefilter gpu
-//	gkmap -sim -stream -reads 5000 -e 5
 //	gkmap -sim -paired -reads 2000 -insert-mean 400 -insert-std 40 -sam out.sam
 //	gkmap -ref ref.fa -reads-file reads.fq -e 3 -prefilter none -sam out.sam
-//	gkmap -ref genome.fa -reads-file r1.fq -reads2 r2.fq -paired -stream -sam out.sam
+//	gkmap -ref genome.fa -reads-file r1.fq -reads2 r2.fq -paired -sam out.sam
 //	gkmap -ref genome.fa -index genome.gkix -reads-file reads.fq -sam out.sam
 //
 // where genome.fa may hold any number of contigs. -index loads a GKIX index
@@ -86,7 +86,6 @@ func main() {
 		samOut    = flag.String("sam", "", "write mappings as SAM to this file (paired records under -paired)")
 		strands   = flag.Bool("both-strands", false, "also map reverse complements")
 		seed      = flag.Int64("seed", 42, "simulation seed")
-		stream    = flag.Bool("stream", false, "channel-fed ingestion: reads enter the mapper as they are decoded")
 		paired    = flag.Bool("paired", false, "paired-end mapping")
 		reads2    = flag.String("reads2", "", "mate FASTQ for -paired (when not -sim)")
 		workers   = flag.Int("workers", 0, "seeding/verification fan-out width (0 = GOMAXPROCS)")
@@ -250,18 +249,13 @@ func main() {
 	var resolved []mapper.PairMapping
 	var st mapper.Stats
 	switch {
-	case *paired && (*stream || fileMode):
-		// Channel-fed paired mapping; file mode decodes both FASTQs in
-		// lockstep as the mapper consumes them.
+	case fileMode && *paired:
+		// Both FASTQs are decoded in lockstep as the mapper consumes them.
 		ch := make(chan mapper.PairRead, 256)
 		feedErr := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			if fileMode {
-				feedErr <- feedFilePairs(ch, src1, src2, retain, &pairs, &names)
-			} else {
-				feedErr <- feedSimPairs(ch, pairs)
-			}
+			feedErr <- feedFilePairs(ch, src1, src2, retain, &pairs, &names)
 		}()
 		resolved, st, err = m.MapPairStream(ch, *e, win)
 		if ferr := <-feedErr; ferr != nil {
@@ -269,18 +263,12 @@ func main() {
 			// whatever the starved pipeline reported downstream.
 			err = ferr
 		}
-	case *paired:
-		resolved, st, err = m.MapPairs(pairs, *e, win)
-	case *stream:
+	case fileMode:
 		ch := make(chan mapper.Read, 256)
 		feedErr := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			if fileMode {
-				feedErr <- feedFileReads(ch, src1, retain, &seqs, &names)
-			} else {
-				feedErr <- feedSimReads(ch, seqs)
-			}
+			feedErr <- feedFileReads(ch, src1, retain, &seqs, &names)
 		}()
 		mappings, st, err = m.MapReadStream(ch, *e)
 		if ferr := <-feedErr; ferr != nil {
@@ -288,21 +276,8 @@ func main() {
 			// whatever the starved pipeline reported downstream.
 			err = ferr
 		}
-	case fileMode:
-		// One-shot file mode: the scanner still decodes incrementally (same
-		// framing and length validation), collected for batch MapReads.
-		for {
-			rec, ok, rerr := src1.next()
-			if rerr != nil {
-				fatal(rerr)
-			}
-			if !ok {
-				break
-			}
-			seqs = append(seqs, rec.Seq)
-			names = append(names, rec.Name)
-		}
-		mappings, st, err = m.MapReads(seqs, *e)
+	case *paired:
+		resolved, st, err = m.MapPairs(pairs, *e, win)
 	default:
 		mappings, st, err = m.MapReads(seqs, *e)
 	}
@@ -490,7 +465,7 @@ func (s *fastqSource) next() (dna.Record, bool, error) {
 }
 
 // feedFileReads streams one FASTQ into the single-end pipeline, optionally
-// retaining sequences and names for SAM output or one-shot mapping.
+// retaining sequences and names for SAM output.
 func feedFileReads(ch chan<- mapper.Read, src *fastqSource, retain bool, seqs *[][]byte, names *[]string) error {
 	for {
 		rec, ok, err := src.next()
@@ -538,20 +513,6 @@ func feedFilePairs(ch chan<- mapper.PairRead, src1, src2 *fastqSource, retain bo
 		}
 		ch <- mapper.PairRead{Name: r1.Name, R1: r1.Seq, R2: r2.Seq}
 	}
-}
-
-func feedSimReads(ch chan<- mapper.Read, seqs [][]byte) error {
-	for i, s := range seqs {
-		ch <- mapper.Read{Name: fmt.Sprintf("read%d", i), Seq: s}
-	}
-	return nil
-}
-
-func feedSimPairs(ch chan<- mapper.PairRead, pairs []mapper.ReadPair) error {
-	for i, p := range pairs {
-		ch <- mapper.PairRead{Name: fmt.Sprintf("pair%d", i), R1: p.R1, R2: p.R2}
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -11,12 +11,12 @@
 //   - Engines: batched filtering on one or more simulated GPUs with the
 //     paper's unified-memory pipeline (system configuration, host/device
 //     encoding, prefetching, multi-GPU fan-out) and calibrated kernel/filter
-//     time, power, and occupancy telemetry. Two entry points are offered:
-//     Engine.FilterPairs, the paper's one-shot round pipeline, and
-//     Engine.FilterStream, an asynchronous double-buffered streaming layer —
-//     pairs flow in on a channel (many concurrent producers are fine),
-//     results flow out in input order, and each device overlaps the host
-//     encoding of one batch with the kernel execution of the previous one.
+//     time, power, and occupancy telemetry. Every entry point runs the same
+//     synchronized rounds under one fault contract: Engine.FilterPairs over
+//     a slice, Engine.FilterStream over a channel — pairs flow in (many
+//     concurrent producers are fine), are batched, and results flow out in
+//     input order, clocked as the double-buffered device that overlaps the
+//     host encoding of one batch with the kernel of the previous one.
 //   - Mapper: an mrFAST-style seed-and-extend read mapper with the engine as
 //     its pre-alignment stage, reproducing the whole-genome evaluation.
 //

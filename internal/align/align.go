@@ -2,8 +2,8 @@
 // reproduction. The paper uses Edlib's global alignment as ground truth for
 // every accuracy experiment; Edlib is an implementation of Myers' 1999
 // bit-vector algorithm, which this package reimplements (blocked variant for
-// sequences longer than one machine word, per Hyyrö 2003): Distance and the
-// semi-global forms run it over the whole matrix. Verifier, the mapper's
+// sequences longer than one machine word, per Hyyrö 2003): Distance runs it
+// over the whole matrix. Verifier, the mapper's
 // verification kernel, answers "at most e, and how many" over reusable
 // scratch: a wavefront of furthest-reaching diagonals (Ukkonen / Myers O(ND))
 // settles the pairs that keep pace with a read of at most e edits, and the
@@ -27,17 +27,15 @@ func Distance(a, b []byte) int {
 	if len(a) == 0 {
 		return len(b)
 	}
-	last, _ := lastRow(a, b, 1) // global mode: the first DP row is 0,1,2,...
-	return last
+	return lastRow(a, b)
 }
 
 // lastRow runs the blocked Myers/Hyyrö recurrence over the whole matrix of a
-// non-empty pattern (rows) against text (columns) and follows the pattern's
-// last row: it returns that row's value in the final column and its minimum
-// over every column, column 0 included. top is the horizontal delta of the
-// row above the matrix: 1 when the first DP row is 0, 1, 2, … (leading text
-// is paid for), 0 when it is all zeros (leading text is free).
-func lastRow(pattern, text []byte, top uint64) (last, best int) {
+// non-empty pattern (rows) against text (columns) in global mode — the first
+// DP row is 0, 1, 2, …, so the horizontal delta entering the top block is +1 —
+// following the pattern's last row, and returns that row's value in the final
+// column.
+func lastRow(pattern, text []byte) int {
 	m := len(pattern)
 	blocks := (m + wordBits - 1) / wordBits
 	peq := buildPeq(pattern, blocks)
@@ -49,23 +47,22 @@ func lastRow(pattern, text []byte, top uint64) (last, best int) {
 		pv[i] = ^uint64(0)
 	}
 	lastBit := uint((m - 1) % wordBits) // the final pattern row may fall inside a partially used block
-	score, best := m, m
+	score := m
 	for _, c := range text {
 		eqAll := peq[c]
 		if eqAll == nil {
 			eqAll = zero
 		}
 		var p, xh, ph uint64
-		hp, hn := top, uint64(0)
+		hp, hn := uint64(1), uint64(0)
 		for blk := range pv {
 			p = pv[blk]
 			xh, ph, pv[blk], mv[blk], hp, hn = blockStep(eqAll[blk], p, mv[blk], hp, hn)
 		}
 		// The last row's horizontal delta: ph is its +1 bits, p&xh its -1 bits.
 		score += int(ph>>lastBit&1) - int(p&xh>>lastBit&1)
-		best = min(best, score)
 	}
-	return score, best
+	return score
 }
 
 // buildPeq precomputes the match bitvectors: peq[c][blk] has bit i set when

@@ -1,6 +1,7 @@
 package gkgpu
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,12 +28,12 @@ type Stats struct {
 	Undefined int64
 	Batches   int64
 
-	// Fault-recovery counters. Retries counts batch attempts repeated after
-	// a transient fault, Redispatches counts batches moved to a surviving
-	// device after a quarantine, DevicesLost counts quarantine events. They
-	// are the only Stats fields a faulty-but-survived stream may change
-	// relative to a fault-free run: decisions and decision counters stay
-	// bit-identical.
+	// Fault-recovery counters. Retries counts attempts of a device's share
+	// of a round repeated after a transient fault, Redispatches counts shares
+	// that failed for good and were run again in a re-cut round, DevicesLost
+	// counts quarantine events. They (and the clocks, and Batches) are the
+	// only Stats fields a faulty-but-survived call may change relative to a
+	// fault-free run: decisions and decision counters stay bit-identical.
 	Retries      int64
 	Redispatches int64
 	DevicesLost  int64
@@ -74,15 +75,16 @@ func (s *Stats) add(d Stats) {
 }
 
 // bufferSets is how many independent buffer sets each device holds. Two sets
-// let the host encode batch N+1 while the kernel consumes batch N (the
-// double-buffered streaming path); the system-configuration stage divides
-// the memory budget accordingly.
+// are what lets a real host encode batch N+1 while the kernel consumes batch
+// N, the overlap a stream's clock models (pipelinedClock); the
+// system-configuration stage divides the memory budget accordingly. A
+// stream's batches alternate between them; the one-shot calls use the first.
 const bufferSets = 2
 
 // bufferSet is one independent group of unified-memory buffers plus the
-// prefetch streams that drive its transfers. A set is owned by exactly one
-// pipeline stage at a time: the encoder fills it, hands it to the launcher,
-// and gets it back once the kernel's results have been decoded.
+// prefetch streams that drive its transfers. A set belongs to one share of
+// one round at a time: the share's body fills it, launches over it and
+// decodes its results before returning.
 type bufferSet struct {
 	readBuf *cuda.UMBuffer
 	refBuf  *cuda.UMBuffer
@@ -111,8 +113,10 @@ type deviceState struct {
 	sets    [bufferSets]*bufferSet
 	kernels []*filter.Kernel
 	// down marks the device quarantined: permanently failed (device lost)
-	// or repeatedly faulting. Quarantine outlives the stream that imposed
-	// it; every engine entry point skips down devices.
+	// or repeatedly faulting. Quarantine outlives the call that imposed it;
+	// every round is cut against the devices that are not down. It is set by
+	// the device's own share of a round and read by QuarantinedDevices at any
+	// time, hence atomic.
 	down atomic.Bool
 }
 
@@ -127,12 +131,12 @@ func (st *deviceState) launch(n int, fn cuda.KernelFunc) error {
 }
 
 // Engine is a GateKeeper-GPU instance bound to a context of simulated
-// devices. One engine drives all its devices concurrently inside FilterPairs
-// and FilterStream. Engine methods are safe for concurrent use: Stats and
-// ResetStats may be called at any time, and concurrent FilterPairs calls or
-// streams serialize on the device buffers (a stream holds them for its whole
-// lifetime). Many goroutines may produce into a single stream's input
-// channel.
+// devices. One engine drives all its devices concurrently inside every
+// filtering call. Engine methods are safe for concurrent use: Stats and
+// ResetStats may be called at any time, and concurrent calls serialize on the
+// device buffers — a one-shot call for its whole input, a stream for one
+// batch at a time, so a stream waiting for input holds nothing. Many
+// goroutines may produce into a single stream's input channel.
 type Engine struct {
 	cfg    Config
 	ctx    *cuda.Context
@@ -140,10 +144,11 @@ type Engine struct {
 	ref    *reference // loaded by SetReference for the index-named path
 	cand   candidateScratch
 
-	// runMu serializes buffer ownership: one FilterPairs call or one active
-	// stream at a time. statsMu guards the accumulated measurements, which
-	// are committed only after a round or stream completes without error,
-	// and the last stream's terminal error.
+	// runMu serializes buffer ownership: one runRounds call — a one-shot
+	// call's, or one stream batch's — at a time, and SetReference and Close
+	// between them. statsMu guards the accumulated measurements, which are
+	// committed only after a call's rounds complete without error, and the
+	// last stream's terminal error.
 	runMu     sync.Mutex
 	statsMu   sync.Mutex
 	stats     Stats
@@ -152,11 +157,11 @@ type Engine struct {
 
 // NewEngine configures buffers and kernels on every device of ctx for the
 // given geometry, performing the paper's configuration and resource
-// allocation stages. Each device receives two full buffer sets so the
-// streaming path can overlap host encoding with kernel execution; the
-// memory-derived batch capacity is halved accordingly (deliberately eager —
-// allocation failures surface here, never mid-stream). Configurations
-// bounded by MaxBatchPairs, the common case, are unaffected.
+// allocation stages. Each device receives two full buffer sets, as the
+// double-buffered device the streams' clock models would; the memory-derived
+// batch capacity is halved accordingly (deliberately eager — allocation
+// failures surface here, never mid-stream). Configurations bounded by
+// MaxBatchPairs, the common case, are unaffected.
 func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -226,9 +231,9 @@ func allocSet(dev *cuda.Device, batchPairs, seqBytes int) (*bufferSet, error) {
 }
 
 // Close releases every unified-memory buffer. It waits for an in-progress
-// FilterPairs call or active stream to finish first, so buffers are never
-// freed under a running kernel; cancel a stream's context (and let its
-// result channel close) before calling Close if you are abandoning it.
+// one-shot call or stream batch to finish first, so buffers are never freed
+// under a running kernel; a stream still open finds the engine closed at its
+// next batch and ends as a failed stream does (StreamErr, input drained).
 func (e *Engine) Close() {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -267,9 +272,8 @@ func (e *Engine) ResetStats() {
 	e.stats = Stats{}
 }
 
-// commitStats merges a completed round's or stream's delta and refreshes the
-// unified-memory migration gauges. Called only after every per-device error
-// has been checked, so a failed round never inflates the counters.
+// commitStats merges a runRounds call's delta and refreshes the
+// unified-memory migration gauges.
 func (e *Engine) commitStats(d Stats) {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
@@ -303,67 +307,55 @@ func (s *Stats) countDecisions(results []Result) {
 }
 
 // kernelRecord is one device's modelled kernel execution, held back until a
-// round's error check passes and then folded into the device telemetry.
+// call's rounds have all succeeded and then folded into the device telemetry.
 type kernelRecord struct {
 	dev      *cuda.Device
 	kt, util float64
 }
 
-// roundClocks is the modelled timing of one multi-device round: the critical
-// path across participating devices for each clock, plus the per-device
-// kernel records.
-type roundClocks struct {
+// shareClock is the modelled timing of one device's share of a round; a
+// round's clocks are the max of each over its devices — "kernel time
+// represents the time of the device which takes the longest".
+type shareClock struct {
 	kernel, filter, prep, xfer float64
-	records                    []kernelRecord
 }
 
-// modelRound evaluates one round's clocks on each participating device's
-// actual spec and share, taking the max — "kernel time represents the time
-// of the device which takes the longest".
-func (e *Engine) modelRound(shares []int, w cuda.Workload) roundClocks {
-	nActive := 0
-	for _, s := range shares {
-		if s > 0 {
-			nActive++
-		}
+// sequentialClock is the one-shot calls' clock, the paper's measured
+// pipeline: host preparation, transfer and kernel of a share charged one
+// after the other, with the multi-GPU imbalance overhead of an nActive-device
+// round, plus the launch and per-batch host overheads.
+func (e *Engine) sequentialClock(spec cuda.DeviceSpec, share cuda.Workload, nActive int) shareClock {
+	m := e.cfg.Model
+	return shareClock{
+		kernel: m.ShareKernelSeconds(spec, share, nActive) + m.PerLaunchSeconds,
+		filter: m.ShareFilterSeconds(spec, share, nActive, e.cfg.Setup.HostFactor) + (m.PerLaunchSeconds + m.PerBatchHostSeconds),
+		prep:   m.HostPrepSeconds(share, e.cfg.Setup.HostFactor),
+		xfer:   m.TransferSeconds(spec, share),
 	}
-	var rc roundClocks
-	for di, st := range e.states {
-		if shares[di] == 0 {
-			continue
-		}
-		ws := w
-		ws.Pairs = shares[di]
-		dkt := e.cfg.Model.ShareKernelSeconds(st.dev.Spec, ws, nActive)
-		dft := e.cfg.Model.ShareFilterSeconds(st.dev.Spec, ws, nActive, e.cfg.Setup.HostFactor)
-		if dkt > rc.kernel {
-			rc.kernel = dkt
-		}
-		if dft > rc.filter {
-			rc.filter = dft
-		}
-		if p := e.cfg.Model.HostPrepSeconds(ws, e.cfg.Setup.HostFactor); p > rc.prep {
-			rc.prep = p
-		}
-		if x := e.cfg.Model.TransferSeconds(st.dev.Spec, ws); x > rc.xfer {
-			rc.xfer = x
-		}
-		rc.records = append(rc.records, kernelRecord{
-			dev:  st.dev,
-			kt:   dkt + e.cfg.Model.PerLaunchSeconds,
-			util: e.cfg.Model.Utilization(st.dev.Spec, ws),
-		})
-	}
-	rc.kernel += e.cfg.Model.PerLaunchSeconds
-	rc.filter += e.cfg.Model.PerLaunchSeconds + e.cfg.Model.PerBatchHostSeconds
-	return rc
 }
 
-// workload returns the cost-model workload shape for this engine at the
-// given threshold and pair count.
-func (e *Engine) workload(pairs, errThreshold int) cuda.Workload {
+// pipelinedClock is a stream's clock, the double-buffered device the engine
+// allocates two buffer sets for: the host encode of the next batch (spread
+// over the modelled platform's encode pool, not the simulating machine's, so
+// the clock reads the same anywhere) hides behind the transfer and kernel of
+// this one, and a share costs the slower of the two stages instead of their
+// sum. Only the model overlaps them; the simulation runs a stream's rounds
+// one after the other like any other call's.
+func (e *Engine) pipelinedClock(spec cuda.DeviceSpec, share cuda.Workload, _ int) shareClock {
+	m := e.cfg.Model
+	encWorkers := max(e.cfg.Setup.EncodeWorkers, 1)
+	return shareClock{
+		kernel: m.KernelSeconds(spec, share) + m.PerLaunchSeconds,
+		filter: m.PipelinedFilterSeconds(spec, share, encWorkers, e.cfg.Setup.HostFactor),
+		prep:   m.HostPrepSeconds(share, e.cfg.Setup.HostFactor) / m.EncodePoolSpeedup(encWorkers),
+		xfer:   m.TransferSeconds(spec, share),
+	}
+}
+
+// workload returns the cost-model workload shape of the materialized-pair
+// paths at the given threshold; runRounds fills in the pair counts.
+func (e *Engine) workload(errThreshold int) cuda.Workload {
 	return cuda.Workload{
-		Pairs:         pairs,
 		ReadLen:       e.cfg.ReadLen,
 		E:             errThreshold,
 		DeviceEncoded: e.cfg.Encoding == EncodeOnDevice,
@@ -452,7 +444,8 @@ func (e *Engine) liveRoundCap() int {
 
 // eachShare runs fn once for every device with a non-zero share of a round,
 // all at once, handing it the device and the [lo, hi) of the round that is
-// its share, and returns when every device has finished.
+// its share, and returns when every device has finished. These are the only
+// goroutines the engine starts per call besides a kernel launch's executors.
 func (e *Engine) eachShare(shares []int, fn func(di int, st *deviceState, lo, hi int)) {
 	var wg sync.WaitGroup
 	next := 0
@@ -471,30 +464,190 @@ func (e *Engine) eachShare(shares []int, fn func(di int, st *deviceState, lo, hi
 	wg.Wait()
 }
 
-// classifyRoundErrs resolves a FilterPairs round's per-device errors: the
-// first failure is wrapped in the taxonomy, and a lost device is quarantined
-// so later calls re-weight onto the survivors. FilterPairs does not retry —
-// the round already failed and the caller holds its inputs; FilterStream and
-// FilterCandidates are the fault-tolerant paths.
-func (e *Engine) classifyRoundErrs(errs []error) error {
-	for di, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, cuda.ErrDeviceLost) {
-			e.states[di].down.Store(true)
-		}
-		return classifyFault(e.states[di].dev.ID, -1, 1, err)
+// roundPlan is what an entry point hands runRounds: how its items are cut,
+// clocked and run. Every filtering call is one — FilterPairs and
+// FilterCandidates over their whole input, a stream over each batch it
+// collects.
+type roundPlan struct {
+	// ctx interrupts the retry backoff and stops the loop after a failed
+	// round; the one-shot calls pass context.Background().
+	ctx context.Context
+	// batch is the number a DeviceFault carries: a stream's batch sequence,
+	// -1 on the one-shot calls.
+	batch int
+	// shape is the cost-model workload of the call; runRounds sets Pairs to
+	// the round's and then to each share's size.
+	shape cuda.Workload
+	// clock models one device's share of a round nActive devices take part in.
+	clock func(spec cuda.DeviceSpec, share cuda.Workload, nActive int) shareClock
+	body  shareBody
+}
+
+// shareBody filters items [lo, hi) of a call on device di and writes their
+// results. It runs under launchWithRetry, so it must be repeatable: the whole
+// share again from its inputs, on this device or — after a quarantine, in a
+// re-cut round — as part of another device's share.
+type shareBody func(di int, st *deviceState, lo, hi int) error
+
+// runRounds is the engine's one filtering loop; the caller holds runMu. It
+// cuts len(results) items into synchronized rounds against the devices live
+// now (liveRoundCap, roundShares), runs every share's body at once under the
+// fault policy, and runs a round again — re-cut, so it fits the survivors —
+// when a share failed: a decision is a pure function of its pair, so the
+// re-run is bit-identical and a fault shows only in Stats.Retries /
+// Redispatches / DevicesLost and the clocks. Each successful round charges
+// the max of p.clock over its shares. Decisions, clocks and device telemetry
+// are committed only when every item has been answered; the fault counters
+// are committed either way. With no device left the error is the first
+// classified fault wrapped in ErrStreamAborted (and every later call fails
+// the same way at once); a cancelled ctx ends the loop after the round it
+// interrupted with ctx's error wrapped likewise.
+func (e *Engine) runRounds(p roundPlan, results []Result) error {
+	wallStart := time.Now()
+	var acc, faults Stats
+	var records []kernelRecord
+	var firstFault error
+	type outcome struct {
+		retries int64
+		lost    bool // this share's failure quarantined the device
+		err     error
 	}
+	outcomes := make([]outcome, len(e.states))
+
+	for off := 0; off < len(results); {
+		roundCap := e.liveRoundCap()
+		if roundCap == 0 {
+			if firstFault == nil { // every device was quarantined before this call
+				firstFault = errAllQuarantined()
+			}
+			e.commitStats(faults)
+			return abortedBy(firstFault)
+		}
+		end := min(off+roundCap, len(results))
+		w := p.shape
+		w.Pairs = end - off
+		shares := e.roundShares(w.Pairs, w)
+		clear(outcomes)
+		e.eachShare(shares, func(di int, st *deviceState, lo, hi int) {
+			o := &outcomes[di]
+			o.retries, o.lost, o.err = e.launchWithRetry(p.ctx, st, p.batch, func() error {
+				return p.body(di, st, off+lo, off+hi)
+			})
+		})
+		failed := false
+		for _, o := range outcomes {
+			faults.Retries += o.retries
+			if o.lost {
+				faults.DevicesLost++
+			}
+			if o.err != nil {
+				faults.Redispatches++
+				failed = true
+				if firstFault == nil {
+					firstFault = o.err
+				}
+			}
+		}
+		if failed {
+			if err := p.ctx.Err(); err != nil {
+				e.commitStats(faults)
+				return abortedBy(err)
+			}
+			continue // the same items again, on whoever is left
+		}
+
+		nActive := 0
+		for _, n := range shares {
+			if n > 0 {
+				nActive++
+			}
+		}
+		var rc shareClock
+		for di, st := range e.states {
+			if shares[di] == 0 {
+				continue
+			}
+			ws := w
+			ws.Pairs = shares[di]
+			c := p.clock(st.dev.Spec, ws, nActive)
+			rc.kernel = max(rc.kernel, c.kernel)
+			rc.filter = max(rc.filter, c.filter)
+			rc.prep = max(rc.prep, c.prep)
+			rc.xfer = max(rc.xfer, c.xfer)
+			records = append(records, kernelRecord{dev: st.dev, kt: c.kernel, util: e.cfg.Model.Utilization(st.dev.Spec, ws)})
+		}
+		acc.KernelSeconds += rc.kernel
+		acc.FilterSeconds += rc.filter
+		acc.HostPrepSeconds += rc.prep
+		acc.TransferSeconds += rc.xfer
+		acc.Batches++
+		off = end
+	}
+
+	acc.countDecisions(results)
+	acc.WallSeconds = time.Since(wallStart).Seconds()
+	for _, r := range records {
+		r.dev.RecordKernel(r.kt, r.util)
+	}
+	acc.add(faults)
+	e.commitStats(acc)
 	return nil
+}
+
+// launchWithRetry runs one share of a round (batch is the DeviceFault's batch
+// number) under the engine's fault policy: transient failures retry with
+// doubling, capped, ctx-interruptible backoff (the inputs are still in place,
+// and an injected fault fires before any kernel thread runs, so a retry
+// reproduces the share exactly). A lost device, exhausted attempts, or
+// cancellation ends the loop with the classified fault; the first two also
+// quarantine the device. It reports the retries made and whether this call
+// was the one that quarantined the device, so the event is counted once.
+func (e *Engine) launchWithRetry(ctx context.Context, st *deviceState, batch int,
+	launch func() error) (retries int64, quarantined bool, err error) {
+
+	pol := e.cfg.Fault
+	backoff := pol.Backoff
+	for attempt := 1; ; attempt++ {
+		if st.down.Load() {
+			return retries, false, classifyFault(st.dev.ID, batch, attempt-1, cuda.ErrDeviceLost)
+		}
+		err := launch()
+		if err == nil {
+			return retries, false, nil
+		}
+		fault := classifyFault(st.dev.ID, batch, attempt, err)
+		if lost := errors.Is(err, cuda.ErrDeviceLost); lost || attempt >= pol.MaxAttempts {
+			return retries, st.down.CompareAndSwap(false, true), fault
+		}
+		if ctx.Err() != nil {
+			// Cancelled mid-round: no quarantine — the fault was transient
+			// and the call is winding down anyway.
+			return retries, false, fault
+		}
+		retries++
+		t := time.NewTimer(backoff)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return retries, false, fault
+		}
+		backoff *= 2
+		if backoff > pol.MaxBackoff {
+			backoff = pol.MaxBackoff
+		}
+	}
 }
 
 // FilterPairs filters every pair at threshold e, batching across the
 // context's devices as Section 3.1 describes, with the share of each device
 // weighted by its modelled filtration rate. Results are returned in input
-// order. The one-shot timing model matches the paper's measured pipeline
-// (encode, transfer and kernel charged sequentially per round); FilterStream
-// models and exercises the overlapped double-buffered pipeline instead.
+// order. The timing model is the paper's measured pipeline (encode, transfer
+// and kernel charged sequentially per round). Faults are handled as
+// everywhere in the engine (runRounds): retried, then the device quarantined
+// and the round re-run on the survivors with bit-identical results; only with
+// no device left does the call fail, with ErrStreamAborted wrapping the first
+// classified fault.
 func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
@@ -512,63 +665,29 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 	if len(e.states) == 0 {
 		return nil, fmt.Errorf("gkgpu: engine is closed")
 	}
-
 	results := make([]Result, len(pairs))
-	wallStart := time.Now()
-	roundCap := e.liveRoundCap()
-	if roundCap == 0 && len(pairs) > 0 {
-		return nil, errAllQuarantined()
+	err := e.runRounds(roundPlan{
+		ctx: context.Background(), batch: -1,
+		shape: e.workload(errThreshold), clock: e.sequentialClock,
+		body: e.pairBody(0, pairs, results, errThreshold),
+	}, results)
+	if err != nil {
+		return nil, err
 	}
-
-	// Round stats and device telemetry accumulate locally and are committed
-	// only after every per-device error has been checked, so a failed round
-	// leaves the engine's counters untouched.
-	var acc Stats
-	var records []kernelRecord
-
-	for off := 0; off < len(pairs); off += roundCap {
-		end := off + roundCap
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		round := pairs[off:end]
-		w := e.workload(len(round), errThreshold)
-		shares := e.roundShares(len(round), w)
-		errs := make([]error, len(e.states))
-		e.eachShare(shares, func(di int, st *deviceState, lo, hi int) {
-			errs[di] = e.runBatch(st, st.sets[0], round[lo:hi], errThreshold, results[off+lo:off+hi])
-		})
-		if err := e.classifyRoundErrs(errs); err != nil {
-			return nil, err
-		}
-		rc := e.modelRound(shares, w)
-		acc.KernelSeconds += rc.kernel
-		acc.FilterSeconds += rc.filter
-		acc.HostPrepSeconds += rc.prep
-		acc.TransferSeconds += rc.xfer
-		acc.Batches++
-		records = append(records, rc.records...)
-	}
-
-	acc.countDecisions(results)
-	acc.WallSeconds = time.Since(wallStart).Seconds()
-	for _, r := range records {
-		r.dev.RecordKernel(r.kt, r.util)
-	}
-	e.commitStats(acc)
 	return results, nil
 }
 
-// runBatch executes one device's share of a round on the given buffer set:
-// fill unified buffers (preprocessing), advise/prefetch, launch, and decode
-// the result buffer.
-func (e *Engine) runBatch(st *deviceState, set *bufferSet, chunk []Pair, errThreshold int, out []Result) error {
-	if len(chunk) == 0 {
-		return nil
+// pairBody is the round body of the materialized-pair paths (FilterPairs, and
+// FilterStream batch by batch): a device's share of pairs filled into its
+// buffer set number set (preprocessing), advised and prefetched, launched,
+// and the result buffer decoded into results.
+func (e *Engine) pairBody(set int, pairs []Pair, results []Result, errThreshold int) shareBody {
+	return func(_ int, st *deviceState, lo, hi int) error {
+		bs := st.sets[set]
+		e.encodeChunk(bs, pairs[lo:hi])
+		e.prefetch(st, bs)
+		return e.launchDecode(st, bs, hi-lo, errThreshold, results[lo:hi])
 	}
-	e.encodeChunk(set, chunk)
-	e.prefetch(st, set)
-	return e.launchDecode(st, set, len(chunk), errThreshold, out)
 }
 
 // encodeChunk performs the preprocessing stage for one batch: filling the

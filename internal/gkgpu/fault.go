@@ -11,9 +11,9 @@ import (
 // Sentinel error taxonomy of the fault-tolerant engine. Every device-layer
 // failure the engine surfaces is wrapped in a DeviceFault carrying one of
 // these kinds plus device and batch context, so callers can branch with
-// errors.Is and still read the cause chain. A terminally failed stream wraps
-// its first classified fault in ErrStreamAborted; errors.Is then matches both
-// the abort and the underlying kind.
+// errors.Is and still read the cause chain. A call or stream left with no
+// device wraps its first classified fault in ErrStreamAborted; errors.Is then
+// matches both the abort and the underlying kind.
 var (
 	// ErrLaunch is a kernel launch failure (including async faults the
 	// launch surfaced as the batch's synchronization point).
@@ -25,8 +25,10 @@ var (
 	// ErrDeviceLost is a permanent device failure; the engine quarantines
 	// the device and redispatches its work to survivors.
 	ErrDeviceLost = errors.New("gkgpu: device lost")
-	// ErrStreamAborted marks a stream that terminated before answering every
-	// input; the wrapped cause is the first classified fault.
+	// ErrStreamAborted marks a filtering call — a stream, or since every
+	// entry point shares the stream's fault contract a one-shot call — that
+	// ended before answering every input; the wrapped cause is the first
+	// classified fault.
 	ErrStreamAborted = errors.New("gkgpu: stream aborted")
 )
 
@@ -81,9 +83,10 @@ func errAllQuarantined() error {
 	return fmt.Errorf("%w: every device is quarantined", ErrDeviceLost)
 }
 
-// abortedBy wraps the fault that left a stream or a FilterCandidates call
-// with no device to run on: errors.Is matches ErrStreamAborted and the
-// fault's kind, errors.As recovers the DeviceFault.
+// abortedBy wraps the cause that ended a filtering call early — the fault
+// that left it no device to run on, or its context's cancellation:
+// errors.Is matches ErrStreamAborted and the fault's kind, errors.As recovers
+// the DeviceFault.
 func abortedBy(fault error) error {
 	return fmt.Errorf("%w: %w", ErrStreamAborted, fault)
 }
@@ -91,8 +94,8 @@ func abortedBy(fault error) error {
 // FaultPolicy tunes how the engine reacts to device failures.
 // The zero value takes the defaults below.
 type FaultPolicy struct {
-	// MaxAttempts is how many times one batch is tried on one device before
-	// the device is quarantined for repeated failures. ErrDeviceLost
+	// MaxAttempts is how many times a device's share of one round is tried
+	// before the device is quarantined for repeated failures. ErrDeviceLost
 	// quarantines immediately regardless. Minimum (and thus default-applied
 	// floor) is 1 — a single attempt, no retry.
 	MaxAttempts int
@@ -104,7 +107,7 @@ type FaultPolicy struct {
 	MaxBackoff time.Duration
 }
 
-// Fault-policy defaults: three attempts per batch per device with a short
+// Fault-policy defaults: three attempts per share per device with a short
 // doubling backoff. The backoff is deliberately small — the simulated
 // runtime's transient faults clear instantly, and real CUDA launch retries
 // are cheap next to the batch they repeat.

@@ -27,56 +27,16 @@ func newFaultStreamEngine(t *testing.T, nDev, streamBatch int, pol FaultPolicy) 
 }
 
 // decisionStats projects Stats onto the fields the fault-tolerance contract
-// promises bit-identical under faults. Batches is excluded deliberately:
-// batch segmentation was timing-dependent before fault injection existed
-// (the dispatcher's linger timer may flush a partial batch), and clocks and
-// retry counters are exactly what a faulty run is allowed to change.
+// promises bit-identical under faults. Batches is excluded deliberately: a
+// stream's linger timer may flush a partial batch and a re-cut round adds
+// one, and clocks and retry counters are exactly what a faulty run is allowed
+// to change.
 type decisionStats struct {
 	pairs, accepted, rejected, undefined int64
 }
 
 func decisionsOf(s Stats) decisionStats {
 	return decisionStats{s.Pairs, s.Accepted, s.Rejected, s.Undefined}
-}
-
-// feedUntil sends items down in, one whole pass after another until done()
-// holds at the end of a pass (at most 64 passes), then closes in; the pass
-// count arrives on the returned channel. Which device takes which batch is a
-// race between the device workers, so a test that needs one device to reach
-// its scheduled death sizes the run from that death instead of from a guess
-// at the split; the fault-free answer to p passes is the one-pass answer p
-// times over (repeated).
-func feedUntil[T any](in chan<- T, items []T, done func() bool) <-chan int {
-	passes := make(chan int, 1)
-	go func() {
-		defer close(in)
-		n := 0
-		for {
-			for _, it := range items {
-				in <- it
-			}
-			if n++; n == 64 || done() {
-				break
-			}
-		}
-		passes <- n
-	}()
-	return passes
-}
-
-// repeated is res, passes times over.
-func repeated(res []Result, passes int) []Result {
-	out := make([]Result, 0, passes*len(res))
-	for ; passes > 0; passes-- {
-		out = append(out, res...)
-	}
-	return out
-}
-
-// times scales decision counters to a run of that many passes.
-func (d decisionStats) times(passes int) decisionStats {
-	p := int64(passes)
-	return decisionStats{d.pairs * p, d.accepted * p, d.rejected * p, d.undefined * p}
 }
 
 func requireIdentical(t *testing.T, want, got []Result, label string) {
@@ -125,24 +85,16 @@ func TestStreamRedispatchOnDeviceDeath(t *testing.T) {
 	clean := newStreamEngine(t, EncodeOnHost, 2, 64)
 	want := drainStream(t, clean, pairs, 5)
 
+	// Every live device takes a share of every batch that has a pair for it,
+	// so device 1 meets its third launch a few batches in, with a dozen still
+	// to come.
 	eng, cctx := newFaultStreamEngine(t, 2, 64, FaultPolicy{Backoff: 50 * time.Microsecond})
-	doomed := cuda.NewFaultPlan(5).DieAtLaunch(3)
-	cctx.Device(1).InjectFaults(doomed)
-	in := make(chan Pair)
-	out, err := eng.FilterStream(context.Background(), in, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := feedUntil(in, pairs, doomed.Dead)
-	var got []Result
-	for r := range out {
-		got = append(got, r)
-	}
-	passes := <-fed
+	cctx.Device(1).InjectFaults(cuda.NewFaultPlan(5).DieAtLaunch(3))
+	got := drainStream(t, eng, pairs, 5)
 	if err := eng.StreamErr(); err != nil {
 		t.Fatalf("device death with a survivor became terminal: %v", err)
 	}
-	requireIdentical(t, repeated(want, passes), got, "redispatched stream")
+	requireIdentical(t, want, got, "redispatched stream")
 
 	s := eng.Stats()
 	if s.DevicesLost != 1 {
@@ -154,7 +106,7 @@ func TestStreamRedispatchOnDeviceDeath(t *testing.T) {
 	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 1 {
 		t.Fatalf("QuarantinedDevices = %v, want [1]", q)
 	}
-	if d, w := decisionsOf(s), decisionsOf(clean.Stats()).times(passes); d != w {
+	if d, w := decisionsOf(s), decisionsOf(clean.Stats()); d != w {
 		t.Fatalf("decision stats diverged: %+v vs %+v", d, w)
 	}
 
@@ -335,6 +287,9 @@ func TestStreamDeadlineRespectedMidBatch(t *testing.T) {
 }
 
 func TestFilterPairsClassifiesAndQuarantines(t *testing.T) {
+	// FilterPairs carries the engine's one fault contract: a death with a
+	// survivor is quarantined and the round re-run, so the call succeeds
+	// bit-identically; only a call left without a device fails, classified.
 	rng := rand.New(rand.NewSource(77))
 	pairs, _ := makePairs(rng, 400, 100, 5)
 
@@ -350,24 +305,38 @@ func TestFilterPairsClassifiesAndQuarantines(t *testing.T) {
 	}
 
 	ctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).DieAtLaunch(1))
-	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
-		t.Fatalf("one-shot death not classified: %v", err)
+	got, err := eng.FilterPairs(pairs, 5)
+	if err != nil {
+		t.Fatalf("one-shot death with a survivor: %v", err)
 	}
+	requireIdentical(t, want, got, "FilterPairs across a device death")
 	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("QuarantinedDevices = %v, want [0]", q)
 	}
-	// The next call re-weights onto the survivor and succeeds identically.
-	got, err := eng.FilterPairs(pairs, 5)
+	if s := eng.Stats(); s.DevicesLost != 1 || s.Redispatches != 1 {
+		t.Fatalf("death not counted: %+v, want 1 lost, 1 redispatch", s)
+	}
+	// The next call runs on the survivor alone and succeeds identically.
+	got, err = eng.FilterPairs(pairs, 5)
 	if err != nil {
 		t.Fatalf("post-quarantine FilterPairs: %v", err)
 	}
 	requireIdentical(t, want, got, "post-quarantine FilterPairs")
 
 	ctx.Device(1).InjectFaults(cuda.NewFaultPlan(2).Kill())
-	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
+	before := decisionsOf(eng.Stats())
+	_, err = eng.FilterPairs(pairs, 5)
+	if !errors.Is(err, ErrStreamAborted) || !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("second death not classified: %v", err)
 	}
-	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
+	var df *DeviceFault
+	if !errors.As(err, &df) || df.Device != 1 {
+		t.Fatalf("first classified fault not exposed: %v (%+v)", err, df)
+	}
+	if d := decisionsOf(eng.Stats()); d != before {
+		t.Fatalf("failed call committed decisions: %+v vs %+v", d, before)
+	}
+	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrStreamAborted) || !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("all-quarantined FilterPairs: %v", err)
 	}
 }
@@ -396,8 +365,8 @@ func TestSetReferenceAllocFaultClassified(t *testing.T) {
 }
 
 func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
-	// The fault tolerance is generic over the stream type: the index-named
-	// candidate stream redispatches too.
+	// The fault tolerance is the round loop's, whatever the stream type: the
+	// index-named candidate stream recovers too.
 	rng := rand.New(rand.NewSource(78))
 	refSeq := dna.RandomSeq(rng, 8192)
 
@@ -419,34 +388,20 @@ func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
 		pos := rng.Intn(len(refSeq) - 100)
 		cands[i] = StreamCandidate{Read: refSeq[pos : pos+100], Pos: int64(pos)}
 	}
-	run := func(eng *Engine, done func() bool) ([]Result, int) {
-		in := make(chan StreamCandidate)
-		out, err := eng.FilterCandidateStream(context.Background(), in, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed := feedUntil(in, cands, done)
-		var res []Result
-		for r := range out {
-			res = append(res, r)
-		}
-		return res, <-fed
-	}
 
 	clean, _ := build(FaultPolicy{})
-	want, _ := run(clean, func() bool { return true })
+	want := drainCandidateStream(t, clean, cands, 5)
 	if err := clean.StreamErr(); err != nil {
 		t.Fatal(err)
 	}
 
 	eng, cctx := build(FaultPolicy{Backoff: 20 * time.Microsecond})
-	doomed := cuda.NewFaultPlan(4).DieAtLaunch(2)
-	cctx.Device(0).InjectFaults(doomed)
-	got, passes := run(eng, doomed.Dead)
+	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(4).DieAtLaunch(2))
+	got := drainCandidateStream(t, eng, cands, 5)
 	if err := eng.StreamErr(); err != nil {
 		t.Fatalf("candidate stream death with survivor: %v", err)
 	}
-	requireIdentical(t, repeated(want, passes), got, "candidate stream")
+	requireIdentical(t, want, got, "candidate stream")
 	if s := eng.Stats(); s.DevicesLost != 1 {
 		t.Fatalf("DevicesLost = %d, want 1", s.DevicesLost)
 	}

@@ -13,26 +13,39 @@
 // memory, with memory advice and asynchronous prefetch on supporting
 // devices.
 //
-// Two execution paths are offered. Engine.FilterPairs is the paper's
-// one-shot pipeline: synchronized rounds in which every device receives a
-// weighted share of the batch and the host charges encode, transfer and
-// kernel time sequentially, reproducing the measured FilterSeconds of
-// Section 4.3. Engine.FilterStream is the throughput-oriented extension: an
-// asynchronous, double-buffered pipeline in which each device owns two
-// buffer sets so the parallel host-encode pool fills batch N+1 while the
-// kernel consumes batch N (the prefetch streams drive the overlap), with
-// bounded in-flight batches, order-preserving results, and support for many
-// concurrent producers feeding one input channel. Decisions are identical
-// between the two paths; only the modelled timing differs, because the
-// streaming pipeline hides host work behind kernel execution.
+// Every filtering call is the same loop (Engine.runRounds): the items are cut
+// into synchronized rounds — "the batch size is equal for all devices to
+// ensure a fair workload", weighted by each device's modelled rate in a mixed
+// context — every device with a share runs it at once, and the host reads the
+// results back, the round's only synchronization point. A filtration's
+// decision is a pure function of its pair, so faults have one answer
+// everywhere: a share that fails is retried under Config.Fault, a device that
+// keeps failing or is lost is quarantined, and the round runs again on the
+// survivors with bit-identical results, the damage visible only in
+// Stats.Retries / Redispatches / DevicesLost and the clocks. With no device
+// left the call fails with ErrStreamAborted wrapping the first classified
+// fault, and every later call fails the same way at once.
 //
-// Both execution styles exist for the index-named mrFAST integration too:
-// Engine.FilterCandidates is the one-shot path over (read, location)
-// candidates against the unified-memory reference loaded by SetReference,
-// and Engine.FilterCandidateStream is its streaming counterpart — the same
-// double-buffered per-device pipeline, with reads packed into the buffer
-// sets on the host and reference segments extracted by the kernel from the
-// device-resident encoded reference.
+// Four entry points feed that loop. Engine.FilterPairs takes materialized
+// read/segment pairs; Engine.FilterCandidates is the index-named mrFAST
+// integration — (read, location) candidates against the unified-memory
+// reference loaded by SetReference — and is what the mapper calls. Both charge
+// the paper's measured pipeline: encode, transfer and kernel one after the
+// other per round, reproducing the FilterSeconds of Section 4.3.
+// Engine.FilterStream and Engine.FilterCandidateStream take the same two
+// inputs from a channel: one goroutine collects a batch, runs it through the
+// loop exactly as the one-shot call would, and emits its results before it
+// reads the channel again. What a stream promises beyond the one-shot call:
+// results in the order items were received, from any number of producers;
+// back-pressure (it does not read its input while a batch runs or while the
+// consumer lags); cancellation by context; a bounded wait (streamLinger) before
+// a partly filled batch runs; and, when it fails, its input drained to the
+// close so no producer blocks. Decisions are identical on all four; a stream's
+// modelled clock differs, because it is charged as the double-buffered device
+// the engine allocates two buffer sets for — host encode of batch N+1 hidden
+// behind the kernel of batch N (CostModel.PipelinedFilterSeconds). That
+// overlap exists in the model only: here the "device" is the same CPU, so the
+// simulation runs a stream's batches one after the other.
 //
 // The engine is one kernel body run by whichever processor is at hand.
 // FilterCandidates on Engine and on CPUEngine (the Section 4.3 baseline) share
@@ -83,9 +96,9 @@ type Setup struct {
 	// CPUCores is the core count used for the multicore CPU baseline.
 	CPUCores int
 	// EncodeWorkers is the host-encode worker-pool width of the modelled
-	// platform, used by the streaming path's pipelined cost model (the real
-	// pool is sized to the simulating machine, but modelled clocks must not
-	// depend on it). Zero behaves as 1.
+	// platform, used by the streams' pipelined cost model (the real pool is
+	// sized to the simulating machine, but modelled clocks must not depend on
+	// it). Zero behaves as 1.
 	EncodeWorkers int
 }
 
@@ -121,16 +134,15 @@ type Config struct {
 	// (useful to keep simulation memory bounded); zero means no extra cap.
 	MaxBatchPairs int
 
-	// StreamBatchPairs is the dispatch granularity of FilterStream: how many
-	// pairs accumulate before a batch is handed to a device. Smaller batches
-	// lower latency and spread load across devices; larger batches amortize
-	// the per-launch overhead. Zero picks a default, and values above the
-	// smallest per-device batch capacity are clamped to it.
+	// StreamBatchPairs is the batch granularity of the streams: a batch holds
+	// up to this many items for each live device, one round's worth. Smaller
+	// batches lower latency; larger batches amortize the per-launch overhead.
+	// Zero picks a default, and values above the smallest per-device batch
+	// capacity are clamped to it.
 	StreamBatchPairs int
 
-	// Fault tunes the retry/quarantine reaction of the streams and of
-	// FilterCandidates to device failures; the zero value takes the
-	// documented defaults.
+	// Fault tunes the retry/quarantine reaction of every filtering call to
+	// device failures; the zero value takes the documented defaults.
 	Fault FaultPolicy
 }
 

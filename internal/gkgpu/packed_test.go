@@ -1,6 +1,7 @@
 package gkgpu
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -399,4 +400,81 @@ func TestSetReferenceRacesFilterCandidates(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// TestSetReferenceRacesFilterCandidateStream is the same regression for the
+// candidate stream, whose nil check of the reference ran in the caller's
+// goroutine before any lock was taken (-race flags it on the parent). The
+// stream now looks at the reference under the engine's lock, batch by batch,
+// so with one goroutine swapping a long and a short reference every answer is
+// the long reference's decision or — its batch met the short one, which does
+// not have the window — the defensive Undefined+Accept, and no stream fails.
+func TestSetReferenceRacesFilterCandidateStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	long := dna.RandomSeq(rng, 20_000)
+	short := long[:3_000]
+	var reads [][]byte
+	var cands []Candidate
+	var scands []StreamCandidate
+	for i := 0; i < 200; i++ {
+		pos := 10_000 + rng.Intn(9_900)
+		read := dna.MutateSubstitutions(rng, long[pos:pos+100], rng.Intn(10))
+		reads = append(reads, read)
+		cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(pos)})
+		scands = append(scands, StreamCandidate{Read: read, Pos: int64(pos)})
+	}
+	want := checkedOracle(filter.NewKernel(filter.ModeGPU, 100, 5), long, 100, reads, cands, 5)
+
+	eng := newStreamEngine(t, EncodeOnHost, 2, 16)
+	if err := eng.SetReference(long); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				in := make(chan StreamCandidate, len(scands))
+				for _, c := range scands {
+					in <- c
+				}
+				close(in)
+				out, err := eng.FilterCandidateStream(context.Background(), in, 5)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				i := 0
+				for r := range out {
+					if r != want[i] && r != (Result{Accept: true, Undefined: true}) {
+						t.Errorf("candidate %d: %+v is neither %+v nor the defensive pass-through", i, r, want[i])
+					}
+					i++
+				}
+				if i != len(scands) {
+					t.Errorf("stream answered %d of %d candidates: %v", i, len(scands), eng.StreamErr())
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 150; i++ {
+		seq := long
+		if i%2 == 0 {
+			seq = short
+		}
+		if err := eng.SetReference(seq); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

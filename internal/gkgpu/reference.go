@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/cuda"
@@ -217,14 +216,14 @@ func (r *reference) planes(devIdx int) (lo, hi []uint64) {
 // SetReference encodes seq and loads it into every device's unified memory,
 // keeping the 'N' bitmap on the host. It must be called before
 // FilterCandidates and may be called again to replace the reference; it
-// waits for any in-progress filtering call or active stream, so the old
+// waits for any in-progress filtering call or stream batch, so the old
 // reference is never freed under a running kernel.
 func (e *Engine) SetReference(seq []byte) error {
 	if len(seq) < e.cfg.ReadLen {
 		return fmt.Errorf("gkgpu: reference (%d) shorter than read length (%d)", len(seq), e.cfg.ReadLen)
 	}
 	// Packing touches no engine state, so it runs before runMu is taken;
-	// the swap itself waits under runMu for running rounds and streams.
+	// the swap itself waits under runMu for the rounds that are running.
 	ref := &reference{packedRef: packReference(seq)}
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -273,13 +272,12 @@ func (r *reference) free() {
 // reference segment from the encoded reference by index. Results are
 // returned in candidate order.
 //
-// The call is fault tolerant in the way a stream is: each device's launch
-// runs under Config.Fault (launchWithRetry — bounded, backed-off retries, then
-// quarantine), and a round that lost a device re-runs on the survivors.
-// Results are a pure function of the candidates, so a re-run is bit-identical
-// and the damage shows only in Stats.Retries/Redispatches/DevicesLost. When no
-// device survives the call fails like a dead stream: the first classified
-// DeviceFault wrapped in ErrStreamAborted, and later calls fail fast.
+// Faults are the engine's one contract (runRounds): each device's launch is
+// retried under Config.Fault, then the device quarantined and the round re-run
+// on the survivors, bit-identically, the damage showing only in
+// Stats.Retries/Redispatches/DevicesLost. When no device survives the call
+// fails with the first classified DeviceFault wrapped in ErrStreamAborted, and
+// later calls fail fast.
 func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
 	// As in FilterPairs, rounds run under runMu by design. The reference is
 	// checked under it too: SetReference frees and replaces e.ref under
@@ -294,88 +292,40 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 	if e.ref != nil {
 		ref = e.ref.packedRef
 	}
-	L := e.cfg.ReadLen
-	if err := e.cand.prepare(L, e.cfg.MaxE, ref, reads, cands, errThreshold); err != nil {
+	if err := e.cand.prepare(e.cfg.ReadLen, e.cfg.MaxE, ref, reads, cands, errThreshold); err != nil {
 		return nil, err
 	}
-	wallStart := time.Now()
 	results := make([]Result, len(cands))
-
-	// Decisions, clocks and device telemetry accumulate locally and commit
-	// only when the call succeeds; the fault counters commit either way, as a
-	// dead stream's do.
-	var acc, faults Stats
-	var records []kernelRecord
-	var firstFault error
-
-	for off := 0; off < len(cands); {
-		// The round is cut against the devices live now, so a re-run after a
-		// quarantine fits the survivors.
-		roundCap := e.liveRoundCap()
-		if roundCap == 0 {
-			if firstFault == nil { // every device was quarantined before this call
-				firstFault = errAllQuarantined()
-			}
-			e.commitStats(faults)
-			return nil, abortedBy(firstFault)
-		}
-		end := min(off+roundCap, len(cands))
-		round := cands[off:end]
-		// Timing model: the index path ships encoded reads only (the
-		// reference is already device-resident), i.e. the host-encoded
-		// transfer profile.
-		w := cuda.Workload{Pairs: len(round), ReadLen: L, E: errThreshold, DeviceEncoded: false}
-		shares := e.roundShares(len(round), w)
-		type outcome struct {
-			retries int64
-			lost    bool // this launch quarantined the device
-			err     error
-		}
-		outcomes := make([]outcome, len(e.states))
-		e.eachShare(shares, func(di int, st *deviceState, lo, hi int) {
-			chunk, out := round[lo:hi], results[off+lo:off+hi]
-			o := &outcomes[di]
-			o.retries, o.lost, o.err = e.launchWithRetry(context.Background(), st, -1, func() error {
-				refLo, refHi := e.ref.planes(di)
-				return st.launch(len(chunk), func(worker, lo, hi int) {
-					candidateRange(st.kernels[worker], ref, refLo, refHi, e.cand.planes, e.cand.hasN,
-						chunk[lo:hi], out[lo:hi], errThreshold)
-				})
+	err := e.runRounds(roundPlan{
+		ctx: context.Background(), batch: -1,
+		shape: e.candidateWorkload(errThreshold),
+		// The kernel and filter clocks only: the reads are encoded once per
+		// call (prepare), not per share, and this path has never charged the
+		// preparation and transfer columns.
+		clock: func(spec cuda.DeviceSpec, share cuda.Workload, nActive int) shareClock {
+			c := e.sequentialClock(spec, share, nActive)
+			return shareClock{kernel: c.kernel, filter: c.filter}
+		},
+		body: func(di int, st *deviceState, lo, hi int) error {
+			chunk, out := cands[lo:hi], results[lo:hi]
+			refLo, refHi := e.ref.planes(di)
+			return st.launch(len(chunk), func(worker, lo, hi int) {
+				candidateRange(st.kernels[worker], ref, refLo, refHi, e.cand.planes, e.cand.hasN,
+					chunk[lo:hi], out[lo:hi], errThreshold)
 			})
-		})
-		failed := false
-		for _, o := range outcomes {
-			faults.Retries += o.retries
-			if o.lost {
-				faults.DevicesLost++
-			}
-			if o.err != nil {
-				faults.Redispatches++
-				failed = true
-				if firstFault == nil {
-					firstFault = o.err
-				}
-			}
-		}
-		if failed {
-			continue // the same candidates again, on whoever is left
-		}
-		rc := e.modelRound(shares, w)
-		acc.KernelSeconds += rc.kernel
-		acc.FilterSeconds += rc.filter
-		acc.Batches++
-		records = append(records, rc.records...)
-		off = end
+		},
+	}, results)
+	if err != nil {
+		return nil, err
 	}
-
-	acc.countDecisions(results)
-	acc.WallSeconds = time.Since(wallStart).Seconds()
-	for _, r := range records {
-		r.dev.RecordKernel(r.kt, r.util)
-	}
-	acc.add(faults)
-	e.commitStats(acc)
 	return results, nil
+}
+
+// candidateWorkload is the cost-model shape of the index-named paths: they
+// ship encoded reads only (the reference is already device-resident), i.e.
+// the host-encoded transfer profile, whatever the encoding actor.
+func (e *Engine) candidateWorkload(errThreshold int) cuda.Workload {
+	return cuda.Workload{ReadLen: e.cfg.ReadLen, E: errThreshold, DeviceEncoded: false}
 }
 
 // StreamCandidate names one streaming filtration against the loaded
@@ -391,38 +341,38 @@ type StreamCandidate struct {
 }
 
 // FilterCandidateStream is FilterStream for index-named candidates: the
-// mrFAST integration path (Section 3.5) taken asynchronous. Candidates
-// arriving on in are filtered against the reference loaded by SetReference,
-// with each device running the same double-buffered encode/launch pipeline
-// as FilterStream — the host pool packs reads into one buffer set while the
-// kernel extracts reference segments for the other — and results return in
-// input order.
+// mrFAST integration path (Section 3.5) fed by a channel. Candidates arriving
+// on in are filtered against the reference loaded by SetReference, batch by
+// batch as FilterStream's pairs are — the host packs a share's reads into a
+// buffer set and the kernel extracts each reference segment from the
+// device-resident planes — and results return in input order.
 //
 // Decisions are identical to FilterCandidates. Where FilterCandidates
 // rejects a whole call for an out-of-range window or wrong-length read, a
 // streaming candidate keeps its ordering slot and is reported as
 // Undefined+Accept (the defensive pass-to-verification convention), exactly
 // like a wrong-length pair on FilterStream. Cancellation, failure, and
-// StreamErr semantics match FilterStream. Do not call SetReference while a
-// candidate stream is active (it would block until the stream drains).
+// StreamErr semantics match FilterStream. The reference is looked at under
+// the engine's lock, batch by batch, never here: a stream started before
+// SetReference (or after a SetReference that failed) closes its result
+// channel without a result, reports through StreamErr and drains in, as a
+// stream on a closed engine does; SetReference may replace the reference
+// between two batches of a running stream, and a candidate is then judged
+// against the reference its batch ran on.
 func (e *Engine) FilterCandidateStream(ctx context.Context, in <-chan StreamCandidate, errThreshold int) (<-chan Result, error) {
-	if e.ref == nil {
-		return nil, fmt.Errorf("gkgpu: FilterCandidateStream before SetReference")
-	}
 	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
 	}
-	L := e.cfg.ReadLen
 	out := make(chan Result, streamOutBuffer)
-	go runStream(e, ctx, in, errThreshold, out, streamOps[StreamCandidate]{
-		encode: e.encodeCandidateChunk,
-		launch: e.launchCandidateBatch,
-		workload: func(n, errThreshold int) cuda.Workload {
-			// The index path ships encoded reads only (the reference is
-			// already device-resident): the host-encoded transfer profile,
-			// as in FilterCandidates.
-			return cuda.Workload{Pairs: n, ReadLen: L, E: errThreshold, DeviceEncoded: false}
+	go runStream(e, ctx, in, out, streamOps[StreamCandidate]{
+		body: func(set int, items []StreamCandidate, res []Result) shareBody {
+			return func(di int, st *deviceState, lo, hi int) error {
+				e.encodeCandidateChunk(st, st.sets[set], items[lo:hi])
+				return e.launchCandidateBatch(st, di, st.sets[set], items[lo:hi], errThreshold, res[lo:hi])
+			}
 		},
+		shape:    e.candidateWorkload(errThreshold),
+		needsRef: true,
 	})
 	return out, nil
 }

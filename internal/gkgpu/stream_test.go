@@ -2,6 +2,7 @@ package gkgpu
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,21 +15,7 @@ import (
 // returns the results in emission order.
 func drainStream(t *testing.T, eng *Engine, pairs []Pair, e int) []Result {
 	t.Helper()
-	in := make(chan Pair)
-	out, err := eng.FilterStream(context.Background(), in, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for _, p := range pairs {
-			in <- p
-		}
-		close(in)
-	}()
-	var res []Result
-	for r := range out {
-		res = append(res, r)
-	}
+	res, _ := feedStream(t, eng, pairs, e, eng.FilterStream)
 	return res
 }
 
@@ -241,9 +228,8 @@ func TestStreamBeatsOneShotModelled(t *testing.T) {
 	// hiding host work behind kernel execution. Zero the per-launch and
 	// per-batch overheads (as TestEngineMultiGPUKernelScaling does: at paper
 	// scale compute dominates the launch cost) so the comparison isolates
-	// the overlap model and holds under ANY placement of batches on devices
-	// — the win must not depend on how the shared dispatch queue happened
-	// to balance.
+	// the overlap model: both paths cut the same rounds, and each round's
+	// pipelined clock is below its sequential one.
 	model := cuda.DefaultCostModel()
 	model.PerLaunchSeconds = 0
 	model.PerBatchHostSeconds = 0
@@ -265,8 +251,8 @@ func TestStreamBeatsOneShotModelled(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream := mk()
-		// Pre-filled buffered channel: a saturated producer, so dispatch
-		// granularity is deterministic whatever the host's scheduler does.
+		// Pre-filled buffered channel: a saturated producer, so the batches
+		// are full whatever the host's scheduler does.
 		in := make(chan Pair, len(pairs))
 		for _, p := range pairs {
 			in <- p
@@ -294,21 +280,7 @@ func TestStreamBeatsOneShotModelled(t *testing.T) {
 // single producer and returns the results in emission order.
 func drainCandidateStream(t *testing.T, eng *Engine, cands []StreamCandidate, e int) []Result {
 	t.Helper()
-	in := make(chan StreamCandidate)
-	out, err := eng.FilterCandidateStream(context.Background(), in, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for _, c := range cands {
-			in <- c
-		}
-		close(in)
-	}()
-	var res []Result
-	for r := range out {
-		res = append(res, r)
-	}
+	res, _ := feedStream(t, eng, cands, e, eng.FilterCandidateStream)
 	return res
 }
 
@@ -444,9 +416,26 @@ func TestFilterCandidateStreamDefensivePassThrough(t *testing.T) {
 }
 
 func TestFilterCandidateStreamRequiresReference(t *testing.T) {
+	// The reference is checked under the engine's lock, by the stream: one
+	// started before SetReference answers nothing, reports through StreamErr
+	// and drains its producer.
 	eng := newStreamEngine(t, EncodeOnHost, 1, 16)
-	if _, err := eng.FilterCandidateStream(context.Background(), nil, 5); err == nil {
-		t.Fatal("candidate stream before SetReference accepted")
+	in := make(chan StreamCandidate)
+	out, err := eng.FilterCandidateStream(context.Background(), in, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer close(in)
+		for i := 0; i < 40; i++ {
+			in <- StreamCandidate{Read: make([]byte, 100), Pos: 0} // no select: the stream must drain us
+		}
+	}()
+	for range out {
+		t.Fatal("candidate stream before SetReference emitted a result")
+	}
+	if err := eng.StreamErr(); !errors.Is(err, ErrStreamAborted) {
+		t.Fatalf("candidate stream before SetReference: StreamErr = %v", err)
 	}
 	if err := eng.SetReference(make([]byte, 500)); err != nil {
 		t.Fatal(err)
@@ -500,7 +489,7 @@ func TestRoundSharesWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	w := eng.workload(1000, 5)
+	w := eng.workload(5)
 	shares := eng.roundShares(1000, w)
 	if shares[0]+shares[1] != 1000 {
 		t.Fatalf("shares %v do not sum to 1000", shares)
@@ -514,14 +503,14 @@ func TestRoundSharesWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	eq := eng2.roundShares(700, eng2.workload(700, 5))
+	eq := eng2.roundShares(700, eng2.workload(5))
 	for _, s := range eq {
 		if s < 233 || s > 234 {
 			t.Fatalf("homogeneous shares %v not near-equal", eq)
 		}
 	}
 	// Capacity caps are respected and overflow moves to devices with room.
-	capped := eng2.roundShares(3*4096, eng2.workload(3*4096, 5))
+	capped := eng2.roundShares(3*4096, eng2.workload(5))
 	for i, s := range capped {
 		if s != 4096 {
 			t.Fatalf("full round share %d = %d, want capacity 4096", i, s)

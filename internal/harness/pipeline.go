@@ -20,10 +20,11 @@ func init() {
 }
 
 // runPipeline compares the paper's one-shot pipeline (encode, transfer and
-// kernel charged sequentially per round) against the streaming engine, where
-// each device's two buffer sets overlap the host-encode pool with kernel
-// execution. Both paths execute the same real filtrations; the decisions are
-// checked identical and the modelled filter clocks are compared.
+// kernel charged sequentially per round) against the stream's clock, which
+// charges the double-buffered device: the host-encode pool filling one buffer
+// set while the kernel consumes the other. Both paths execute the same real
+// filtrations in the same rounds; the decisions are checked identical and the
+// modelled filter clocks are compared.
 func runPipeline(o Options) error {
 	profile, err := simdata.Set("set3")
 	if err != nil {
@@ -37,7 +38,7 @@ func runPipeline(o Options) error {
 	tb := metrics.NewTable("GPUs", "one-shot ft(s)", "stream ft(s)", "speedup", "stream kt(s)")
 	for _, nDev := range []int{1, 2, 4, 8} {
 		mk := func() (*gkgpu.Engine, error) {
-			// Stream dispatch granularity equals the per-device batch so
+			// The stream's batch granularity equals the per-device batch so
 			// both paths pay the same launch overhead per pair; the clock
 			// difference is then the overlap, not the batching policy.
 			return gkgpu.NewEngine(gkgpu.Config{
@@ -84,11 +85,9 @@ func runPipeline(o Options) error {
 		if i != len(want) {
 			return fmt.Errorf("pipeline: stream returned %d of %d results", i, len(want))
 		}
-		// Enforce the win only when the workload yields enough batches to
-		// balance across devices; at tiny -scale values the shared dispatch
-		// queue's placement (not the overlap model) decides thin margins.
-		// The placement-independent guarantee lives in the gkgpu tests.
-		if nDev >= 2 && len(pairs) >= 8*nDev*2048 && ssStats.FilterSeconds >= osStats.FilterSeconds {
+		// Both paths cut the same rounds, so the stream's clock is below the
+		// one-shot's round for round, at any scale.
+		if nDev >= 2 && ssStats.FilterSeconds >= osStats.FilterSeconds {
 			return fmt.Errorf("pipeline: stream filter time %.6fs not below one-shot %.6fs on %d devices",
 				ssStats.FilterSeconds, osStats.FilterSeconds, nDev)
 		}

@@ -22,8 +22,9 @@ import (
 //     range over a channel, or a WaitGroup/Cond Wait. A blocked goroutine
 //     holding a mutex stalls every other path through that lock; the
 //     streaming pipeline's liveness arguments all assume lock regions are
-//     straight-line. Deliberate whole-stream serialization (gkgpu's runMu)
-//     must say so with //gk:allow lockcheck naming the design reason.
+//     straight-line. A deliberate exception must say so with //gk:allow
+//     lockcheck naming the design reason; the tree has none (gkgpu's
+//     streams take runMu per batch, not for their lifetime).
 //
 // The analysis is intra-procedural and per function context (a goroutine
 // literal holds and releases its own locks); lock identity is the rendered

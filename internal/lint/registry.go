@@ -83,14 +83,8 @@ var NoAllocRegistry = []string{
 	"repro/internal/gkgpu.readPlanes",
 	"repro/internal/gkgpu.planeOff",
 
-	// The streaming pipeline's steady-state per-batch accounting: runStream
-	// recycles batches through a pool, and these are the helpers that run
-	// once per batch after warm-up.
-	"repro/internal/gkgpu.tallyBatch",
-	"repro/internal/gkgpu.maxFloat",
-
-	// The cost-model arithmetic tallyBatch evaluates per batch, plus the
-	// workload/device accessors it leans on.
+	// The cost-model arithmetic the engine's share clocks evaluate per device
+	// per round, plus the workload/device accessors it leans on.
 	"repro/internal/cuda.Workload.Words",
 	"repro/internal/cuda.Workload.Masks",
 	"repro/internal/cuda.Workload.TransferBytes",

@@ -12,9 +12,9 @@ import (
 //     arm (a receive or default case that lets the goroutine exit when the
 //     consumer is gone), or target a channel created in the same function
 //     with an explicit capacity (the bounded free-list/ack pattern, where
-//     the buffer provably covers the senders). Anything else — notably the
-//     documented drained-channel handoffs between runStream's stages — must
-//     carry //gk:allow streamsafe naming the drain guarantee.
+//     the buffer provably covers the senders). Anything else must carry
+//     //gk:allow streamsafe naming the drain guarantee (the tree has none
+//     since runStream's staged handoffs were deleted).
 //   - sync.WaitGroup.Add must not run inside the goroutine it accounts for:
 //     Add racing Wait is the classic leaked-goroutine/early-Wait bug. Add
 //     before go, Done inside.
@@ -23,7 +23,7 @@ import (
 //     draining behind it) for the full sleep. Back off with a time.Timer
 //     inside a select that also has a ctx.Done arm.
 //
-// The analyzer runs over the streaming packages only (gkgpu's pipelines and
+// The analyzer runs over the streaming packages only (gkgpu's streams and
 // the mapper's channel-fed core); other packages' incidental goroutines are
 // covered by the race detector and vet.
 type StreamSafe struct {

@@ -32,10 +32,10 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/dna"
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // Index is a k-mer index over a (multi-contig) reference in CSR (compressed
@@ -157,22 +157,25 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 	// wholly inside one contig, starting on a step-aligned contig-relative
 	// offset (every window when step is 1).
 	perShardN := make([]int, len(shards))
-	forEachShard(shards, func(s int, sh contigShard) {
-		n := 0
-		for ci := sh.lo; ci < sh.hi; ci++ {
-			valid := 0
-			for i, b := range r.ContigSeq(ci) {
-				if !dna.IsACGT(b) {
-					valid = 0
-					continue
-				}
-				valid++
-				if valid >= k && (step == 1 || (i-k+1)%step == 0) {
-					n++
+	par.For(len(shards), len(shards), 1, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sh := shards[s]
+			n := 0
+			for ci := sh.lo; ci < sh.hi; ci++ {
+				valid := 0
+				for i, b := range r.ContigSeq(ci) {
+					if !dna.IsACGT(b) {
+						valid = 0
+						continue
+					}
+					valid++
+					if valid >= k && (step == 1 || (i-k+1)%step == 0) {
+						n++
+					}
 				}
 			}
+			perShardN[s] = n
 		}
-		perShardN[s] = n
 	})
 	n := 0
 	for _, sn := range perShardN {
@@ -223,13 +226,16 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 	// offsets fall out of the placement and a single-shard build needs no
 	// count array of its own (as large as offsets, and as cold).
 	counts := make([][]uint64, len(shards))
-	forEachShard(shards, func(s int, sh contigShard) {
-		cs := idx.offsets[1:]
-		if s < len(shards)-1 {
-			cs = make([]uint64, nBuckets)
+	par.For(len(shards), len(shards), 1, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sh := shards[s]
+			cs := idx.offsets[1:]
+			if s < len(shards)-1 {
+				cs = make([]uint64, nBuckets)
+			}
+			idx.countShard(sh.lo, sh.hi, cs)
+			counts[s] = cs
 		}
-		idx.countShard(sh.lo, sh.hi, cs)
-		counts[s] = cs
 	})
 
 	// Merge: turn the per-shard counts into per-shard start cursors (the
@@ -246,14 +252,17 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 	ranges := splitRange(nBuckets, runtime.GOMAXPROCS(0))
 	rangeTotal := make([]uint64, len(ranges))
 	if len(ranges) > 1 { // a lone range starts at 0: nothing to sum
-		forEachRange(ranges, func(ri int, lo, hi int) {
-			var t uint64
-			for b := lo; b < hi; b++ {
-				for _, cs := range counts {
-					t += cs[b]
+		par.For(len(ranges), len(ranges), 1, func(_, rlo, rhi int) {
+			for ri := rlo; ri < rhi; ri++ {
+				lo, hi := ranges[ri].lo, ranges[ri].hi
+				var t uint64
+				for b := lo; b < hi; b++ {
+					for _, cs := range counts {
+						t += cs[b]
+					}
 				}
+				rangeTotal[ri] = t
 			}
-			rangeTotal[ri] = t
 		})
 	}
 	base := uint64(0)
@@ -261,13 +270,16 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 		rangeTotal[ri] = base
 		base += t
 	}
-	forEachRange(ranges, func(ri int, lo, hi int) {
-		running := rangeTotal[ri]
-		for b := lo; b < hi; b++ {
-			for _, cs := range counts {
-				c := cs[b]
-				cs[b] = running // becomes shard s's cursor for bucket b
-				running += c
+	par.For(len(ranges), len(ranges), 1, func(_, rlo, rhi int) {
+		for ri := rlo; ri < rhi; ri++ {
+			lo, hi := ranges[ri].lo, ranges[ri].hi
+			running := rangeTotal[ri]
+			for b := lo; b < hi; b++ {
+				for _, cs := range counts {
+					c := cs[b]
+					cs[b] = running // becomes shard s's cursor for bucket b
+					running += c
+				}
 			}
 		}
 	})
@@ -276,19 +288,25 @@ func buildReferenceIndex(r *Reference, k, step, maxShards int) (*Index, error) {
 	// Within a shard the reference scans left to right, keeping each
 	// (shard, bucket) run in ascending position order. The last shard's
 	// cursors end as the bucket ends: offsets is complete after this pass.
-	forEachShard(shards, func(s int, sh contigShard) {
-		idx.placeShard(sh.lo, sh.hi, counts[s])
+	par.For(len(shards), len(shards), 1, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sh := shards[s]
+			idx.placeShard(sh.lo, sh.hi, counts[s])
+		}
 	})
 
 	// Sort each bucket by full key, stably, so equal keys keep ascending
 	// positions. When shift is 0 every bucket holds exactly one key and the
 	// sort is a no-op. Buckets are independent; split them across workers.
 	if shift != 0 {
-		forEachRange(ranges, func(_ int, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				blo, bhi := idx.offsets[b], idx.offsets[b+1]
-				if bhi-blo > 1 {
-					sortBucket(idx.keys[blo:bhi], idx.pos[blo:bhi])
+		par.For(len(ranges), len(ranges), 1, func(_, rlo, rhi int) {
+			for ri := rlo; ri < rhi; ri++ {
+				lo, hi := ranges[ri].lo, ranges[ri].hi
+				for b := lo; b < hi; b++ {
+					blo, bhi := idx.offsets[b], idx.offsets[b+1]
+					if bhi-blo > 1 {
+						sortBucket(idx.keys[blo:bhi], idx.pos[blo:bhi])
+					}
 				}
 			}
 		})
@@ -418,40 +436,6 @@ func splitRange(n, workers int) []bucketRange {
 		ranges = append(ranges, bucketRange{lo, hi})
 	}
 	return ranges
-}
-
-// forEachRange runs fn once per bucket range, concurrently.
-func forEachRange(ranges []bucketRange, fn func(ri, lo, hi int)) {
-	if len(ranges) == 1 {
-		fn(0, ranges[0].lo, ranges[0].hi)
-		return
-	}
-	var wg sync.WaitGroup
-	for ri, r := range ranges {
-		wg.Add(1)
-		go func(ri, lo, hi int) {
-			defer wg.Done()
-			fn(ri, lo, hi)
-		}(ri, r.lo, r.hi)
-	}
-	wg.Wait()
-}
-
-// forEachShard runs fn once per shard, concurrently.
-func forEachShard(shards []contigShard, fn func(s int, sh contigShard)) {
-	if len(shards) == 1 {
-		fn(0, shards[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for s, sh := range shards {
-		wg.Add(1)
-		go func(s int, sh contigShard) {
-			defer wg.Done()
-			fn(s, sh)
-		}(s, sh)
-	}
-	wg.Wait()
 }
 
 // sortBucket stable-sorts a bucket's parallel key/pos arrays by key.
