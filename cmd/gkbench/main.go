@@ -7,7 +7,6 @@
 //	gkbench -exp fig4             # run one experiment
 //	gkbench -all                  # run everything
 //	gkbench -exp table2 -scale 5  # 5x the default workload sizes
-//	gkbench -stream               # one-shot vs streaming pipeline comparison
 //	gkbench -json                 # write a BENCH_<stamp>.json perf baseline
 //	gkbench -json -baseline FILE  # ...and compare against an older capture
 package main
@@ -25,7 +24,6 @@ func main() {
 		exp      = flag.String("exp", "", "experiment ID to run (see -list)")
 		all      = flag.Bool("all", false, "run every experiment")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		stream   = flag.Bool("stream", false, "run the streaming-pipeline comparison (shorthand for -exp pipeline)")
 		jsonOut  = flag.Bool("json", false, "run the kernel/filter/index micro-benchmarks and write BENCH_<stamp>.json")
 		jsonDir  = flag.String("json-dir", ".", "directory for the -json baseline file")
 		baseline = flag.String("baseline", "", "older BENCH_<stamp>.json to compare the -json capture against")
@@ -42,8 +40,8 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		if *all || *exp != "" || *stream {
-			fmt.Fprintln(os.Stderr, "gkbench: -json conflicts with -exp/-all/-stream (it runs its own fixed micro-suite)")
+		if *all || *exp != "" {
+			fmt.Fprintln(os.Stderr, "gkbench: -json conflicts with -exp/-all (it runs its own fixed micro-suite)")
 			os.Exit(2)
 		}
 		if *scale != 1.0 || *seed != 42 {
@@ -75,16 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := harness.Options{Out: os.Stdout, Scale: *scale, Seed: *seed}
-	if *stream && (*all || *exp != "") {
-		fmt.Fprintln(os.Stderr, "gkbench: -stream conflicts with -exp/-all (it is shorthand for -exp pipeline)")
-		os.Exit(2)
-	}
 	switch {
-	case *stream:
-		if err := harness.Run("pipeline", opts); err != nil {
-			fmt.Fprintf(os.Stderr, "gkbench: %v\n", err)
-			os.Exit(1)
-		}
 	case *all:
 		for _, id := range harness.IDs() {
 			if err := harness.Run(id, opts); err != nil {

@@ -137,23 +137,6 @@ type faultConfig struct {
 	dieAt int
 }
 
-// inject attaches seeded fault plans to every device: launch and transfer
-// faults at the per-op rate on all devices, device 0 dying at launch dieAt.
-func (fc faultConfig) inject(cctx *cuda.Context) {
-	if fc.rate <= 0 && fc.dieAt <= 0 {
-		return
-	}
-	for i, d := range cctx.Devices() {
-		plan := cuda.NewFaultPlan(fc.seed+int64(i)).
-			WithRate(cuda.OpLaunch, fc.rate).
-			WithRate(cuda.OpTransfer, fc.rate/2)
-		if fc.dieAt > 0 && i == 0 {
-			plan.DieAtLaunch(fc.dieAt)
-		}
-		d.InjectFaults(plan)
-	}
-}
-
 // streamFilter runs every pair through Engine.FilterStream in input order and
 // reports the engine's modelled clocks. Injected faults are survived
 // bit-identically while a device remains; a terminal failure surfaces as the
@@ -197,7 +180,7 @@ func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bo
 		return nil, err
 	}
 	defer eng.Close()
-	fc.inject(cctx)
+	cctx.InjectFaults(fc.seed, fc.rate, fc.dieAt)
 
 	in := make(chan gkgpu.Pair, 1024)
 	out, err := eng.FilterStream(context.Background(), in, e)

@@ -204,7 +204,11 @@ func main() {
 		// startup. A run survives (bit-identically) while a device remains;
 		// otherwise it exits non-zero with the classified taxonomy error
 		// and -sam leaves no partial file behind.
-		injectFaults(cctx, *faultRate, *faultSeed, *seed, *faultDie)
+		fseed := *faultSeed
+		if fseed == 0 {
+			fseed = *seed + 1000
+		}
+		cctx.InjectFaults(fseed, *faultRate, *faultDie)
 		cfg.Filter = eng
 	case "cpu":
 		cpu, err := gkgpu.NewCPUEngine(*readLen, *e, 12, gkgpu.Setup1(), cuda.DefaultCostModel())
@@ -390,27 +394,6 @@ func writeSAMAtomic(dest string, write func(io.Writer) error) (err error) {
 		return err
 	}
 	return os.Rename(tmp.Name(), dest)
-}
-
-// injectFaults attaches seeded fault plans to every device of the filter
-// context: launch and transfer faults at the given per-op rate on all
-// devices, plus device 0 dying at its dieAt'th launch.
-func injectFaults(cctx *cuda.Context, rate float64, faultSeed, seed int64, dieAt int) {
-	if rate <= 0 && dieAt <= 0 {
-		return
-	}
-	if faultSeed == 0 {
-		faultSeed = seed + 1000
-	}
-	for i, d := range cctx.Devices() {
-		plan := cuda.NewFaultPlan(faultSeed+int64(i)).
-			WithRate(cuda.OpLaunch, rate).
-			WithRate(cuda.OpTransfer, rate/2)
-		if dieAt > 0 && i == 0 {
-			plan.DieAtLaunch(dieAt)
-		}
-		d.InjectFaults(plan)
-	}
 }
 
 // fastqSource decodes one FASTQ file incrementally, with one record of

@@ -89,13 +89,13 @@ func assertNoTempFiles(t *testing.T, dir, base string) {
 
 func TestInjectFaultsWiring(t *testing.T) {
 	cctx := cuda.NewUniformContext(3, cuda.GTX1080Ti())
-	injectFaults(cctx, 0, 0, 42, 0) // no-op configuration
+	cctx.InjectFaults(1042, 0, 0) // no-op configuration
 	for i, d := range cctx.Devices() {
 		if d.FaultPlan() != nil {
 			t.Fatalf("device %d got a plan from a no-op config", i)
 		}
 	}
-	injectFaults(cctx, 0.05, 0, 42, 4)
+	cctx.InjectFaults(1042, 0.05, 4) // -seed 42, -fault-seed 0
 	for i, d := range cctx.Devices() {
 		if d.FaultPlan() == nil {
 			t.Fatalf("device %d missing its fault plan", i)
@@ -121,8 +121,9 @@ func TestInjectFaultsWiring(t *testing.T) {
 
 func TestFaultedEngineMatchesCleanDecisions(t *testing.T) {
 	// The CLI-level identity claim behind -fault-rate/-fault-die: the engine
-	// configuration gkmap builds, with plans attached exactly as injectFaults
-	// attaches them, streams bit-identical decisions while a device survives.
+	// configuration gkmap builds, with plans attached exactly as main
+	// attaches them (cuda.Context.InjectFaults), streams bit-identical
+	// decisions while a device survives.
 	mk := func() (*gkgpu.Engine, *cuda.Context) {
 		cctx := cuda.NewUniformContext(2, cuda.GTX1080Ti())
 		eng, err := gkgpu.NewEngine(gkgpu.Config{
@@ -167,7 +168,7 @@ func TestFaultedEngineMatchesCleanDecisions(t *testing.T) {
 	clean, _ := mk()
 	want := drain(clean)
 	faulty, cctx := mk()
-	injectFaults(cctx, 0.05, 0, 42, 3)
+	cctx.InjectFaults(1042, 0.05, 3)
 	got := drain(faulty)
 	if err := faulty.StreamErr(); err != nil {
 		t.Fatalf("faulted stream terminal with a survivor: %v", err)

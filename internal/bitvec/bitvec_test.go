@@ -35,82 +35,6 @@ func TestWordsHelpers(t *testing.T) {
 	}
 }
 
-func TestShiftCharsUpAgainstDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{10, 32, 33, 100, 250} {
-		seq := dna.RandomSeq(rng, n)
-		words, err := dna.Encode(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{0, 1, 2, 3, 7, 31, 32, 33} {
-			if k > n {
-				continue
-			}
-			dst := make([]uint64, len(words))
-			ShiftCharsUp(dst, words, k)
-			got := dna.Decode(dst, n)
-			for i := 0; i < n; i++ {
-				want := byte('A') // vacated positions decode as code 00
-				if i-k >= 0 {
-					want = seq[i-k]
-				}
-				if got[i] != want {
-					t.Fatalf("n=%d k=%d pos=%d: got %c want %c", n, k, i, got[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestShiftCharsDownAgainstDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{10, 32, 33, 100, 250} {
-		seq := dna.RandomSeq(rng, n)
-		words, err := dna.Encode(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{0, 1, 2, 3, 7, 31, 32, 33} {
-			if k > n {
-				continue
-			}
-			dst := make([]uint64, len(words))
-			ShiftCharsDown(dst, words, k)
-			got := dna.Decode(dst, n)
-			for i := 0; i < n; i++ {
-				want := byte('A')
-				if i+k < n {
-					want = seq[i+k]
-				}
-				if got[i] != want {
-					t.Fatalf("n=%d k=%d pos=%d: got %c want %c", n, k, i, got[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestShiftRoundTrip(t *testing.T) {
-	// Shifting up then down by the same k must restore all but the k lowest
-	// characters.
-	rng := rand.New(rand.NewSource(3))
-	seq := dna.RandomSeq(rng, 150)
-	words, _ := dna.Encode(seq)
-	up := make([]uint64, len(words))
-	back := make([]uint64, len(words))
-	for k := 0; k <= 10; k++ {
-		ShiftCharsUp(up, words, k)
-		ShiftCharsDown(back, up, k)
-		got := dna.Decode(back, 150)
-		for i := 0; i < 150-k; i++ {
-			if got[i] != seq[i] {
-				t.Fatalf("k=%d pos=%d: round trip lost data", k, i)
-			}
-		}
-	}
-}
-
 // paddedPlanes encodes seq as resident planes: a zero word, the plane words,
 // a zero word.
 func paddedPlanes(t *testing.T, seq []byte) (lo, hi []uint64) {
@@ -211,231 +135,6 @@ func TestDeinterleaveMatchesPlaneEncoding(t *testing.T) {
 	}
 }
 
-func TestCollapseMatchesPerCharComparison(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{5, 32, 33, 100, 150, 250} {
-		a := dna.RandomSeq(rng, n)
-		b := dna.MutateSubstitutions(rng, a, n/10+1)
-		wa, _ := dna.Encode(a)
-		wb, _ := dna.Encode(b)
-		x := make([]uint64, len(wa))
-		XorInto(x, wa, wb)
-		mask := make([]uint64, MaskWords(n))
-		Collapse(mask, x)
-		for i := 0; i < n; i++ {
-			want := a[i] != b[i]
-			if Bit(mask, i) != want {
-				t.Fatalf("n=%d pos=%d: mask=%v want %v", n, i, Bit(mask, i), want)
-			}
-		}
-	}
-}
-
-func TestCollapsePairMatchesCollapse(t *testing.T) {
-	f := func(lo, hi uint64) bool {
-		dst := make([]uint64, 1)
-		Collapse(dst, []uint64{lo, hi})
-		return dst[0] == CollapsePair(lo, hi)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogicOps(t *testing.T) {
-	a := []uint64{0b1100, 0xFFFF0000FFFF0000}
-	b := []uint64{0b1010, 0x0F0F0F0F0F0F0F0F}
-	dst := make([]uint64, 2)
-	AndInto(dst, a, b)
-	if dst[0] != 0b1000 || dst[1] != 0x0F0F00000F0F0000 {
-		t.Fatalf("AndInto = %#x %#x", dst[0], dst[1])
-	}
-	XorInto(dst, a, b)
-	if dst[0] != 0b0110 || dst[1] != 0xF0F00F0FF0F00F0F {
-		t.Fatalf("XorInto = %#x %#x", dst[0], dst[1])
-	}
-}
-
-func TestSetLeadingOnes(t *testing.T) {
-	for _, k := range []int{0, 1, 5, 63, 64, 65, 128, 140} {
-		mask := make([]uint64, 3)
-		SetLeadingOnes(mask, k)
-		for i := 0; i < 192; i++ {
-			want := i < k
-			if Bit(mask, i) != want {
-				t.Fatalf("k=%d bit %d = %v, want %v", k, i, Bit(mask, i), want)
-			}
-		}
-	}
-}
-
-func TestSetTrailingOnes(t *testing.T) {
-	for _, n := range []int{10, 64, 65, 140, 192} {
-		for _, k := range []int{0, 1, 5, 64, 80, 200} {
-			mask := make([]uint64, 3)
-			SetTrailingOnes(mask, n, k)
-			kk := k
-			if kk > n {
-				kk = n
-			}
-			for i := 0; i < n; i++ {
-				want := i >= n-kk
-				if Bit(mask, i) != want {
-					t.Fatalf("n=%d k=%d bit %d = %v, want %v", n, k, i, Bit(mask, i), want)
-				}
-			}
-			for i := n; i < 192; i++ {
-				if Bit(mask, i) {
-					t.Fatalf("n=%d k=%d: bit %d beyond n set", n, k, i)
-				}
-			}
-		}
-	}
-}
-
-func TestClearLeading(t *testing.T) {
-	for _, k := range []int{0, 1, 5, 63, 64, 65, 128, 140} {
-		mask := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-		ClearLeading(mask, k)
-		for i := 0; i < 192; i++ {
-			want := i >= k
-			if Bit(mask, i) != want {
-				t.Fatalf("k=%d bit %d = %v, want %v", k, i, Bit(mask, i), want)
-			}
-		}
-	}
-}
-
-func TestClearTrailing(t *testing.T) {
-	for _, n := range []int{10, 64, 65, 140, 192} {
-		for _, k := range []int{0, 1, 5, 64, 80, 200} {
-			mask := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-			ClearTrailing(mask, n, k)
-			kk := k
-			if kk > n {
-				kk = n
-			}
-			for i := 0; i < n; i++ {
-				want := i < n-kk
-				if Bit(mask, i) != want {
-					t.Fatalf("n=%d k=%d bit %d = %v, want %v", n, k, i, Bit(mask, i), want)
-				}
-			}
-		}
-	}
-}
-
-func TestClearTail(t *testing.T) {
-	mask := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-	ClearTail(mask, 70)
-	for i := 0; i < 70; i++ {
-		if !Bit(mask, i) {
-			t.Fatalf("bit %d cleared inside range", i)
-		}
-	}
-	for i := 70; i < 192; i++ {
-		if Bit(mask, i) {
-			t.Fatalf("bit %d set beyond range", i)
-		}
-	}
-}
-
-// refAmend is the obvious O(n) reference implementation of the amendment.
-func refAmend(s string) string {
-	out := []byte(s)
-	n := len(s)
-	for i := 0; i < n; i++ {
-		if s[i] != '0' {
-			continue
-		}
-		// Zero run starting at i.
-		j := i
-		for j < n && s[j] == '0' {
-			j++
-		}
-		runLen := j - i
-		leftOne := i-1 >= 0 && s[i-1] == '1'
-		rightOne := j < n && s[j] == '1'
-		if runLen <= 2 && leftOne && rightOne {
-			for p := i; p < j; p++ {
-				out[p] = '1'
-			}
-		}
-		i = j - 1
-	}
-	return string(out)
-}
-
-func TestAmendAgainstReference(t *testing.T) {
-	cases := []string{
-		"101",
-		"1001",
-		"10001",
-		"0101",
-		"1010",
-		"110011",
-		"1100011",
-		"11000011",
-		"000",
-		"111",
-		"1",
-		"0",
-		"10",
-		"01",
-		"1011101",
-		"100110011001",
-	}
-	for _, s := range cases {
-		mask := refMaskFromString(s)
-		dst := make([]uint64, len(mask))
-		Amend(dst, mask, len(s))
-		if got := String(dst, len(s)); got != refAmend(s) {
-			t.Errorf("Amend(%s) = %s, want %s", s, got, refAmend(s))
-		}
-	}
-}
-
-func TestAmendQuick(t *testing.T) {
-	f := func(raw []byte, nRaw uint8) bool {
-		n := int(nRaw)%200 + 1
-		var sb strings.Builder
-		for i := 0; i < n; i++ {
-			if i < len(raw) && raw[i]%2 == 1 {
-				sb.WriteByte('1')
-			} else {
-				sb.WriteByte('0')
-			}
-		}
-		s := sb.String()
-		mask := refMaskFromString(s)
-		dst := make([]uint64, len(mask))
-		Amend(dst, mask, n)
-		return String(dst, n) == refAmend(s)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAmendCrossesWordBoundary(t *testing.T) {
-	// A single zero exactly at a 64-bit word boundary must still be filled.
-	s := strings.Repeat("1", 63) + "0" + strings.Repeat("1", 10)
-	mask := refMaskFromString(s)
-	dst := make([]uint64, len(mask))
-	Amend(dst, mask, len(s))
-	if got := String(dst, len(s)); got != strings.Repeat("1", 74) {
-		t.Fatalf("boundary fill failed: %s", got)
-	}
-	// Double zero straddling the boundary.
-	s = strings.Repeat("1", 63) + "00" + strings.Repeat("1", 10)
-	mask = refMaskFromString(s)
-	dst = make([]uint64, len(mask))
-	Amend(dst, mask, len(s))
-	if got := String(dst, len(s)); got != strings.Repeat("1", 75) {
-		t.Fatalf("double boundary fill failed: %s", got)
-	}
-}
-
 func refCountRuns(s string) int {
 	count := 0
 	prev := byte('0')
@@ -529,7 +228,11 @@ func TestCountWindowsAgainstReference(t *testing.T) {
 		}
 		s := sb.String()
 		mask := refMaskFromString(s)
-		return CountWindowsLUT(mask, n) == refCountWindows(s)
+		got := 0
+		for _, w := range mask {
+			got += CountWindowsWord(w)
+		}
+		return got == refCountWindows(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -606,45 +309,5 @@ func TestLongestZeroRunCrossesWordBoundaries(t *testing.T) {
 	start, length := LongestZeroRun(mask, 0, len(s))
 	if start != 30 || length != 100 {
 		t.Fatalf("spanning zero run = (%d,%d), want (30,100)", start, length)
-	}
-}
-
-func TestStringRender(t *testing.T) {
-	mask := refMaskFromString("10110")
-	if got := String(mask, 5); got != "10110" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestShiftQuickInverse(t *testing.T) {
-	f := func(raw []byte, kRaw uint8) bool {
-		n := 100
-		seq := make([]byte, n)
-		for i := range seq {
-			b := byte(0)
-			if i < len(raw) {
-				b = raw[i]
-			}
-			seq[i] = dna.Alphabet[int(b)%4]
-		}
-		k := int(kRaw) % 40
-		words, err := dna.Encode(seq)
-		if err != nil {
-			return false
-		}
-		up := make([]uint64, len(words))
-		back := make([]uint64, len(words))
-		ShiftCharsUp(up, words, k)
-		ShiftCharsDown(back, up, k)
-		got := dna.Decode(back, n)
-		for i := 0; i < n-k; i++ {
-			if got[i] != seq[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

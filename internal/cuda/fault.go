@@ -201,3 +201,23 @@ func (d *Device) InjectFaults(p *FaultPlan) { d.faults = p }
 
 // FaultPlan returns the attached schedule, nil when none.
 func (d *Device) FaultPlan() *FaultPlan { return d.faults }
+
+// InjectFaults attaches a seeded chaos schedule to every device of the
+// context — the one the commands' -fault-* flags describe: launch faults at
+// the per-operation rate and transfer faults at half of it on all devices
+// (device i draws from seed+i), plus device 0 dying at its dieAt'th launch.
+// A rate and a dieAt that are both zero or less attach nothing.
+func (c *Context) InjectFaults(seed int64, rate float64, dieAt int) {
+	if rate <= 0 && dieAt <= 0 {
+		return
+	}
+	for i, d := range c.devices {
+		plan := NewFaultPlan(seed+int64(i)).
+			WithRate(OpLaunch, rate).
+			WithRate(OpTransfer, rate/2)
+		if dieAt > 0 && i == 0 {
+			plan.DieAtLaunch(dieAt)
+		}
+		d.InjectFaults(plan)
+	}
+}

@@ -119,17 +119,14 @@ func (b *UMBuffer) HostWrite(off, n int) {
 // charged at the bulk PCIe rate instead of the page-fault rate. On devices
 // without support it is a no-op and the subsequent kernel access pays the
 // fault path, reproducing the Setup 1 vs Setup 2 gap.
-func (b *UMBuffer) PrefetchAsync(s *Stream) {
+func (b *UMBuffer) PrefetchAsync(_ *Stream) {
 	if !b.dev.Spec.SupportsPrefetch() {
 		return
 	}
 	if b.dev.faults != nil {
 		b.dev.faults.noteTransfer()
 	}
-	moved := b.migrate(0, len(b.data), OnDevice, true)
-	if s != nil {
-		s.addTransfer(float64(moved) / b.dev.Spec.PCIeBandwidth())
-	}
+	b.migrate(0, len(b.data), OnDevice, true)
 }
 
 // DeviceTouch marks the byte range as accessed by a kernel: host-resident

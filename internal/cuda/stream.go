@@ -1,62 +1,13 @@
 package cuda
 
-// Stream is a modelled CUDA stream: an ordered timeline of asynchronous
-// operations. GateKeeper-GPU submits each input buffer's prefetch to its own
-// stream so migrations overlap ("each buffer is asynchronously submitted to
-// a different stream"); the engine models that overlap by taking the maximum
-// of the streams' transfer times rather than their sum.
+// Stream is a modelled CUDA stream: the handle a prefetch is submitted on.
+// GateKeeper-GPU submits each input buffer's prefetch to its own stream so
+// migrations overlap ("each buffer is asynchronously submitted to a different
+// stream"). The stream keeps no timeline of its own: transfer time is the
+// cost model's (CostModel.TransferSeconds).
 type Stream struct {
 	dev *Device
-	// busySeconds is the modelled time this stream has spent on transfers
-	// and kernels since the last Reset.
-	busySeconds float64
 }
 
 // NewStream creates a stream bound to the device.
 func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
-
-// addTransfer appends a modelled transfer duration to the stream timeline.
-func (s *Stream) addTransfer(seconds float64) { s.busySeconds += seconds }
-
-// AddKernel appends a modelled kernel duration to the stream timeline.
-func (s *Stream) AddKernel(seconds float64) { s.busySeconds += seconds }
-
-// BusySeconds returns the stream's modelled occupancy since the last Reset.
-func (s *Stream) BusySeconds() float64 { return s.busySeconds }
-
-// Reset clears the stream timeline (start of a new batch).
-func (s *Stream) Reset() { s.busySeconds = 0 }
-
-// Event is a point on a device timeline, in the spirit of cudaEvent_t. The
-// paper measures kernel time with the CUDA Event API; the engine brackets
-// each modelled kernel with a pair of events.
-type Event struct {
-	seconds float64
-	set     bool
-}
-
-// Record captures the given modelled timestamp.
-func (e *Event) Record(seconds float64) {
-	e.seconds = seconds
-	e.set = true
-}
-
-// ElapsedSeconds returns the modelled time between two recorded events.
-func ElapsedSeconds(start, end Event) float64 {
-	if !start.set || !end.set {
-		return 0
-	}
-	return end.seconds - start.seconds
-}
-
-// MaxStreamSeconds returns the longest busy time among streams — the
-// effective wall contribution of overlapped asynchronous submissions.
-func MaxStreamSeconds(streams ...*Stream) float64 {
-	max := 0.0
-	for _, s := range streams {
-		if s.busySeconds > max {
-			max = s.busySeconds
-		}
-	}
-	return max
-}

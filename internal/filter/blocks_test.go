@@ -111,7 +111,7 @@ func fitLength(rng *rand.Rand, seq []byte, n int) []byte {
 // TestBlockGeometryIdentity walks the block kernel's geometry — read lengths
 // on both sides of every word and block boundary, thresholds whose shifts
 // stay inside a block, cross one, and exceed it, edge spans wider than a
-// block — and holds kernel = refModel = ref32: the decision always, the
+// block — and holds kernel = charModel = ref32: the decision always, the
 // estimate in exact mode, in both modes and under both ablations, on all
 // three entry points.
 func TestBlockGeometryIdentity(t *testing.T) {
@@ -138,9 +138,9 @@ func TestBlockGeometryIdentity(t *testing.T) {
 						read, ref := blockSeamPair(rng, L, e, trial)
 						wantEst, wantAccept := r32.Filter(read, ref, e)
 						if abl == (Ablation{}) {
-							if est, acc := refModel(read, ref, e, mode); est != wantEst || acc != wantAccept {
-								t.Fatalf("L=%d e=%d mode=%v: refModel (est=%d acc=%v) vs ref32 (est=%d acc=%v)",
-									L, e, mode, est, acc, wantEst, wantAccept)
+							if m := charModel(mode, read, ref, e); m.estimate != wantEst || m.accept != wantAccept {
+								t.Fatalf("L=%d e=%d mode=%v: charModel (est=%d acc=%v) vs ref32 (est=%d acc=%v)",
+									L, e, mode, m.estimate, m.accept, wantEst, wantAccept)
 							}
 						}
 						if est, acc := filterEveryWay(t, rng, exact, read, ref, e); est != wantEst || acc != wantAccept {

@@ -486,9 +486,9 @@ func TestNeighborhoodMasksMatchBoolOracle(t *testing.T) {
 		}
 		for d := range boolMasks {
 			for i := 0; i < L; i++ {
-				if bitvec.Bit(packed[d], i) != boolMasks[d][i] {
+				if bit := packed[d][i/64]>>uint(i%64)&1 == 1; bit != boolMasks[d][i] {
 					t.Fatalf("trial=%d L=%d e=%d diagonal=%d bit %d: packed=%v bool=%v",
-						trial, L, e, d, i, bitvec.Bit(packed[d], i), boolMasks[d][i])
+						trial, L, e, d, i, bit, boolMasks[d][i])
 				}
 			}
 			lo := rng.Intn(L + 1)

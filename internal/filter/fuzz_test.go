@@ -21,9 +21,10 @@ import (
 // path, the interleaved adapter and the plane core (against a window embedded
 // in a longer reference, the engines' form) must agree, and the block kernel
 // must stay bit-identical to the retained 32-bit unfused chain
-// (internal/ref32): same decision always, same estimate in exact-estimate
-// mode, and a sealed estimate on the right side of the exact one — an
-// accept's in [exact, e], a reject's in (e, exact].
+// (internal/ref32), itself equal to the per-character model Trace renders
+// (charModel): same decision always, same estimate in exact-estimate mode,
+// and a sealed estimate on the right side of the exact one — an accept's in
+// [exact, e], a reject's in (e, exact].
 func FuzzKernelFilterEncoded(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGAACGTACGT"), uint8(2))
 	f.Add([]byte("AAAAAAAAAAAAAAAAA"), []byte("TTTTTTTTTTTTTTTTT"), uint8(0))
@@ -106,6 +107,10 @@ func FuzzKernelFilterEncoded(f *testing.F) {
 		if acc32 != accept {
 			t.Fatalf("64-bit decision %v diverged from 32-bit reference %v (L=%d e=%d est=%d est32=%d)",
 				accept, acc32, L, e, est, est32)
+		}
+		if m := charModel(ModeGPU, read, ref, e); m.accept != acc32 || m.estimate != est32 {
+			t.Fatalf("per-character model (est=%d acc=%v) diverged from 32-bit reference (est=%d acc=%v), L=%d e=%d",
+				m.estimate, m.accept, est32, acc32, L, e)
 		}
 		exact := NewKernel(ModeGPU, L, e)
 		exact.SetExactEstimate(true)

@@ -9,101 +9,6 @@ import (
 	"repro/internal/ref32"
 )
 
-// refModel is a deliberately slow, per-character implementation of the
-// GateKeeper-GPU algorithm — no bit tricks, no word packing — used as the
-// oracle for the bit-parallel kernel. Any divergence between the two is a
-// bug in the window reads, the block masking, the amendment, the edge
-// forcing, or the windowed counter.
-func refModel(read, ref []byte, e int, mode Mode) (estimate int, accept bool) {
-	L := len(read)
-	// Hamming mask.
-	hamming := make([]bool, L)
-	for i := range hamming {
-		hamming[i] = read[i] != ref[i]
-	}
-	if e == 0 {
-		est := refWindows(hamming)
-		return est, est == 0
-	}
-	final := refAmendBools(hamming)
-	for k := 1; k <= e; k++ {
-		// Deletion mask: read shifted towards higher positions. The shift
-		// brings in zero bits, which decode as 'A', so before amendment a
-		// vacated position compares 'A' against the reference — exactly
-		// what the real bit-parallel XOR produces.
-		del := make([]bool, L)
-		for i := range del {
-			if i-k < 0 {
-				del[i] = ref[i] != 'A'
-			} else {
-				del[i] = read[i-k] != ref[i]
-			}
-		}
-		del = refAmendBools(del)
-		for i := 0; i < k; i++ {
-			del[i] = mode == ModeGPU // GPU forces 1s, FPGA zeroes
-		}
-		// Insertion mask: read shifted towards lower positions.
-		ins := make([]bool, L)
-		for i := range ins {
-			if i+k >= L {
-				ins[i] = ref[i] != 'A'
-			} else {
-				ins[i] = read[i+k] != ref[i]
-			}
-		}
-		ins = refAmendBools(ins)
-		for i := L - k; i < L; i++ {
-			ins[i] = mode == ModeGPU
-		}
-		for i := range final {
-			final[i] = final[i] && del[i] && ins[i]
-		}
-	}
-	est := refWindows(final)
-	return est, est <= e
-}
-
-// refAmendBools turns 0-runs of length <= 2 flanked by 1s into 1s.
-func refAmendBools(mask []bool) []bool {
-	out := append([]bool(nil), mask...)
-	n := len(mask)
-	for i := 0; i < n; i++ {
-		if mask[i] {
-			continue
-		}
-		j := i
-		for j < n && !mask[j] {
-			j++
-		}
-		if j-i <= 2 && i-1 >= 0 && mask[i-1] && j < n && mask[j] {
-			for p := i; p < j; p++ {
-				out[p] = true
-			}
-		}
-		i = j - 1
-	}
-	return out
-}
-
-// refWindows counts non-overlapping 4-bit windows containing any set bit.
-func refWindows(mask []bool) int {
-	count := 0
-	for i := 0; i < len(mask); i += 4 {
-		hi := i + 4
-		if hi > len(mask) {
-			hi = len(mask)
-		}
-		for p := i; p < hi; p++ {
-			if mask[p] {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}
-
 func TestKernelMatchesReferenceModelExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, L := range []int{17, 32, 33, 64, 65, 100, 150, 250} {
@@ -129,7 +34,8 @@ func TestKernelMatchesReferenceModelExhaustive(t *testing.T) {
 					default:
 						ref = dna.RandomSeq(rng, L)
 					}
-					wantEst, wantAccept := refModel(read, ref, e, mode)
+					model := charModel(mode, read, ref, e)
+					wantEst, wantAccept := model.estimate, model.accept
 					d := exact.Filter(read, ref, e)
 					if d.Accept != wantAccept || d.Estimate != wantEst {
 						t.Fatalf("L=%d e=%d mode=%v trial=%d: exact kernel (est=%d acc=%v) vs model (est=%d acc=%v)\nread=%s\nref =%s",
@@ -180,7 +86,8 @@ func TestKernelMatchesReferenceModelQuick(t *testing.T) {
 			kern *Kernel
 			mode Mode
 		}{{kernGPU, ModeGPU}, {kernFPGA, ModeFPGA}} {
-			wantEst, wantAccept := refModel(read, ref, e, tc.mode)
+			model := charModel(tc.mode, read, ref, e)
+			wantEst, wantAccept := model.estimate, model.accept
 			d := tc.kern.Filter(read, ref, e)
 			if d.Accept != wantAccept || d.Estimate != wantEst {
 				return false

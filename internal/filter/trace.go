@@ -2,9 +2,9 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/bitvec"
 	"repro/internal/dna"
 )
 
@@ -37,16 +37,130 @@ type MaskStep struct {
 	A string
 }
 
+// charMasks is one shifted comparison of the per-character model: one bool
+// per base, true where the pair disagrees.
+type charMasks struct {
+	shift int
+	h, a  []bool
+}
+
+// charTrace is everything the per-character model computes for one pair.
+type charTrace struct {
+	steps    []charMasks
+	final    []bool
+	estimate int
+	accept   bool
+}
+
+// charModel is the GateKeeper-GPU algorithm one character at a time — no
+// words, no planes, no bit tricks. It is what Trace renders and the oracle the
+// kernel's tests and fuzz targets compare against: any divergence between the
+// two is a bug in the window reads, the block masking, the amendment, the edge
+// forcing, or the windowed counter. The caller guarantees equal lengths,
+// recognized bases and 0 <= e <= len(read).
+func charModel(mode Mode, read, ref []byte, e int) charTrace {
+	L := len(read)
+	shifts := []int{0}
+	for k := 1; k <= e; k++ {
+		shifts = append(shifts, k, -k) // deletion k, insertion k
+	}
+	var t charTrace
+	for _, shift := range shifts {
+		h := make([]bool, L)
+		for i := range h {
+			// A shift brings in zero bits, so before amendment a vacated
+			// position compares code 0 ('A') against the reference — exactly
+			// what the bit-parallel XOR produces.
+			var c byte
+			if j := i - shift; j >= 0 && j < L {
+				c, _ = dna.Code(read[j])
+			}
+			r, _ := dna.Code(ref[i])
+			h[i] = c != r
+		}
+		a := amendBools(h)
+		for i := range a {
+			if j := i - shift; j < 0 || j >= L {
+				a[i] = mode == ModeGPU // GPU forces 1s, FPGA zeroes
+			}
+		}
+		t.steps = append(t.steps, charMasks{shift: shift, h: h, a: a})
+	}
+	// e == 0 is exact matching: the Hamming row as it is, unamended.
+	t.final = t.steps[0].h
+	if e > 0 {
+		t.final = slices.Clone(t.steps[0].a)
+		for _, s := range t.steps[1:] {
+			for i := range t.final {
+				t.final[i] = t.final[i] && s.a[i]
+			}
+		}
+	}
+	t.estimate = countWindowsBools(t.final)
+	t.accept = t.estimate <= e
+	return t
+}
+
+// amendBools turns 0-runs of length <= 2 flanked by 1s into 1s.
+func amendBools(mask []bool) []bool {
+	out := slices.Clone(mask)
+	n := len(mask)
+	for i := 0; i < n; i++ {
+		if mask[i] {
+			continue
+		}
+		j := i
+		for j < n && !mask[j] {
+			j++
+		}
+		if j-i <= 2 && i-1 >= 0 && mask[i-1] && j < n && mask[j] {
+			for p := i; p < j; p++ {
+				out[p] = true
+			}
+		}
+		i = j - 1
+	}
+	return out
+}
+
+// countWindowsBools counts non-overlapping 4-bit windows containing any set
+// bit.
+func countWindowsBools(mask []bool) int {
+	count := 0
+	for i := 0; i < len(mask); i += 4 {
+		if slices.Contains(mask[i:min(i+4, len(mask))], true) {
+			count++
+		}
+	}
+	return count
+}
+
+// maskString renders a mask as a '0'/'1' string, position 0 first.
+func maskString(mask []bool) string {
+	out := make([]byte, len(mask))
+	for i, set := range mask {
+		out[i] = '0'
+		if set {
+			out[i] = '1'
+		}
+	}
+	return string(out)
+}
+
 // Trace runs one filtration capturing all intermediate masks. It allocates
 // freely and exists for inspection, documentation and debugging; the hot
-// path is Kernel.FilterPlanes. It builds whole masks from the interleaved
-// encoding, the way the unfused chain did, and its estimate is always
-// exhaustive, so it matches a Kernel in exact-estimate mode
+// path is Kernel.FilterPlanes. It renders the per-character model
+// (charModel), which shares no code with the kernel, and its estimate is
+// always exhaustive, so it matches a Kernel in exact-estimate mode
 // (SetExactEstimate) — the default kernel seals its decision early, with a
-// bound in place of the estimate.
+// bound in place of the estimate. Like Kernel.FilterChecked it refuses a
+// threshold no kernel geometry has: e < 0 or e > len(read).
 func Trace(mode Mode, read, ref []byte, e int) (MaskTrace, error) {
 	if len(read) != len(ref) {
 		return MaskTrace{}, fmt.Errorf("filter: trace on unequal lengths %d/%d", len(read), len(ref))
+	}
+	if e < 0 || e > len(read) {
+		return MaskTrace{}, fmt.Errorf("filter: trace error threshold %d outside [0,%d]", e, len(read))
 	}
 	if err := dna.Validate(read); err != nil {
 		return MaskTrace{}, err
@@ -54,74 +168,20 @@ func Trace(mode Mode, read, ref []byte, e int) (MaskTrace, error) {
 	if err := dna.Validate(ref); err != nil {
 		return MaskTrace{}, err
 	}
-	L := len(read)
-	readEnc, err := dna.Encode(read)
-	if err != nil {
-		return MaskTrace{}, err
+	m := charModel(mode, read, ref, e)
+	tr := MaskTrace{
+		ReadLen: len(read), E: e, Mode: mode,
+		Final: maskString(m.final), Estimate: m.estimate, Accept: m.accept,
 	}
-	refEnc, err := dna.Encode(ref)
-	if err != nil {
-		return MaskTrace{}, err
-	}
-	ew := bitvec.EncodedWords(L)
-	mw := bitvec.MaskWords(L)
-	shifted := make([]uint64, ew)
-	xorBuf := make([]uint64, ew)
-	mask := make([]uint64, mw)
-	amended := make([]uint64, mw)
-	final := make([]uint64, mw)
-
-	tr := MaskTrace{ReadLen: L, E: e, Mode: mode}
-
-	build := func(name string, shift int) {
+	for _, s := range m.steps {
+		name := "Hamming"
 		switch {
-		case shift == 0:
-			copy(shifted, readEnc)
-		case shift > 0:
-			bitvec.ShiftCharsUp(shifted, readEnc, shift)
-		default:
-			bitvec.ShiftCharsDown(shifted, readEnc, -shift)
+		case s.shift > 0:
+			name = fmt.Sprintf("Deletion %d", s.shift)
+		case s.shift < 0:
+			name = fmt.Sprintf("Insertion %d", -s.shift)
 		}
-		bitvec.XorInto(xorBuf, shifted, refEnc)
-		bitvec.Collapse(mask, xorBuf)
-		bitvec.ClearTail(mask, L)
-		h := bitvec.String(mask, L)
-		bitvec.Amend(amended, mask, L)
-		switch {
-		case shift > 0 && mode == ModeGPU:
-			bitvec.SetLeadingOnes(amended, shift)
-		case shift > 0:
-			bitvec.ClearLeading(amended, shift)
-		case shift < 0 && mode == ModeGPU:
-			bitvec.SetTrailingOnes(amended, L, -shift)
-		case shift < 0:
-			bitvec.ClearTrailing(amended, L, -shift)
-		}
-		tr.Steps = append(tr.Steps, MaskStep{
-			Name: name, Shift: shift, H: h, A: bitvec.String(amended, L),
-		})
-		if len(tr.Steps) == 1 {
-			copy(final, amended)
-		} else {
-			bitvec.AndInto(final, final, amended)
-		}
-	}
-
-	build("Hamming", 0)
-	if e > 0 {
-		for k := 1; k <= e; k++ {
-			build(fmt.Sprintf("Deletion %d", k), k)
-			build(fmt.Sprintf("Insertion %d", k), -k)
-		}
-		tr.Final = bitvec.String(final, L)
-		tr.Estimate = bitvec.CountWindowsLUT(final, L)
-	} else {
-		tr.Final = tr.Steps[0].H
-		tr.Estimate = bitvec.CountWindowsLUT(mask, L)
-	}
-	tr.Accept = tr.Estimate <= e
-	if e == 0 {
-		tr.Accept = tr.Estimate == 0
+		tr.Steps = append(tr.Steps, MaskStep{Name: name, Shift: s.shift, H: maskString(s.h), A: maskString(s.a)})
 	}
 	return tr, nil
 }

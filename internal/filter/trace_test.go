@@ -1,20 +1,24 @@
 package filter
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/dna"
+	"repro/internal/ref32"
 )
 
+// TestTraceMatchesKernelDecision holds Trace = exact-estimate Kernel = ref32,
+// decision and estimate, in both modes: on random pairs, on the block-seam
+// geometries TestBlockGeometryIdentity sweeps, and on a lower-case pair
+// (codes are compared, not bytes).
 func TestTraceMatchesKernelDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 60; trial++ {
-		L := 40 + rng.Intn(80)
-		e := rng.Intn(6)
-		read := dna.RandomSeq(rng, L)
-		ref := dna.MutateSubstitutions(rng, read, rng.Intn(10))
+	check := func(read, ref []byte, e int) {
+		t.Helper()
+		L := len(read)
 		for _, mode := range []Mode{ModeGPU, ModeFPGA} {
 			tr, err := Trace(mode, read, ref, e)
 			if err != nil {
@@ -24,11 +28,36 @@ func TestTraceMatchesKernelDecision(t *testing.T) {
 			kern.SetExactEstimate(true) // Trace's estimate is always exhaustive
 			d := kern.Filter(read, ref, e)
 			if tr.Accept != d.Accept || tr.Estimate != d.Estimate {
-				t.Fatalf("trace (est=%d acc=%v) != kernel (est=%d acc=%v), mode=%v trial=%d",
-					tr.Estimate, tr.Accept, d.Estimate, d.Accept, mode, trial)
+				t.Fatalf("L=%d e=%d mode=%v: trace (est=%d acc=%v) != kernel (est=%d acc=%v)\nread=%s\nref =%s",
+					L, e, mode, tr.Estimate, tr.Accept, d.Estimate, d.Accept, read, ref)
+			}
+			est32, acc32 := ref32.NewKernel(mode == ModeGPU, L).Filter(read, ref, e)
+			if tr.Accept != acc32 || tr.Estimate != est32 {
+				t.Fatalf("L=%d e=%d mode=%v: trace (est=%d acc=%v) != ref32 (est=%d acc=%v)\nread=%s\nref =%s",
+					L, e, mode, tr.Estimate, tr.Accept, est32, acc32, read, ref)
 			}
 		}
 	}
+	for trial := 0; trial < 60; trial++ {
+		L := 40 + rng.Intn(80)
+		read := dna.RandomSeq(rng, L)
+		check(read, dna.MutateSubstitutions(rng, read, rng.Intn(10)), rng.Intn(6))
+	}
+	for _, L := range []int{55, 56, 57, 63, 64, 65, 112, 113} {
+		for _, e := range []int{0, 1, 4, L / 10, 60, L} {
+			if e > L {
+				continue
+			}
+			for trial := 0; trial < 6; trial++ {
+				read, ref := blockSeamPair(rng, L, e, trial)
+				check(read, ref, e)
+			}
+		}
+	}
+	read := dna.RandomSeq(rng, 100)
+	ref := dna.MutateSubstitutions(rng, read, 4)
+	check(bytes.ToLower(read), ref, 3)
+	check(read, bytes.ToLower(ref), 3)
 }
 
 func TestTraceStructure(t *testing.T) {
@@ -99,6 +128,13 @@ func TestTraceErrors(t *testing.T) {
 	}
 	if _, err := Trace(ModeGPU, []byte("ACNT"), []byte("ACGT"), 1); err == nil {
 		t.Fatal("N accepted in trace")
+	}
+	// A threshold no kernel geometry has is refused, as FilterChecked does.
+	if _, err := Trace(ModeGPU, []byte("ACGT"), []byte("ACGT"), -1); err == nil {
+		t.Fatal("negative threshold traced")
+	}
+	if _, err := Trace(ModeGPU, []byte("ACGT"), []byte("ACGT"), 5); err == nil {
+		t.Fatal("threshold beyond the read length traced")
 	}
 }
 

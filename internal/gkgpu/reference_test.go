@@ -181,7 +181,7 @@ func TestReferenceNRecording(t *testing.T) {
 		t.Fatalf("nMask has %d bits set, want %d", set, len(nAt))
 	}
 	for _, p := range nAt {
-		if !bitvec.Bit(r.nMask, p) {
+		if r.nMask[p/64]>>uint(p%64)&1 == 0 {
 			t.Errorf("nMask bit %d not set", p)
 		}
 	}
