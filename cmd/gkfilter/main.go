@@ -58,6 +58,14 @@ func main() {
 		faultDie   = flag.Int("fault-die", 0, "simulated GPU 0 dies at its Nth launch (0 = never; -stream only)")
 	)
 	flag.Parse()
+	// Neither simdata.Generate nor Filter.Filter has an error to return, so
+	// a negative count or threshold is refused here.
+	if *n < 0 {
+		fatal(fmt.Errorf("-n %d: negative pair count", *n))
+	}
+	if *e < 0 {
+		fatal(fmt.Errorf("-e %d: negative error threshold", *e))
+	}
 
 	f, err := filter.New(*filterName)
 	if err != nil {
@@ -102,7 +110,7 @@ func main() {
 			fseed = *seed + 1000
 		}
 		results, err := streamFilter(reads, refs, *e, *gpus, *encoding, *verbose,
-			faultConfig{rate: *faultRate, seed: fseed, dieAt: *faultDie})
+			fseed, *faultRate, *faultDie)
 		if err != nil {
 			fatal(err)
 		}
@@ -130,18 +138,14 @@ func main() {
 	fmt.Printf("true rejects:  %s (rate %s)\n", metrics.FmtInt(c.TrueRejects), metrics.FmtPct(c.TrueRejectRate()))
 }
 
-// faultConfig carries the chaos-testing flags into the stream run.
-type faultConfig struct {
-	rate  float64
-	seed  int64
-	dieAt int
-}
-
 // streamFilter runs every pair through Engine.FilterStream in input order and
-// reports the engine's modelled clocks. Injected faults are survived
-// bit-identically while a device remains; a terminal failure surfaces as the
-// classified taxonomy error after the input fully drains.
-func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bool, fc faultConfig) ([]gkgpu.Result, error) {
+// reports the engine's modelled clocks. Injected faults (the -fault-* flags,
+// as cuda.Context.InjectFaults takes them) are survived bit-identically while
+// a device remains; a terminal failure surfaces as the classified taxonomy
+// error after the input fully drains.
+func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bool,
+	faultSeed int64, faultRate float64, faultDie int) ([]gkgpu.Result, error) {
+
 	if len(reads) == 0 {
 		return nil, nil
 	}
@@ -180,7 +184,7 @@ func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bo
 		return nil, err
 	}
 	defer eng.Close()
-	cctx.InjectFaults(fc.seed, fc.rate, fc.dieAt)
+	cctx.InjectFaults(faultSeed, faultRate, faultDie)
 
 	in := make(chan gkgpu.Pair, 1024)
 	out, err := eng.FilterStream(context.Background(), in, e)

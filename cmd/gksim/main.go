@@ -43,6 +43,9 @@ func main() {
 		seed    = flag.Int64("seed", 42, "generation seed")
 	)
 	flag.Parse()
+	if *n < 0 {
+		fatal(fmt.Errorf("-n %d: negative count", *n))
+	}
 
 	w := os.Stdout
 	if *out != "" {

@@ -10,13 +10,16 @@
 //     (GateKeeper-FPGA, SHD, MAGNET, Shouji, SneakySnake).
 //   - Engines: batched filtering on one or more simulated GPUs with the
 //     paper's unified-memory pipeline (system configuration, host/device
-//     encoding, prefetching, multi-GPU fan-out) and calibrated kernel/filter
-//     time, power, and occupancy telemetry. Every entry point runs the same
-//     synchronized rounds under one fault contract: Engine.FilterPairs over
-//     a slice, Engine.FilterStream over a channel — pairs flow in (many
-//     concurrent producers are fine), are batched, and results flow out in
-//     input order, clocked as the double-buffered device that overlaps the
-//     host encoding of one batch with the kernel of the previous one.
+//     encoding, multi-GPU fan-out) and calibrated kernel/filter time, power,
+//     and occupancy telemetry. Every entry point runs the same synchronized
+//     rounds under one fault contract: Engine.FilterPairs over a slice,
+//     Engine.FilterStream over a channel — pairs flow in (many concurrent
+//     producers are fine), are batched, and results flow out in input
+//     order. A device holds one set of unified-memory buffers, read and
+//     written in place by host and kernel; memory advice, prefetching,
+//     on-demand paging and the double buffering that overlaps the host
+//     encoding of one batch with the kernel of the previous one are the cost
+//     model's (cuda.CostModel), which is what a stream's clock reads.
 //   - Mapper: an mrFAST-style seed-and-extend read mapper with the engine as
 //     its pre-alignment stage, reproducing the whole-genome evaluation.
 //

@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -68,7 +69,7 @@ func TestUnifiedMemoryAllocation(t *testing.T) {
 
 func TestUnifiedMemoryDoubleFree(t *testing.T) {
 	d := NewDevice(0, GTX1080Ti())
-	buf, err := d.AllocUnified(PageSize)
+	buf, err := d.AllocUnified(64 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,73 +81,37 @@ func TestUnifiedMemoryDoubleFree(t *testing.T) {
 	}
 }
 
-func TestUnifiedMemoryMigration(t *testing.T) {
-	d := NewDevice(0, GTX1080Ti())
-	buf, err := d.AllocUnified(4 * PageSize)
+func TestMapUnifiedSharesStorage(t *testing.T) {
+	// One allocation mapped by two devices: each reserves its bytes, both see
+	// the same words, and freeing one mapping releases that device only.
+	words := make([]uint64, 1<<10)
+	d0, d1 := NewDevice(0, GTX1080Ti()), NewDevice(1, TeslaK20X())
+	free0, free1 := d0.FreeMem(), d1.FreeMem()
+	b0, err := d0.MapUnified(words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer buf.Free()
-	if buf.ResidentOnDevice() != 0 {
-		t.Fatal("fresh unified buffer should be host-resident")
-	}
-	buf.DeviceTouch(0, 2*PageSize)
-	if got := buf.ResidentOnDevice(); got != 0.5 {
-		t.Fatalf("after touching half: resident = %v", got)
-	}
-	fault, prefetch := buf.MigrationStats()
-	if fault != 2*PageSize || prefetch != 0 {
-		t.Fatalf("migration stats fault=%d prefetch=%d", fault, prefetch)
-	}
-	s := d.NewStream()
-	buf.PrefetchAsync(s)
-	if buf.ResidentOnDevice() != 1 {
-		t.Fatal("prefetch should migrate everything")
-	}
-	fault, prefetch = buf.MigrationStats()
-	if prefetch != 2*PageSize {
-		t.Fatalf("prefetch moved %d bytes, want %d", prefetch, 2*PageSize)
-	}
-	_ = fault
-	// Host write pulls pages back.
-	buf.HostWrite(0, PageSize)
-	if got := buf.ResidentOnDevice(); got != 0.75 {
-		t.Fatalf("after host write: resident = %v", got)
-	}
-	// Re-prefetching already resident pages moves nothing new.
-	buf.PrefetchAsync(s)
-	if buf.ResidentOnDevice() != 1 {
-		t.Fatal("re-prefetch failed")
-	}
-}
-
-func TestKeplerSkipsAdviseAndPrefetch(t *testing.T) {
-	d := NewDevice(0, TeslaK20X())
-	buf, err := d.AllocUnified(2 * PageSize)
+	b1, err := d1.MapUnified(words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer buf.Free()
-	buf.Advise(AdvisePreferredDevice)
-	if buf.Advice() != AdviseNone {
-		t.Fatal("Kepler recorded memory advice; it must be skipped below cc 6.x")
+	if b0.Len() != 8<<10 || d0.FreeMem() != free0-8<<10 || d1.FreeMem() != free1-8<<10 {
+		t.Fatalf("mapping %d bytes: free fell by %d and %d", b0.Len(), free0-d0.FreeMem(), free1-d1.FreeMem())
 	}
-	buf.PrefetchAsync(nil)
-	if buf.ResidentOnDevice() != 0 {
-		t.Fatal("Kepler prefetched; it must be skipped below cc 6.x")
+	b0.Words()[7] = 42
+	if b1.Words()[7] != 42 || words[7] != 42 || b1.Bytes()[7*8] != 42 {
+		t.Fatal("mappings of one allocation do not share its storage")
 	}
-}
-
-func TestAdviseOnPascal(t *testing.T) {
-	d := NewDevice(0, GTX1080Ti())
-	buf, err := d.AllocUnified(PageSize)
-	if err != nil {
-		t.Fatal(err)
+	b0.Free()
+	if d0.FreeMem() != free0 || d1.FreeMem() != free1-8<<10 {
+		t.Fatal("freeing one mapping must release that device's reservation only")
 	}
-	defer buf.Free()
-	buf.Advise(AdvisePreferredDevice)
-	if buf.Advice() != AdvisePreferredDevice {
-		t.Fatal("advice not recorded on Pascal")
+	if _, err := d0.MapUnified(nil); err == nil {
+		t.Fatal("empty mapping accepted")
+	}
+	d0.InjectFaults(NewFaultPlan(1).FailNth(OpAlloc, 1))
+	if _, err := d0.MapUnified(words); !errors.Is(err, ErrInjectedAlloc) || d0.FreeMem() != free0 {
+		t.Fatalf("mapping under an allocation fault: %v, free %d of %d", err, d0.FreeMem(), free0)
 	}
 }
 

@@ -7,6 +7,13 @@
 // their true geometry so the configuration logic of Section 3.1 (thread
 // load, batch size, blocks and threads per kernel) runs unchanged.
 //
+// Unified memory is one pointer here too: a UMBuffer is storage both sides
+// read and write in place, charged to the device's global memory. The driver's
+// side of it — memory advice, prefetch streams, page migration and the double
+// buffering that overlaps them with the kernel — is not acted out on the host;
+// CostModel charges it (TransferSeconds, KernelSeconds,
+// PipelinedFilterSeconds), and a fault plan draws its failures.
+//
 // The split matters for what the reproduction can claim: every accept/reject
 // decision is computed for real by the kernel function, so the accuracy
 // experiments are exact; the timing/power experiments reproduce the paper's
@@ -228,9 +235,10 @@ func NewContext(specs ...DeviceSpec) *Context {
 }
 
 // NewUniformContext creates a context with n identical devices, like the
-// paper's 8x GTX 1080 Ti or 4x Tesla K20X hosts.
+// paper's 8x GTX 1080 Ti or 4x Tesla K20X hosts. A count of zero or less
+// gives a context with no devices, which no engine accepts.
 func NewUniformContext(n int, spec DeviceSpec) *Context {
-	specs := make([]DeviceSpec, n)
+	specs := make([]DeviceSpec, max(n, 0))
 	for i := range specs {
 		specs[i] = spec
 	}

@@ -13,11 +13,11 @@ import (
 // demand so the engine's fault-tolerance paths are testable. A device with no
 // plan attached pays one nil check per operation and nothing else.
 //
-// Faults follow the CUDA error model: Launch and AllocUnified fail
-// synchronously, while transfer faults (PrefetchAsync/DeviceTouch are
-// asynchronous in the real runtime) are recorded and surface at the next
-// synchronization point — the next Launch on the device — exactly as an
-// async CUDA error surfaces at the next cudaDeviceSynchronize.
+// Faults follow the CUDA error model: Launch, AllocUnified and MapUnified fail
+// synchronously, while transfer faults (UMBuffer.Transfer: a prefetch or a
+// first touch, asynchronous in the real runtime) are recorded and surface at
+// the next synchronization point — the next Launch on the device — exactly as
+// an async CUDA error surfaces at the next cudaDeviceSynchronize.
 
 // FaultOp identifies an operation class a FaultPlan can target.
 type FaultOp uint8

@@ -119,16 +119,16 @@ func TestFaultPlanAlloc(t *testing.T) {
 }
 
 func TestFaultPlanTransferSurfacesAtLaunch(t *testing.T) {
-	// Transfer faults are asynchronous: the faulting prefetch itself does not
+	// Transfer faults are asynchronous: the faulting transfer itself does not
 	// report, the next launch (the synchronization point) does.
 	d := NewDevice(0, GTX1080Ti())
 	d.InjectFaults(NewFaultPlan(11).FailNth(OpTransfer, 1))
-	buf, err := d.AllocUnified(PageSize)
+	buf, err := d.AllocUnified(64 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer buf.Free()
-	buf.PrefetchAsync(nil)
+	buf.Transfer()
 	errs := launchN(t, d, 2)
 	if !errors.Is(errs[0], ErrInjectedTransfer) {
 		t.Fatalf("sync point after faulted transfer: %v, want ErrInjectedTransfer", errs[0])

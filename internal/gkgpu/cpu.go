@@ -151,7 +151,7 @@ func (c *CPUEngine) FilterCandidates(reads [][]byte, cands []Candidate, errThres
 	start := time.Now()
 	workers := c.workersFor(len(cands))
 	par.For(workers, len(cands), hostGrain, func(w, lo, hi int) {
-		candidateRange(c.kernels[w], c.ref, c.ref.lo, c.ref.hi, c.cand.planes, c.cand.hasN,
+		candidateRange(c.kernels[w], c.ref, c.cand.planes, c.cand.hasN,
 			cands[lo:hi], results[lo:hi], errThreshold)
 	})
 

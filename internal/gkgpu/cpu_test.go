@@ -321,7 +321,7 @@ func TestCandidateRangeZeroAllocs(t *testing.T) {
 	out := make([]Result, len(cands))
 	kern := filter.NewKernel(filter.ModeGPU, 100, 5)
 	if allocs := testing.AllocsPerRun(200, func() {
-		candidateRange(kern, ref, ref.lo, ref.hi, planes, readHasN, cands, out, 5)
+		candidateRange(kern, ref, planes, readHasN, cands, out, 5)
 	}); allocs != 0 {
 		t.Fatalf("candidateRange allocated %.1f allocs/op, want 0", allocs)
 	}

@@ -2,7 +2,6 @@ package gkgpu
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -38,13 +37,11 @@ type Stats struct {
 	Redispatches int64
 	DevicesLost  int64
 
-	KernelSeconds     float64 // modelled device time (max across devices per round)
-	FilterSeconds     float64 // modelled end-to-end filtering time
-	HostPrepSeconds   float64 // modelled host encode/fill share of FilterSeconds
-	TransferSeconds   float64 // modelled PCIe share of FilterSeconds
-	WallSeconds       float64
-	FaultMigrations   int64 // unified-memory bytes moved on demand
-	PrefetchMigration int64 // unified-memory bytes moved by prefetch
+	KernelSeconds   float64 // modelled device time (max across devices per round)
+	FilterSeconds   float64 // modelled end-to-end filtering time
+	HostPrepSeconds float64 // modelled host encode/fill share of FilterSeconds
+	TransferSeconds float64 // modelled PCIe share of FilterSeconds
+	WallSeconds     float64
 }
 
 // RejectionRate returns rejected / total pairs.
@@ -55,9 +52,7 @@ func (s Stats) RejectionRate() float64 {
 	return float64(s.Rejected) / float64(s.Pairs)
 }
 
-// add merges a locally accumulated Stats delta into s. The migration fields
-// are absolute gauges, not deltas: add ignores them and commitStats
-// recomputes both from live buffer state after every merge.
+// add merges a locally accumulated Stats delta into s.
 func (s *Stats) add(d Stats) {
 	s.Pairs += d.Pairs
 	s.Accepted += d.Accepted
@@ -74,43 +69,34 @@ func (s *Stats) add(d Stats) {
 	s.WallSeconds += d.WallSeconds
 }
 
-// bufferSets is how many independent buffer sets each device holds. Two sets
-// are what lets a real host encode batch N+1 while the kernel consumes batch
-// N, the overlap a stream's clock models (pipelinedClock); the
-// system-configuration stage divides the memory budget accordingly. A
-// stream's batches alternate between them; the one-shot calls use the first.
-const bufferSets = 2
-
-// bufferSet is one independent group of unified-memory buffers plus the
-// prefetch streams that drive its transfers. A set belongs to one share of
-// one round at a time: the share's body fills it, launches over it and
-// decodes its results before returning.
+// bufferSet is a device's unified-memory input buffers: the sequences of a
+// share of pairs in their transfer format and one undefined flag per pair.
+// Each device holds one set, and a set belongs to one share of one round at a
+// time: the share's body fills it and launches over it before returning.
+// Results are not in it: a kernel thread writes its Result where the host
+// reads it. The second set of the paper's double-buffered device, like the
+// advice and the prefetch streams on the first, exists in the cost model only
+// (pipelinedClock).
 type bufferSet struct {
 	readBuf *cuda.UMBuffer
 	refBuf  *cuda.UMBuffer
 	flagBuf *cuda.UMBuffer
-	resBuf  *cuda.UMBuffer
-	streams []*cuda.Stream
 }
 
 func (s *bufferSet) free() {
-	if s == nil {
-		return
-	}
-	for _, b := range []*cuda.UMBuffer{s.readBuf, s.refBuf, s.flagBuf, s.resBuf} {
+	for _, b := range []*cuda.UMBuffer{s.readBuf, s.refBuf, s.flagBuf} {
 		if b != nil {
 			b.Free()
 		}
 	}
 }
 
-// deviceState is the per-device slice of the engine: double-buffered unified
-// memory and one filter kernel per executor goroutine (the per-thread stack
-// frames).
+// deviceState is the per-device slice of the engine: its buffer set and one
+// filter kernel per executor goroutine (the per-thread stack frames).
 type deviceState struct {
 	dev     *cuda.Device
 	sys     SystemConfig
-	sets    [bufferSets]*bufferSet
+	set     bufferSet
 	kernels []*filter.Kernel
 	// down marks the device quarantined: permanently failed (device lost)
 	// or repeatedly faulting. Quarantine outlives the call that imposed it;
@@ -157,11 +143,11 @@ type Engine struct {
 
 // NewEngine configures buffers and kernels on every device of ctx for the
 // given geometry, performing the paper's configuration and resource
-// allocation stages. Each device receives two full buffer sets, as the
-// double-buffered device the streams' clock models would; the memory-derived
-// batch capacity is halved accordingly (deliberately eager — allocation
-// failures surface here, never mid-stream). Configurations bounded by
-// MaxBatchPairs, the common case, are unaffected.
+// allocation stages. Each device receives one buffer set for a full batch
+// (deliberately eager — allocation failures surface here, never mid-stream);
+// the batch itself is sized for the double-buffered device the streams' clock
+// models (Configure halves the memory budget), which configurations bounded
+// by MaxBatchPairs, the common case, never notice.
 func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -183,13 +169,10 @@ func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 		if cfg.Encoding == EncodeOnDevice {
 			seqBytes = max(cfg.ReadLen, seqBytes)
 		}
-		for i := range st.sets {
-			set, err := allocSet(dev, sys.BatchPairs, seqBytes)
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			st.sets[i] = set
+		var err error
+		if st.set, err = allocSet(dev, sys.BatchPairs, seqBytes); err != nil {
+			e.Close()
+			return nil, err
 		}
 		for range cuda.MaxWorkers(sys.BatchPairs) {
 			st.kernels = append(st.kernels, filter.NewKernel(filter.ModeGPU, cfg.ReadLen, cfg.MaxE))
@@ -199,33 +182,18 @@ func NewEngine(cfg Config, ctx *cuda.Context) (*Engine, error) {
 	return e, nil
 }
 
-// allocSet allocates one buffer set on the device and applies the paper's
-// memory advice: "the preferred location of the data is set to be the GPU
-// device for the input buffers"; each buffer prefetches on its own stream.
-func allocSet(dev *cuda.Device, batchPairs, seqBytes int) (*bufferSet, error) {
-	set := &bufferSet{}
-	var err error
+// allocSet allocates a device's buffer set, or nothing.
+func allocSet(dev *cuda.Device, batchPairs, seqBytes int) (set bufferSet, err error) {
 	if set.readBuf, err = dev.AllocUnified(batchPairs * seqBytes); err != nil {
-		set.free()
-		return nil, fmt.Errorf("gkgpu: read buffer: %w", allocFault(dev, err))
+		return bufferSet{}, fmt.Errorf("gkgpu: read buffer: %w", allocFault(dev, err))
 	}
 	if set.refBuf, err = dev.AllocUnified(batchPairs * seqBytes); err != nil {
 		set.free()
-		return nil, fmt.Errorf("gkgpu: reference buffer: %w", allocFault(dev, err))
+		return bufferSet{}, fmt.Errorf("gkgpu: reference buffer: %w", allocFault(dev, err))
 	}
 	if set.flagBuf, err = dev.AllocUnified(batchPairs); err != nil {
 		set.free()
-		return nil, fmt.Errorf("gkgpu: flag buffer: %w", allocFault(dev, err))
-	}
-	if set.resBuf, err = dev.AllocUnified(batchPairs * resultStride); err != nil {
-		set.free()
-		return nil, fmt.Errorf("gkgpu: result buffer: %w", allocFault(dev, err))
-	}
-	set.readBuf.Advise(cuda.AdvisePreferredDevice)
-	set.refBuf.Advise(cuda.AdvisePreferredDevice)
-	set.flagBuf.Advise(cuda.AdvisePreferredDevice)
-	for i := 0; i < 3; i++ {
-		set.streams = append(set.streams, dev.NewStream())
+		return bufferSet{}, fmt.Errorf("gkgpu: flag buffer: %w", allocFault(dev, err))
 	}
 	return set, nil
 }
@@ -239,9 +207,7 @@ func (e *Engine) Close() {
 	defer e.runMu.Unlock()
 	e.clearReference()
 	for _, st := range e.states {
-		for _, set := range st.sets {
-			set.free()
-		}
+		st.set.free()
 	}
 	e.states = nil
 }
@@ -272,22 +238,11 @@ func (e *Engine) ResetStats() {
 	e.stats = Stats{}
 }
 
-// commitStats merges a runRounds call's delta and refreshes the
-// unified-memory migration gauges.
+// commitStats merges a runRounds call's delta.
 func (e *Engine) commitStats(d Stats) {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	e.stats.add(d)
-	e.stats.FaultMigrations = 0
-	e.stats.PrefetchMigration = 0
-	for _, st := range e.states {
-		for _, set := range st.sets {
-			f1, p1 := set.readBuf.MigrationStats()
-			f2, p2 := set.refBuf.MigrationStats()
-			e.stats.FaultMigrations += f1 + f2
-			e.stats.PrefetchMigration += p1 + p2
-		}
-	}
 }
 
 // countDecisions folds a result slice into the Stats decision counters.
@@ -334,13 +289,14 @@ func (e *Engine) sequentialClock(spec cuda.DeviceSpec, share cuda.Workload, nAct
 	}
 }
 
-// pipelinedClock is a stream's clock, the double-buffered device the engine
-// allocates two buffer sets for: the host encode of the next batch (spread
-// over the modelled platform's encode pool, not the simulating machine's, so
-// the clock reads the same anywhere) hides behind the transfer and kernel of
-// this one, and a share costs the slower of the two stages instead of their
-// sum. Only the model overlaps them; the simulation runs a stream's rounds
-// one after the other like any other call's.
+// pipelinedClock is a stream's clock, the paper's double-buffered device: the
+// host encode of the next batch (spread over the modelled platform's encode
+// pool, not the simulating machine's, so the clock reads the same anywhere)
+// hides behind the transfer and kernel of this one, and a share costs the
+// slower of the two stages instead of their sum. The second buffer set and
+// the overlap are CostModel.PipelinedFilterSeconds' alone; the simulation
+// runs a stream's rounds one after the other, on the one set a device holds,
+// like any other call's.
 func (e *Engine) pipelinedClock(spec cuda.DeviceSpec, share cuda.Workload, _ int) shareClock {
 	m := e.cfg.Model
 	encWorkers := max(e.cfg.Setup.EncodeWorkers, 1)
@@ -669,7 +625,7 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 	err := e.runRounds(roundPlan{
 		ctx: context.Background(), batch: -1,
 		shape: e.workload(errThreshold), clock: e.sequentialClock,
-		body: e.pairBody(0, pairs, results, errThreshold),
+		body: e.pairBody(pairs, results, errThreshold),
 	}, results)
 	if err != nil {
 		return nil, err
@@ -679,14 +635,12 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 
 // pairBody is the round body of the materialized-pair paths (FilterPairs, and
 // FilterStream batch by batch): a device's share of pairs filled into its
-// buffer set number set (preprocessing), advised and prefetched, launched,
-// and the result buffer decoded into results.
-func (e *Engine) pairBody(set int, pairs []Pair, results []Result, errThreshold int) shareBody {
+// buffer set (preprocessing), moved to the device and filtered into results.
+func (e *Engine) pairBody(pairs []Pair, results []Result, errThreshold int) shareBody {
 	return func(_ int, st *deviceState, lo, hi int) error {
-		bs := st.sets[set]
-		e.encodeChunk(bs, pairs[lo:hi])
-		e.prefetch(st, bs)
-		return e.launchDecode(st, bs, hi-lo, errThreshold, results[lo:hi])
+		e.encodeChunk(&st.set, pairs[lo:hi])
+		st.drawTransfers(st.set.readBuf, st.set.refBuf)
+		return e.launchPairs(st, errThreshold, results[lo:hi])
 	}
 }
 
@@ -727,84 +681,49 @@ func (e *Engine) encodeChunk(set *bufferSet, chunk []Pair) {
 			}
 		}
 	})
-
-	seqBytes := encWords * 8
-	if deviceEncoded {
-		seqBytes = L
-	}
-	set.readBuf.HostWrite(0, n*seqBytes)
-	set.refBuf.HostWrite(0, n*seqBytes)
-	set.flagBuf.HostWrite(0, n)
 }
 
-// prefetch submits each input buffer's migration on its own stream (no-ops
-// on Kepler, where the kernel's first touch pays the fault path instead).
-func (e *Engine) prefetch(st *deviceState, set *bufferSet) {
-	set.readBuf.PrefetchAsync(set.streams[0])
-	set.refBuf.PrefetchAsync(set.streams[1])
-	set.flagBuf.PrefetchAsync(set.streams[2])
-	if !st.dev.Spec.SupportsPrefetch() {
-		// On-demand migration when the kernel touches the buffers.
-		set.readBuf.DeviceTouch(0, set.readBuf.Len())
-		set.refBuf.DeviceTouch(0, set.refBuf.Len())
+// drawTransfers draws the transfer faults of a share whose sequences lie in
+// seqs, and is the engine's one statement of the prefetch-or-fault policy
+// (the cost model charges the same policy, CostModel.TransferSeconds): a
+// prefetching device submits a cudaMemPrefetchAsync for each sequence buffer
+// and for the flags; on a Kepler the kernel's first touch pages in each
+// sequence buffer, and the flag bytes ride along.
+func (st *deviceState) drawTransfers(seqs ...*cuda.UMBuffer) {
+	for _, b := range seqs {
+		b.Transfer()
+	}
+	if st.dev.Spec.SupportsPrefetch() {
+		st.set.flagBuf.Transfer()
 	}
 }
 
-// launchDecode launches the filtration kernel over an encoded buffer set —
-// each thread reads its pair where encodeChunk left it — and decodes the
-// result buffer into out.
-func (e *Engine) launchDecode(st *deviceState, set *bufferSet, n, errThreshold int, out []Result) error {
+// launchPairs launches the filtration kernel over the device's filled buffer
+// set: each thread reads its pair where encodeChunk left it and writes its
+// result where the host reads it, through the shared pointer — the return of
+// the launch is the batch's only synchronization point (Section 3.5).
+func (e *Engine) launchPairs(st *deviceState, errThreshold int, out []Result) error {
 	L := e.cfg.ReadLen
 	encWords := bitvec.EncodedWords(L)
-	flags := set.flagBuf.Bytes()
-	res := set.resBuf.Bytes()
-	rb, fb := set.readBuf.Bytes(), set.refBuf.Bytes()
-	rw, fw := set.readBuf.Words(), set.refBuf.Words()
-	err := st.launch(n, func(worker, lo, hi int) {
+	flags := st.set.flagBuf.Bytes()
+	rb, fb := st.set.readBuf.Bytes(), st.set.refBuf.Bytes()
+	rw, fw := st.set.readBuf.Words(), st.set.refBuf.Words()
+	return st.launch(len(out), func(worker, lo, hi int) {
 		kern := st.kernels[worker]
 		for tid := lo; tid < hi; tid++ {
-			var r Result
 			if flags[tid] == 1 {
-				r = Result{Accept: true, Undefined: true}
+				out[tid] = Result{Accept: true, Undefined: true}
 			} else if e.cfg.Encoding == EncodeOnDevice {
 				d, ferr := kern.FilterChecked(rb[tid*L:(tid+1)*L], fb[tid*L:(tid+1)*L], errThreshold)
 				if ferr != nil {
-					r = Result{Accept: true} // defensive: pass to verification
+					out[tid] = Result{Accept: true} // defensive: pass to verification
 				} else {
-					r = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
+					out[tid] = Result{Accept: d.Accept, Undefined: d.Undefined, Estimate: uint16(d.Estimate)}
 				}
 			} else {
 				est, accept := kern.FilterEncoded(rw[tid*encWords:][:encWords], fw[tid*encWords:][:encWords], errThreshold)
-				r = Result{Accept: accept, Estimate: uint16(est)}
+				out[tid] = Result{Accept: accept, Estimate: uint16(est)}
 			}
-			base := tid * resultStride
-			if r.Accept {
-				res[base] = 1
-			} else {
-				res[base] = 0
-			}
-			if r.Undefined {
-				res[base+1] = 1
-			} else {
-				res[base+1] = 0
-			}
-			binary.LittleEndian.PutUint16(res[base+2:], r.Estimate)
 		}
 	})
-	if err != nil {
-		return err
-	}
-
-	// The host reads results back through the shared pointer — the batch's
-	// only synchronization point (Section 3.5).
-	set.resBuf.HostWrite(0, n*resultStride)
-	for i := range out {
-		base := i * resultStride
-		out[i] = Result{
-			Accept:    res[base] == 1,
-			Undefined: res[base+1] == 1,
-			Estimate:  binary.LittleEndian.Uint16(res[base+2:]),
-		}
-	}
-	return nil
 }

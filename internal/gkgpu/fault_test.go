@@ -350,17 +350,25 @@ func TestNewEngineAllocFaultClassified(t *testing.T) {
 }
 
 func TestSetReferenceAllocFaultClassified(t *testing.T) {
-	ctx := cuda.NewUniformContext(1, cuda.GTX1080Ti())
+	ctx := cuda.NewUniformContext(2, cuda.GTX1080Ti())
 	eng, err := NewEngine(Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 64}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// The engine's own buffer sets allocate 8 buffers; fail the 9th — the
-	// reference load.
-	ctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).FailNth(cuda.OpAlloc, 1))
+	// The plan attaches after the engine's own buffers are allocated, so its
+	// first allocation is the reference load — on the second device, after
+	// the first has mapped the planes.
+	free0, free1 := ctx.Device(0).FreeMem(), ctx.Device(1).FreeMem()
+	ctx.Device(1).InjectFaults(cuda.NewFaultPlan(1).FailNth(cuda.OpAlloc, 1))
 	if err := eng.SetReference(make([]byte, 4096)); !errors.Is(err, ErrAlloc) {
 		t.Fatalf("SetReference alloc fault: %v, want ErrAlloc", err)
+	}
+	if got0, got1 := ctx.Device(0).FreeMem(), ctx.Device(1).FreeMem(); got0 != free0 || got1 != free1 {
+		t.Fatalf("failed SetReference kept memory reserved: device 0 %d of %d, device 1 %d of %d", got0, free0, got1, free1)
+	}
+	if eng.ref != nil {
+		t.Fatal("a failed SetReference left the engine with a reference")
 	}
 }
 

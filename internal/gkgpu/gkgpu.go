@@ -5,13 +5,18 @@
 //
 // The engine follows the paper's four steps: (1) system configuration —
 // compute the per-thread memory load and the largest batch of filtrations
-// the device's free global memory sustains; (2) resource allocation —
-// unified-memory buffers for reads, candidate segments, undefined flags and
-// results; (3) preprocessing — 2-bit encoding on the host or inside the
-// kernel, batching many reads per kernel call; (4) the kernel itself — one
-// logical thread per filtration, results written back through unified
-// memory, with memory advice and asynchronous prefetch on supporting
-// devices.
+// the device's free global memory sustains; (2) resource allocation — one
+// set of unified-memory buffers per device for reads, candidate segments and
+// undefined flags; (3) preprocessing — 2-bit encoding on the host or inside
+// the kernel, batching many reads per kernel call; (4) the kernel itself — one
+// logical thread per filtration, each result written where the host reads it.
+// Unified memory is one pointer and the engine uses it as one: what the CUDA
+// driver does behind that pointer — memory advice and asynchronous prefetch on
+// Pascal, on-demand paging on Kepler, the second buffer set of a
+// double-buffered stream — is charged by the cost model
+// (cuda.CostModel.TransferSeconds, KernelSeconds, PipelinedFilterSeconds) and
+// not acted out on the host; the engine only draws the transfers' faults
+// (deviceState.drawTransfers).
 //
 // Every filtering call is the same loop (Engine.runRounds): the items are cut
 // into synchronized rounds — "the batch size is equal for all devices to
@@ -41,11 +46,12 @@
 // consumer lags); cancellation by context; a bounded wait (streamLinger) before
 // a partly filled batch runs; and, when it fails, its input drained to the
 // close so no producer blocks. Decisions are identical on all four; a stream's
-// modelled clock differs, because it is charged as the double-buffered device
-// the engine allocates two buffer sets for — host encode of batch N+1 hidden
-// behind the kernel of batch N (CostModel.PipelinedFilterSeconds). That
-// overlap exists in the model only: here the "device" is the same CPU, so the
-// simulation runs a stream's batches one after the other.
+// modelled clock differs, because it is charged as the paper's double-buffered
+// device — host encode of batch N+1 hidden behind the kernel of batch N
+// (CostModel.PipelinedFilterSeconds). That overlap, and the second buffer set
+// it takes, exist in the model only: here the "device" is the same CPU, so the
+// simulation runs a stream's batches one after the other through the one
+// buffer set each device holds.
 //
 // The engine is one kernel body run by whichever processor is at hand.
 // FilterCandidates on Engine and on CPUEngine (the Section 4.3 baseline) share
@@ -179,7 +185,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is one filtration outcome in the result buffer. Estimate follows
+// Result is one filtration outcome. Estimate follows
 // the kernel's hot-path semantics (filter.Decision.Estimate): it is the bound
 // the decision was sealed at, not the exhaustive windowed count — on an
 // accept an upper bound on that count, <= the threshold; on a reject a lower
@@ -196,6 +202,7 @@ type Pair struct {
 	Read, Ref []byte
 }
 
-// resultStride is the per-pair footprint in the result buffer: accept flag,
-// undefined flag, and a 16-bit edit-distance approximation.
+// resultStride is a Result's footprint in the modelled device's memory budget
+// (Configure): accept flag, undefined flag, and a 16-bit edit-distance
+// approximation.
 const resultStride = 4

@@ -38,8 +38,9 @@ type packedRef struct {
 	// one after the last base: a kernel block reads 4 guard columns before its
 	// window and up to 59 after it, and the pads keep those reads in range at
 	// either end of the reference. An unknown base encodes as 0 and is told
-	// apart by nMask alone.
-	lo, hi []uint64
+	// apart by nMask alone. They are the two halves of planes, one allocation,
+	// so a device maps both as one unified-memory buffer.
+	planes, lo, hi []uint64
 	// nMask has bit i%64 of word i/64 set when base i is not A/C/G/T
 	// (either case): windows overlapping one bypass filtration as undefined.
 	nMask []uint64
@@ -58,10 +59,12 @@ const packGrain = 1 << 10
 // one word of each plane and of nMask — so no two workers write the same word.
 func packReference(seq []byte) *packedRef {
 	words := bitvec.MaskWords(len(seq))
+	planes := make([]uint64, 2*(words+2))
 	p := &packedRef{
 		length: len(seq),
-		lo:     make([]uint64, words+2),
-		hi:     make([]uint64, words+2),
+		planes: planes,
+		lo:     planes[:words+2],
+		hi:     planes[words+2:],
 		nMask:  make([]uint64, words),
 	}
 	par.For(cuda.MaxWorkers(words), words, packGrain, func(_, lo, hi int) {
@@ -174,11 +177,11 @@ func (s *candidateScratch) prepare(readLen, maxE int, ref *packedRef, reads [][]
 // whose read (readHasN, set by the call's one encode walk) or reference window
 // (ref's 'N' bitmap) holds an unknown base is Undefined+Accept without
 // touching the kernel; any other is filtered where it lies — the read's planes
-// in their slot of planes, the window at its bit offset in refLo/refHi
-// (the CPU engine's host planes, the GPU engine's unified-memory copy).
+// in their slot of planes, the window at its bit offset in ref's (one copy,
+// which the host and every device read through the one pointer).
 //
 //gk:noalloc
-func candidateRange(kern *filter.Kernel, ref *packedRef, refLo, refHi, planes []uint64, readHasN []bool,
+func candidateRange(kern *filter.Kernel, ref *packedRef, planes []uint64, readHasN []bool,
 	cands []Candidate, out []Result, errThreshold int) {
 
 	L := kern.ReadLen()
@@ -190,34 +193,25 @@ func candidateRange(kern *filter.Kernel, ref *packedRef, refLo, refHi, planes []
 			continue
 		}
 		readLo, readHi := readPlanes(planes, cd.ReadID, planeWords)
-		est, accept := kern.FilterPlanes(readLo, readHi, refLo, refHi, planeOff(cd.Pos), errThreshold)
+		est, accept := kern.FilterPlanes(readLo, readHi, ref.lo, ref.hi, planeOff(cd.Pos), errThreshold)
 		out[i] = Result{Accept: accept, Estimate: uint16(est)}
 	}
 }
 
-// reference is the GPU engine's loaded reference: the packed form's length
-// and 'N' bitmap on the host, and its planes in unified memory, one copy per
-// device — the low plane then the high, each with its pad words (the
-// host-side planes are dropped once the buffers are filled).
+// reference is the GPU engine's loaded reference: the packed form, one copy
+// that every kernel reads in place, and each device's mapping of its planes —
+// bufs[i] is what device i reserves for them and faults on moving them.
 type reference struct {
 	*packedRef
 	bufs []*cuda.UMBuffer
 }
 
-// planes returns device devIdx's resident planes, marking the buffer touched
-// by the kernel about to read them (on-demand migration on Kepler).
-func (r *reference) planes(devIdx int) (lo, hi []uint64) {
-	buf := r.bufs[devIdx]
-	buf.DeviceTouch(0, buf.Len())
-	words := buf.Words()
-	return words[:len(words)/2], words[len(words)/2:]
-}
-
-// SetReference encodes seq and loads it into every device's unified memory,
-// keeping the 'N' bitmap on the host. It must be called before
-// FilterCandidates and may be called again to replace the reference; it
-// waits for any in-progress filtering call or stream batch, so the old
-// reference is never freed under a running kernel.
+// SetReference encodes seq once and maps its planes into every device's
+// unified memory (read-mostly data: each device accounts for the copy the
+// driver would keep on it), keeping the 'N' bitmap on the host. It must be
+// called before FilterCandidates and may be called again to replace the
+// reference; it waits for any in-progress filtering call or stream batch, so
+// the old reference is never freed under a running kernel.
 func (e *Engine) SetReference(seq []byte) error {
 	if len(seq) < e.cfg.ReadLen {
 		return fmt.Errorf("gkgpu: reference (%d) shorter than read length (%d)", len(seq), e.cfg.ReadLen)
@@ -233,20 +227,16 @@ func (e *Engine) SetReference(seq []byte) error {
 	e.clearReference()
 
 	for _, st := range e.states {
-		buf, err := st.dev.AllocUnified((len(ref.lo) + len(ref.hi)) * 8)
+		buf, err := st.dev.MapUnified(ref.planes)
 		if err != nil {
 			ref.free()
 			return fmt.Errorf("gkgpu: reference buffer: %w", allocFault(st.dev, err))
 		}
-		words := buf.Words()
-		copy(words, ref.lo)
-		copy(words[len(ref.lo):], ref.hi)
-		buf.HostWrite(0, buf.Len())
-		buf.Advise(cuda.AdviseReadMostly)
-		buf.PrefetchAsync(st.sets[0].streams[1])
+		if st.dev.Spec.SupportsPrefetch() {
+			buf.Transfer() // the load-time prefetch; a Kepler pages the planes in at first touch
+		}
 		ref.bufs = append(ref.bufs, buf)
 	}
-	ref.lo, ref.hi = nil, nil // the unified-memory buffers are the engine's copy now
 	e.ref = ref
 	return nil
 }
@@ -308,9 +298,9 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 		},
 		body: func(di int, st *deviceState, lo, hi int) error {
 			chunk, out := cands[lo:hi], results[lo:hi]
-			refLo, refHi := e.ref.planes(di)
+			e.ref.bufs[di].Transfer() // the kernel touches the planes
 			return st.launch(len(chunk), func(worker, lo, hi int) {
-				candidateRange(st.kernels[worker], ref, refLo, refHi, e.cand.planes, e.cand.hasN,
+				candidateRange(st.kernels[worker], ref, e.cand.planes, e.cand.hasN,
 					chunk[lo:hi], out[lo:hi], errThreshold)
 			})
 		},
@@ -365,10 +355,11 @@ func (e *Engine) FilterCandidateStream(ctx context.Context, in <-chan StreamCand
 	}
 	out := make(chan Result, streamOutBuffer)
 	go runStream(e, ctx, in, out, streamOps[StreamCandidate]{
-		body: func(set int, items []StreamCandidate, res []Result) shareBody {
+		body: func(items []StreamCandidate, res []Result) shareBody {
 			return func(di int, st *deviceState, lo, hi int) error {
-				e.encodeCandidateChunk(st, st.sets[set], items[lo:hi])
-				return e.launchCandidateBatch(st, di, st.sets[set], items[lo:hi], errThreshold, res[lo:hi])
+				e.encodeCandidateChunk(&st.set, items[lo:hi])
+				st.drawTransfers(st.set.readBuf)
+				return e.launchCandidateBatch(st, di, items[lo:hi], errThreshold, res[lo:hi])
 			}
 		},
 		shape:    e.candidateWorkload(errThreshold),
@@ -379,11 +370,11 @@ func (e *Engine) FilterCandidateStream(ctx context.Context, in <-chan StreamCand
 
 // encodeCandidateChunk is the candidate stream's host-side encode stage:
 // pack each candidate's read into the set's read buffer (2-bit interleaved,
-// the host-encoded transfer format, written through the buffer's word view),
-// mark undefined or out-of-geometry candidates in the flag buffer, and submit
-// the prefetches. The reference buffer is untouched — it is the
+// the host-encoded transfer format, written through the buffer's word view)
+// and mark undefined or out-of-geometry candidates in the flag buffer. The
+// set's reference buffer is untouched — the windows come from the
 // engine-lifetime unified-memory reference.
-func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []StreamCandidate) {
+func (e *Engine) encodeCandidateChunk(set *bufferSet, items []StreamCandidate) {
 	n := len(items)
 	L := e.cfg.ReadLen
 	encWords := bitvec.EncodedWords(L)
@@ -405,29 +396,22 @@ func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []S
 			flags[i] = 0
 		}
 	})
-
-	set.readBuf.HostWrite(0, n*encWords*8)
-	set.flagBuf.HostWrite(0, n)
-	set.readBuf.PrefetchAsync(set.streams[0])
-	set.flagBuf.PrefetchAsync(set.streams[2])
-	if !st.dev.Spec.SupportsPrefetch() {
-		set.readBuf.DeviceTouch(0, set.readBuf.Len())
-	}
 }
 
 // launchCandidateBatch is the candidate stream's device-side stage: the
-// kernel reads each packed read in place from the buffer set and its
-// reference window in place from the device-resident planes.
-func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSet,
+// kernel reads each packed read in place from the device's buffer set and its
+// reference window in place from the reference's planes.
+func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int,
 	items []StreamCandidate, errThreshold int, out []Result) error {
 
 	if len(items) == 0 {
 		return nil
 	}
 	encWords := bitvec.EncodedWords(e.cfg.ReadLen)
-	flags := set.flagBuf.Bytes()
-	rb := set.readBuf.Words()
-	refLo, refHi := e.ref.planes(devIdx)
+	flags := st.set.flagBuf.Bytes()
+	rb := st.set.readBuf.Words()
+	refLo, refHi := e.ref.lo, e.ref.hi
+	e.ref.bufs[devIdx].Transfer() // the kernel touches the planes
 	return st.launch(len(items), func(worker, lo, hi int) {
 		kern := st.kernels[worker]
 		for tid := lo; tid < hi; tid++ {

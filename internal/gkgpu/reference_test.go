@@ -153,6 +153,48 @@ func TestSetReferenceReplacesAndCloses(t *testing.T) {
 	}
 }
 
+// TestEngineMemoryAccounting pins what the simulated devices hold: one buffer
+// set each from NewEngine, the reference planes on every device — one copy,
+// accounted for wherever a kernel may read it — from SetReference, and nothing
+// after Close.
+func TestEngineMemoryAccounting(t *testing.T) {
+	for _, enc := range []EncodingActor{EncodeOnDevice, EncodeOnHost} {
+		ctx := cuda.NewContext(cuda.GTX1080Ti(), cuda.TeslaK20X(), cuda.GTX1080Ti())
+		eng, err := NewEngine(Config{ReadLen: 100, MaxE: 5, Encoding: enc, MaxBatchPairs: 256}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqBytes := 100 // a device-encoded slot holds the ASCII bytes
+		if enc == EncodeOnHost {
+			seqBytes = bitvec.EncodedWords(100) * 8
+		}
+		for i, sys := range eng.SystemConfigs() {
+			dev := ctx.Device(i)
+			want := int64(sys.BatchPairs) * int64(2*seqBytes+1) // read, reference and flag buffers
+			if got := dev.Spec.GlobalMemBytes - dev.FreeMem(); got != want {
+				t.Fatalf("enc=%v device %d holds %d bytes after NewEngine, want one buffer set of %d", enc, i, got, want)
+			}
+		}
+		genome := dna.RandomSeq(rand.New(rand.NewSource(44)), 5_000)
+		before := []int64{ctx.Device(0).FreeMem(), ctx.Device(1).FreeMem(), ctx.Device(2).FreeMem()}
+		if err := eng.SetReference(genome); err != nil {
+			t.Fatal(err)
+		}
+		planeBytes := int64(2 * (bitvec.MaskWords(len(genome)) + 2) * 8)
+		for i, dev := range ctx.Devices() {
+			if got := before[i] - dev.FreeMem(); got != planeBytes {
+				t.Fatalf("enc=%v device %d reserved %d bytes for the reference, want the planes' %d", enc, i, got, planeBytes)
+			}
+		}
+		eng.Close()
+		for i, dev := range ctx.Devices() {
+			if dev.FreeMem() != dev.Spec.GlobalMemBytes {
+				t.Fatalf("enc=%v device %d has %d of %d bytes free after Close", enc, i, dev.FreeMem(), dev.Spec.GlobalMemBytes)
+			}
+		}
+	}
+}
+
 func TestReferenceNRecording(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	genome := dna.RandomSeq(rng, 3_000)
@@ -169,8 +211,8 @@ func TestReferenceNRecording(t *testing.T) {
 		t.Fatalf("packed %d bases in %d mask words, want %d in %d",
 			r.length, len(r.nMask), len(genome), bitvec.MaskWords(len(genome)))
 	}
-	if r.lo != nil || r.hi != nil {
-		t.Fatal("GPU engine kept a host copy of the planes beside its unified-memory buffers")
+	if len(r.bufs) != 1 || &r.bufs[0].Words()[0] != &r.planes[0] || r.bufs[0].Len() != 8*len(r.planes) {
+		t.Fatal("the device's reference buffer is not a mapping of the one packed copy of the planes")
 	}
 	// Exactly the four N bits are set, each at bit p%64 of word p/64.
 	set := 0

@@ -26,11 +26,10 @@ const streamOutBuffer = 1 << 10
 const streamLinger = 2 * time.Millisecond
 
 // streamOps specializes a stream to one input type: body makes the round body
-// that filters a batch's items into res through buffer set number set; shape
-// is the batch's cost-model workload; needsRef says the body reads the
-// reference SetReference loads.
+// that filters a batch's items into res; shape is the batch's cost-model
+// workload; needsRef says the body reads the reference SetReference loads.
 type streamOps[T any] struct {
-	body     func(set int, items []T, res []Result) shareBody
+	body     func(items []T, res []Result) shareBody
 	shape    cuda.Workload
 	needsRef bool
 }
@@ -44,9 +43,11 @@ type streamOps[T any] struct {
 // passed), filters the batch exactly as FilterPairs would — same rounds, same
 // fault handling — and emits its results before it reads in again. So a slow
 // consumer or a busy engine holds the producers back, and a stream waiting
-// for input holds no device. What differs from FilterPairs is the modelled
-// clock: a stream is charged as the double-buffered device (pipelinedClock),
-// host encode hidden behind the kernel.
+// for input holds no device, and every batch reuses the one buffer set of each
+// device. What differs from FilterPairs is the modelled clock: a stream is
+// charged as the paper's double-buffered device (pipelinedClock), host encode
+// hidden behind the kernel — an overlap the cost model has and the host does
+// not act out.
 //
 // Decisions are identical to FilterPairs. Unlike FilterPairs, which rejects
 // the whole call, a pair whose lengths do not match the compiled geometry is
@@ -68,8 +69,8 @@ func (e *Engine) FilterStream(ctx context.Context, in <-chan Pair, errThreshold 
 	}
 	out := make(chan Result, streamOutBuffer)
 	go runStream(e, ctx, in, out, streamOps[Pair]{
-		body: func(set int, items []Pair, res []Result) shareBody {
-			return e.pairBody(set, items, res, errThreshold)
+		body: func(items []Pair, res []Result) shareBody {
+			return e.pairBody(items, res, errThreshold)
 		},
 		shape: e.workload(errThreshold),
 	})
@@ -218,8 +219,7 @@ func collectBatch[T any](ctx context.Context, in <-chan T, items []T, limit int)
 }
 
 // filterBatch runs one stream batch as a one-shot call runs its input: under
-// runMu, after the same checks, through runRounds — on buffer set batch % 2
-// and the pipelined clock.
+// runMu, after the same checks, through runRounds — on the pipelined clock.
 func filterBatch[T any](e *Engine, ctx context.Context, batch int, items []T, res []Result, ops streamOps[T]) error {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -229,7 +229,7 @@ func filterBatch[T any](e *Engine, ctx context.Context, batch int, items []T, re
 	return e.runRounds(roundPlan{
 		ctx: ctx, batch: batch,
 		shape: ops.shape, clock: e.pipelinedClock,
-		body: ops.body(batch%bufferSets, items, res),
+		body: ops.body(items, res),
 	}, res)
 }
 

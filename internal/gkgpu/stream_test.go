@@ -3,6 +3,7 @@ package gkgpu
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,9 +22,14 @@ func drainStream(t *testing.T, eng *Engine, pairs []Pair, e int) []Result {
 
 func newStreamEngine(t *testing.T, enc EncodingActor, nDev, streamBatch int) *Engine {
 	t.Helper()
+	return newStreamEngineOn(t, cuda.GTX1080Ti(), enc, nDev, streamBatch)
+}
+
+func newStreamEngineOn(t *testing.T, spec cuda.DeviceSpec, enc EncodingActor, nDev, streamBatch int) *Engine {
+	t.Helper()
 	cfg := Config{ReadLen: 100, MaxE: 5, Encoding: enc,
 		MaxBatchPairs: 256, StreamBatchPairs: streamBatch}
-	eng, err := NewEngine(cfg, cuda.NewUniformContext(nDev, cuda.GTX1080Ti()))
+	eng, err := NewEngine(cfg, cuda.NewUniformContext(nDev, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,26 +39,32 @@ func newStreamEngine(t *testing.T, enc EncodingActor, nDev, streamBatch int) *En
 
 func TestFilterStreamMatchesFilterPairs(t *testing.T) {
 	// The stream must return byte-identical decisions to the one-shot path,
-	// in input order, whatever the encoding actor, device count, or batch
-	// granularity.
+	// in input order, whatever the device generation, encoding actor, device
+	// count, or batch granularity — every batch of it through the one buffer
+	// set a device holds.
 	rng := rand.New(rand.NewSource(21))
 	pairs, _ := makePairs(rng, 700, 100, 5)
-	for _, enc := range []EncodingActor{EncodeOnDevice, EncodeOnHost} {
-		for _, nDev := range []int{1, 3} {
-			ref := newTestEngine(t, enc, nDev)
-			want, err := ref.FilterPairs(pairs, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := newStreamEngine(t, enc, nDev, 64)
-			got := drainStream(t, eng, pairs, 5)
-			if len(got) != len(want) {
-				t.Fatalf("enc=%v nDev=%d: %d results, want %d", enc, nDev, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("enc=%v nDev=%d pair %d: stream %+v one-shot %+v",
-						enc, nDev, i, got[i], want[i])
+	for _, spec := range []cuda.DeviceSpec{cuda.GTX1080Ti(), cuda.TeslaK20X()} {
+		for _, enc := range []EncodingActor{EncodeOnDevice, EncodeOnHost} {
+			for _, nDev := range []int{1, 3} {
+				ref := newTestEngine(t, enc, nDev)
+				want, err := ref.FilterPairs(pairs, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := newStreamEngineOn(t, spec, enc, nDev, 64)
+				got := drainStream(t, eng, pairs, 5)
+				if len(got) != len(want) {
+					t.Fatalf("%s enc=%v nDev=%d: %d results, want %d", spec.Architecture, enc, nDev, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s enc=%v nDev=%d pair %d: stream %+v one-shot %+v",
+							spec.Architecture, enc, nDev, i, got[i], want[i])
+					}
+				}
+				if b := eng.Stats().Batches; b < 3 {
+					t.Fatalf("%s enc=%v nDev=%d: %d batches; the stream must reuse its buffers at least twice", spec.Architecture, enc, nDev, b)
 				}
 			}
 		}
@@ -286,8 +298,9 @@ func drainCandidateStream(t *testing.T, eng *Engine, cands []StreamCandidate, e 
 
 func TestFilterCandidateStreamMatchesFilterCandidates(t *testing.T) {
 	// The streaming candidate path must make exactly the decisions of the
-	// one-shot index-named path, in input order, whatever the device count
-	// or batch granularity — including 'N'-touched windows and reads.
+	// one-shot index-named path, in input order, whatever the device
+	// generation, encoding actor, device count or batch granularity —
+	// including 'N'-touched windows and reads.
 	rng := rand.New(rand.NewSource(31))
 	genome := dna.RandomSeq(rng, 30_000)
 	genome[11_050] = 'N'
@@ -315,26 +328,34 @@ func TestFilterCandidateStreamMatchesFilterCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nDev := range []int{1, 3} {
-		eng := newStreamEngine(t, EncodeOnHost, nDev, 32)
-		if err := eng.SetReference(genome); err != nil {
-			t.Fatal(err)
-		}
-		got := drainCandidateStream(t, eng, scands, 5)
-		if len(got) != len(want) {
-			t.Fatalf("nDev=%d: %d results, want %d", nDev, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("nDev=%d candidate %d: stream %+v one-shot %+v", nDev, i, got[i], want[i])
+	for _, spec := range []cuda.DeviceSpec{cuda.GTX1080Ti(), cuda.TeslaK20X()} {
+		for _, enc := range []EncodingActor{EncodeOnDevice, EncodeOnHost} {
+			for _, nDev := range []int{1, 3} {
+				label := fmt.Sprintf("%s enc=%v nDev=%d", spec.Architecture, enc, nDev)
+				eng := newStreamEngineOn(t, spec, enc, nDev, 16)
+				if err := eng.SetReference(genome); err != nil {
+					t.Fatal(err)
+				}
+				got := drainCandidateStream(t, eng, scands, 5)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s candidate %d: stream %+v one-shot %+v", label, i, got[i], want[i])
+					}
+				}
+				st := eng.Stats()
+				if st.Pairs != int64(len(scands)) {
+					t.Fatalf("%s: stats.Pairs = %d, want %d", label, st.Pairs, len(scands))
+				}
+				if st.Batches < 3 {
+					t.Fatalf("%s: %d batches; the stream must reuse its buffers at least twice", label, st.Batches)
+				}
+				if st.KernelSeconds <= 0 || st.FilterSeconds <= 0 {
+					t.Fatalf("%s: candidate stream committed no modelled clocks: %+v", label, st)
+				}
 			}
-		}
-		st := eng.Stats()
-		if st.Pairs != int64(len(scands)) {
-			t.Fatalf("stats.Pairs = %d, want %d", st.Pairs, len(scands))
-		}
-		if st.KernelSeconds <= 0 || st.FilterSeconds <= 0 {
-			t.Fatalf("candidate stream committed no modelled clocks: %+v", st)
 		}
 	}
 }

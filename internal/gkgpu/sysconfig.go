@@ -21,9 +21,6 @@ type SystemConfig struct {
 	BatchPairs int
 	// Launch is the kernel geometry for a full batch.
 	Launch cuda.LaunchConfig
-	// Prefetch reports whether memory advice and async prefetching will be
-	// used (compute capability 6.x+).
-	Prefetch bool
 }
 
 // Configure runs the system-configuration stage for one device and
@@ -53,11 +50,13 @@ func Configure(spec cuda.DeviceSpec, readLen, maxE int, encoding EncodingActor,
 	threadLoad += perPair
 
 	// Batch size: fill 80% of free global memory with pair buffers, leaving
-	// headroom for the driver and per-thread stacks; divide by the number of
-	// buffer sets the engine allocates (double buffering for the streaming
-	// path); cap to the caller's simulation bound; round down to a whole
-	// number of blocks so the last block is the only ragged one.
-	budget := int64(float64(spec.GlobalMemBytes) * 0.8 / bufferSets)
+	// headroom for the driver and per-thread stacks; halve it, because the
+	// modelled device is double-buffered (a stream's clock overlaps the encode
+	// of one batch with the kernel of the last, which takes two buffer sets
+	// on a real card; the simulation holds one); cap to the caller's
+	// simulation bound; round down to a whole number of blocks so the last
+	// block is the only ragged one.
+	budget := int64(float64(spec.GlobalMemBytes) * 0.8 / 2)
 	batch := int(budget / int64(perPair))
 	if maxBatchPairs > 0 && batch > maxBatchPairs {
 		batch = maxBatchPairs
@@ -76,6 +75,5 @@ func Configure(spec cuda.DeviceSpec, readLen, maxE int, encoding EncodingActor,
 			ThreadsPerBlock: threadsPerBlock,
 			RegsPerThread:   regsPerThread,
 		},
-		Prefetch: spec.SupportsPrefetch(),
 	}
 }

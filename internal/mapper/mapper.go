@@ -81,6 +81,9 @@ func (c Config) checkGeometry() error {
 	if c.MaxE < 0 || c.MaxE >= c.ReadLen {
 		return fmt.Errorf("mapper: error threshold %d outside [0,%d)", c.MaxE, c.ReadLen)
 	}
+	if c.MaxReadsPerBatch < 0 {
+		return fmt.Errorf("mapper: negative slab size %d reads", c.MaxReadsPerBatch)
+	}
 	if c.SeedLen > c.ReadLen {
 		return fmt.Errorf("mapper: seed length %d exceeds read length %d", c.SeedLen, c.ReadLen)
 	}

@@ -231,6 +231,9 @@ func TestMapperValidation(t *testing.T) {
 	if _, err := New(g, Config{ReadLen: 10, MaxE: 2, SeedLen: 13}); err == nil {
 		t.Fatal("seed longer than read accepted")
 	}
+	if _, err := New(g, Config{ReadLen: 100, MaxE: 3, MaxReadsPerBatch: -5}); err == nil {
+		t.Fatal("negative slab size accepted")
+	}
 	m, err := New(g, Config{ReadLen: 100, MaxE: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -171,10 +171,15 @@ type SimRead struct {
 
 // SimulateReads samples n reads uniformly from the genome and applies the
 // profile's errors, Mason-style. Reads overlapping assembly gaps keep their
-// 'N's (the mapper and filter must cope, exactly as with real data).
+// 'N's (the mapper and filter must cope, exactly as with real data). The
+// genome must be longer than a read: start positions are drawn from
+// [0, len(genome)-Length).
 func SimulateReads(genome []byte, profile ReadProfile, n int, seed int64) ([]SimRead, error) {
-	if len(genome) < profile.Length {
-		return nil, fmt.Errorf("simdata: genome (%d) shorter than read length (%d)", len(genome), profile.Length)
+	if n < 0 {
+		return nil, fmt.Errorf("simdata: negative read count %d", n)
+	}
+	if len(genome) <= profile.Length {
+		return nil, fmt.Errorf("simdata: genome (%d) not longer than read length (%d)", len(genome), profile.Length)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	reads := make([]SimRead, n)
@@ -233,6 +238,9 @@ type SimReadPair struct {
 // mean and standard deviation (clamped to [read length, genome length]),
 // and profile errors applied to each mate independently, Mason-style.
 func SimulatePairs(genome []byte, profile ReadProfile, n, insertMean, insertStd int, seed int64) ([]SimReadPair, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("simdata: negative pair count %d", n)
+	}
 	if len(genome) < profile.Length {
 		return nil, fmt.Errorf("simdata: genome (%d) shorter than read length (%d)", len(genome), profile.Length)
 	}

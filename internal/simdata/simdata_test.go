@@ -243,6 +243,19 @@ func TestSimulateReadsErrors(t *testing.T) {
 	if _, err := SimulateReads([]byte("ACGT"), Illumina100, 1, 1); err == nil {
 		t.Fatal("genome shorter than read accepted")
 	}
+	// A genome of exactly one read has no start position to draw, and a
+	// negative count no slice to fill: both are errors, not panics.
+	g := Genome(DefaultGenomeConfig(Illumina100.Length))
+	if _, err := SimulateReads(g, Illumina100, 1, 1); err == nil {
+		t.Fatal("genome no longer than the read accepted")
+	}
+	g = Genome(DefaultGenomeConfig(1_000))
+	if _, err := SimulateReads(g, Illumina100, -3, 1); err == nil {
+		t.Fatal("negative read count accepted")
+	}
+	if _, err := SimulatePairs(g, Illumina100, -3, 400, 40, 1); err == nil {
+		t.Fatal("negative pair count accepted")
+	}
 }
 
 func TestSimulatePairs(t *testing.T) {
