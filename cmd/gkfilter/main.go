@@ -184,7 +184,9 @@ func streamFilter(reads, refs [][]byte, e, gpus int, encoding string, verbose bo
 		return nil, err
 	}
 	defer eng.Close()
-	cctx.InjectFaults(faultSeed, faultRate, faultDie)
+	if err := cctx.InjectFaults(faultSeed, faultRate, faultDie); err != nil {
+		return nil, err
+	}
 
 	in := make(chan gkgpu.Pair, 1024)
 	out, err := eng.FilterStream(context.Background(), in, e)

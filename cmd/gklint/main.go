@@ -3,6 +3,11 @@
 //
 //	go run ./cmd/gklint ./...
 //
+// Six analyzers run — noalloc, coordsafe, errcheck, lockcheck, chanlife,
+// wrapcheck (docs/lint.md) — with the noalloc registry cross-check, the check
+// that every analyzer scope key still names something in the tree, and the
+// stale-suppression audit always on.
+//
 // Diagnostics are printed one per line as file:line:col: analyzer: message
 // (or, with -json, one JSON object per line with file/line/col/analyzer/
 // message fields), and the exit status is non-zero when any finding

@@ -208,7 +208,9 @@ func main() {
 		if fseed == 0 {
 			fseed = *seed + 1000
 		}
-		cctx.InjectFaults(fseed, *faultRate, *faultDie)
+		if err := cctx.InjectFaults(fseed, *faultRate, *faultDie); err != nil {
+			fatal(err)
+		}
 		cfg.Filter = eng
 	case "cpu":
 		cpu, err := gkgpu.NewCPUEngine(*readLen, *e, 12, gkgpu.Setup1(), cuda.DefaultCostModel())

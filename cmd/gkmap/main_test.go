@@ -89,13 +89,17 @@ func assertNoTempFiles(t *testing.T, dir, base string) {
 
 func TestInjectFaultsWiring(t *testing.T) {
 	cctx := cuda.NewUniformContext(3, cuda.GTX1080Ti())
-	cctx.InjectFaults(1042, 0, 0) // no-op configuration
+	if err := cctx.InjectFaults(1042, 0, 0); err != nil { // no-op configuration
+		t.Fatal(err)
+	}
 	for i, d := range cctx.Devices() {
 		if d.FaultPlan() != nil {
 			t.Fatalf("device %d got a plan from a no-op config", i)
 		}
 	}
-	cctx.InjectFaults(1042, 0.05, 4) // -seed 42, -fault-seed 0
+	if err := cctx.InjectFaults(1042, 0.05, 4); err != nil { // -seed 42, -fault-seed 0
+		t.Fatal(err)
+	}
 	for i, d := range cctx.Devices() {
 		if d.FaultPlan() == nil {
 			t.Fatalf("device %d missing its fault plan", i)
@@ -168,7 +172,9 @@ func TestFaultedEngineMatchesCleanDecisions(t *testing.T) {
 	clean, _ := mk()
 	want := drain(clean)
 	faulty, cctx := mk()
-	cctx.InjectFaults(1042, 0.05, 3)
+	if err := cctx.InjectFaults(1042, 0.05, 3); err != nil {
+		t.Fatal(err)
+	}
 	got := drain(faulty)
 	if err := faulty.StreamErr(); err != nil {
 		t.Fatalf("faulted stream terminal with a survivor: %v", err)

@@ -206,10 +206,19 @@ func (d *Device) FaultPlan() *FaultPlan { return d.faults }
 // context — the one the commands' -fault-* flags describe: launch faults at
 // the per-operation rate and transfer faults at half of it on all devices
 // (device i draws from seed+i), plus device 0 dying at its dieAt'th launch.
-// A rate and a dieAt that are both zero or less attach nothing.
-func (c *Context) InjectFaults(seed int64, rate float64, dieAt int) {
-	if rate <= 0 && dieAt <= 0 {
-		return
+// A rate and a dieAt that are both zero attach nothing. A rate outside [0, 1]
+// or a negative dieAt describes no schedule and is refused: a rate of 2 would
+// fail every operation as if the devices were broken, and a negative one
+// would run fault-free without saying so.
+func (c *Context) InjectFaults(seed int64, rate float64, dieAt int) error {
+	if !(rate >= 0 && rate <= 1) {
+		return fmt.Errorf("cuda: fault rate %v outside [0, 1]", rate)
+	}
+	if dieAt < 0 {
+		return fmt.Errorf("cuda: fault die-at launch %d is negative", dieAt)
+	}
+	if rate == 0 && dieAt == 0 {
+		return nil
 	}
 	for i, d := range c.devices {
 		plan := NewFaultPlan(seed+int64(i)).
@@ -220,4 +229,5 @@ func (c *Context) InjectFaults(seed int64, rate float64, dieAt int) {
 		}
 		d.InjectFaults(plan)
 	}
+	return nil
 }

@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -143,5 +144,29 @@ func TestFaultPlanKill(t *testing.T) {
 	d.InjectFaults(NewFaultPlan(1).Kill())
 	if err := launchN(t, d, 1)[0]; !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("killed device launched: %v", err)
+	}
+}
+
+// TestContextInjectFaultsRefusesNoSchedule: a rate outside [0, 1] (NaN
+// included) or a negative death launch is an error that attaches nothing; the
+// bounds themselves are schedules.
+func TestContextInjectFaultsRefusesNoSchedule(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		rate  float64
+		dieAt int
+		ok    bool
+	}{
+		{0, 0, true}, {1, 0, true}, {0.05, 3, true}, {0, 2, true},
+		{2, 0, false}, {-1, 0, false}, {nan, 0, false}, {0.05, -1, false}, {0, -1, false},
+	} {
+		c := NewUniformContext(2, GTX1080Ti())
+		err := c.InjectFaults(7, tc.rate, tc.dieAt)
+		if (err == nil) != tc.ok {
+			t.Errorf("InjectFaults(rate %v, dieAt %d): err %v, want ok=%v", tc.rate, tc.dieAt, err, tc.ok)
+		}
+		if err != nil && c.Device(0).FaultPlan() != nil {
+			t.Errorf("InjectFaults(rate %v, dieAt %d) refused the schedule but attached a plan", tc.rate, tc.dieAt)
+		}
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"go/types"
 )
 
-// cfg.go is the shared flow engine under the second-generation analyzers
-// (lockcheck, chanlife, wrapcheck, deferhot): a statement-granularity
-// control-flow graph over go/ast plus a generic forward worklist solver.
-// The PR 6 analyzers are syntactic — they judge one statement at a time —
-// but lock discipline, channel lifetime, and error provenance are path
-// properties ("released on every path out", "no send reachable after the
-// close"), and those need basic blocks and per-path facts.
+// cfg.go is the shared flow engine under three of the six analyzers
+// (lockcheck, chanlife, wrapcheck): a statement-granularity control-flow
+// graph over go/ast plus a generic forward worklist solver. The other three
+// (noalloc, coordsafe, errcheck) are syntactic — they judge one statement at
+// a time — but lock discipline, channel lifetime, and error provenance are
+// path properties ("released on every path out", "no send reachable after
+// the close"), and those need basic blocks and per-path facts.
 //
 // Design decisions, in the order they bite:
 //
@@ -25,18 +25,16 @@ import (
 //     without descending into their bodies (the bodies have their own
 //     blocks).
 //   - Nested function literals are opaque: their bodies never enter the
-//     enclosing function's graph. funcContexts enumerates each literal as an
-//     analysis context of its own, tagged with whether it runs on a spawned
-//     goroutine, so concurrency analyses can treat goroutine boundaries as
-//     ownership boundaries.
+//     enclosing function's graph. funcBodies enumerates each literal's body
+//     as an analysis context of its own (a goroutine literal holds and
+//     releases its own locks and closes its own channels).
 //   - Calls that cannot return (panic, os.Exit, runtime.Goexit, log.Fatal*)
 //     terminate their block with no successor. A lock held at a panic is not
 //     a leak the analyzers chase; only normal exits flow into the synthetic
 //     Exit block.
-//   - The solver is direction-agnostic about its lattice: a union join gives
-//     may-facts (a lock that may be held, a channel that may be closed), an
-//     intersection join gives must-facts (a happens-before edge that occurred
-//     on every path) — the dominator-style path facts the analyzers combine.
+//   - The solver is agnostic about its lattice: the three analyzers all use
+//     a union join, which gives may-facts (a lock that may be held, a channel
+//     that may be closed, an error that may be opaque).
 
 // Block is one basic block: straight-line nodes and the edges out.
 type Block struct {
@@ -379,66 +377,10 @@ func (g *CFG) ReversePostorder() []*Block {
 	return post
 }
 
-// CyclicBlocks returns the reachable blocks that sit on a cycle — loop
-// bodies, whatever syntax (for, range, goto) spelled the loop.
-func (g *CFG) CyclicBlocks() map[*Block]bool {
-	// Tarjan's SCC; iterative state kept per block index.
-	const unvisited = -1
-	index := make([]int, len(g.Blocks))
-	low := make([]int, len(g.Blocks))
-	onStack := make([]bool, len(g.Blocks))
-	for i := range index {
-		index[i] = unvisited
-	}
-	var stack []*Block
-	next := 0
-	out := map[*Block]bool{}
-	var strong func(*Block)
-	strong = func(v *Block) {
-		index[v.Index], low[v.Index] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v.Index] = true
-		selfLoop := false
-		for _, w := range v.Succs {
-			if w == v {
-				selfLoop = true
-			}
-			if index[w.Index] == unvisited {
-				strong(w)
-				if low[w.Index] < low[v.Index] {
-					low[v.Index] = low[w.Index]
-				}
-			} else if onStack[w.Index] && index[w.Index] < low[v.Index] {
-				low[v.Index] = index[w.Index]
-			}
-		}
-		if low[v.Index] == index[v.Index] {
-			var scc []*Block
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w.Index] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 || selfLoop {
-				for _, w := range scc {
-					out[w] = true
-				}
-			}
-		}
-	}
-	strong(g.Entry)
-	return out
-}
-
 // forwardDataflow runs a forward worklist iteration and returns each
 // reachable block's in-fact. transfer must be pure in its fact argument and
-// monotone; join merges facts at control-flow merges (union for may-facts,
-// intersection for must-facts); equal detects the fixpoint.
+// monotone; join merges facts at control-flow merges; equal detects the
+// fixpoint.
 func forwardDataflow[F any](g *CFG, entry F, transfer func(*Block, F) F, join func(F, F) F, equal func(F, F) bool) map[*Block]F {
 	rpo := g.ReversePostorder()
 	rank := make(map[*Block]int, len(rpo))
@@ -479,44 +421,17 @@ func forwardDataflow[F any](g *CFG, entry F, transfer func(*Block, F) F, join fu
 
 // Function contexts --------------------------------------------------------
 
-// funcCtx is one analysis unit: a function declaration's body or one nested
-// function literal's body. Concurrent marks contexts that run (or may run)
-// on a goroutine other than the declaration's: the literal is spawned by a
-// go statement, or is nested inside one that is.
-type funcCtx struct {
-	Body       *ast.BlockStmt
-	Lit        *ast.FuncLit // nil for the declaration body
-	Concurrent bool
-}
-
-// funcContexts enumerates the declaration body and every nested literal.
-// The declaration body is always context 0.
-func funcContexts(fd *ast.FuncDecl) []funcCtx {
-	goLits := map[*ast.FuncLit]bool{}
+// funcBodies enumerates a declaration's analysis contexts: its own body
+// first, then the body of every nested function literal.
+func funcBodies(fd *ast.FuncDecl) []*ast.BlockStmt {
+	bodies := []*ast.BlockStmt{fd.Body}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-				goLits[lit] = true
-			}
+		if lit, ok := n.(*ast.FuncLit); ok {
+			bodies = append(bodies, lit.Body)
 		}
 		return true
 	})
-	ctxs := []funcCtx{{Body: fd.Body}}
-	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		conc := goLits[lit]
-		for _, anc := range stack {
-			if al, ok := anc.(*ast.FuncLit); ok && goLits[al] {
-				conc = true
-			}
-		}
-		ctxs = append(ctxs, funcCtx{Body: lit.Body, Lit: lit, Concurrent: conc})
-		return true
-	})
-	return ctxs
+	return bodies
 }
 
 // shallowWalk visits n and its children, skipping nested function literals

@@ -4,279 +4,176 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 )
 
-// ChanLife enforces the channel-lifetime discipline of the streaming
-// packages on the CFG:
+// ChanLife enforces the channel and goroutine discipline of the packages
+// that own the module's concurrency — gkgpu's stream, the mapper's
+// channel-fed collector and par.For, the one fan-out loop. Five rules, each
+// with a subject in production code (docs/lint.md names them):
 //
-//   - a channel is closed at most once per path: a close that may follow an
+//  1. a channel send is the comm of a select that also has a receive or a
+//     default arm, so the sender can leave when its consumer is gone.
+//     Anything else — a send to a locally made buffered channel included —
+//     must carry //gk:allow chanlife naming the drain guarantee.
+//  2. a channel is closed at most once per path: a close that may follow an
 //     earlier close — or that an already-registered deferred close will
 //     repeat at exit — panics at runtime, exactly when the fault paths that
 //     exercise it are least tested.
-//   - no send is reachable after a close of the same channel within a
+//  3. no send is reachable after a close of the same channel within a
 //     context (send-on-closed panics).
-//   - a close on the receive side — a context that neither owns the sends
-//     nor shares their goroutine (the senders are in go-spawned contexts, or
-//     the channel escapes into one) — must be preceded on every path by a
-//     happens-before edge: a WaitGroup/Cond Wait, a channel receive, or a
-//     call to a function that visibly performs one (the drain helpers).
-//     Without it the close races the live senders. This is how gkgpu's
-//     runStream justifies close(completed): workers.Wait() dominates it.
-//   - a locally made bounded channel that is sent to by bare sends must be
-//     drained somewhere in the function (a receive, range, or select arm)
-//     or handed off (escape); the PR 9 resubmit pattern's capacity argument
-//     only holds if the dispatcher actually keeps receiving. This verifies
-//     the pattern instead of trusting the comment.
+//  4. sync.WaitGroup.Add does not run inside the goroutine it accounts for:
+//     Add racing Wait is the classic early-Wait bug. Add before go, Done
+//     inside.
+//  5. time.Sleep is banned: a sleeping retry/backoff loop cannot observe
+//     cancellation, so a cancelled stream holds its worker for the full
+//     sleep. Back off with a time.Timer inside a select that also has a
+//     ctx.Done arm.
 //
+// Rules 1, 4 and 5 judge one statement; rules 2 and 3 are path facts on the
+// CFG, per function context (a goroutine literal closes its own channels).
 // Channel identity is the local identifier's object; fields and map/slice
-// elements are out of scope. Cross-goroutine double closes (two different
-// contexts closing the same channel) are not chased: mutually exclusive
-// branches across goroutines (mapper's verifyJobs) would drown the signal
-// in false positives — the per-context rule plus the ownership rule cover
-// the real failure modes.
+// elements are out of scope, and closes of one channel by two different
+// contexts are not chased.
 type ChanLife struct {
 	// Packages under the discipline.
 	Packages map[string]bool
-
-	syncFuncsOnce bool
-	syncFuncs     map[string]bool // FuncKeys of module functions that visibly sync
 }
 
-// NewChanLife returns the analyzer scoped to the streaming packages.
+// NewChanLife returns the analyzer scoped to the packages that start
+// goroutines or own channels.
 func NewChanLife() *ChanLife {
 	return &ChanLife{Packages: map[string]bool{
 		"repro/internal/gkgpu":  true,
 		"repro/internal/mapper": true,
+		"repro/internal/par":    true,
 	}}
 }
 
 // Name implements Analyzer.
 func (a *ChanLife) Name() string { return "chanlife" }
 
-// chanFact carries the per-path channel state: may-closed and
-// may-defer-closed sets (union join) and the must-have-synced bit
-// (intersection join).
-type chanFact struct {
-	closed    map[types.Object]token.Pos
-	willClose map[types.Object]token.Pos
-	synced    bool
-}
-
-func (f chanFact) clone() chanFact {
-	out := chanFact{synced: f.synced}
-	if len(f.closed) > 0 {
-		out.closed = make(map[types.Object]token.Pos, len(f.closed))
-		for k, v := range f.closed {
-			out.closed[k] = v
-		}
-	}
-	if len(f.willClose) > 0 {
-		out.willClose = make(map[types.Object]token.Pos, len(f.willClose))
-		for k, v := range f.willClose {
-			out.willClose[k] = v
-		}
-	}
-	return out
-}
-
-func chanJoin(a, b chanFact) chanFact {
-	out := a.clone()
-	for k, v := range b.closed {
-		if cur, ok := out.closed[k]; !ok || v < cur {
-			if out.closed == nil {
-				out.closed = map[types.Object]token.Pos{}
-			}
-			out.closed[k] = v
-		}
-	}
-	for k, v := range b.willClose {
-		if cur, ok := out.willClose[k]; !ok || v < cur {
-			if out.willClose == nil {
-				out.willClose = map[types.Object]token.Pos{}
-			}
-			out.willClose[k] = v
-		}
-	}
-	out.synced = a.synced && b.synced
-	return out
-}
-
-func chanEqual(a, b chanFact) bool {
-	if a.synced != b.synced || len(a.closed) != len(b.closed) || len(a.willClose) != len(b.willClose) {
-		return false
-	}
-	for k, v := range a.closed {
-		if w, ok := b.closed[k]; !ok || v != w {
-			return false
-		}
-	}
-	for k, v := range a.willClose {
-		if w, ok := b.willClose[k]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
-// chanUse is the per-context usage summary the ownership rule consults.
-type chanUse struct {
-	sends    map[types.Object]bool
-	escapes  map[types.Object]bool
-	receives map[types.Object]bool
-}
+func (a *ChanLife) scopeKeys() scopeKeys { return scopeKeys{pkgs: sortedKeys(a.Packages)} }
 
 // Check implements Analyzer.
 func (a *ChanLife) Check(c *Context) {
 	if !a.Packages[c.Pkg.Path] {
 		return
 	}
-	a.collectSyncFuncs(c)
 	for _, f := range c.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a.checkFunc(c, fd)
-		}
-	}
-}
-
-// collectSyncFuncs records, once per run, the module functions whose body
-// visibly performs a happens-before operation (receive, range over a
-// channel, or Wait) — one level of interprocedural credit so drain helpers
-// like gkgpu's drainInput count as synchronization at their call sites.
-func (a *ChanLife) collectSyncFuncs(c *Context) {
-	if a.syncFuncsOnce {
-		return
-	}
-	a.syncFuncsOnce = true
-	a.syncFuncs = map[string]bool{}
-	for _, pkg := range c.All {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				syncs := false
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if syncs {
-						return false
-					}
-					switch n := n.(type) {
-					case *ast.UnaryExpr:
-						syncs = syncs || n.Op == token.ARROW
-					case *ast.RangeStmt:
-						syncs = syncs || isChanType(pkg.Info.TypeOf(n.X))
-					case *ast.CallExpr:
-						syncs = syncs || isSyncWait(pkg.Info, n)
-					}
-					return true
-				})
-				if !syncs {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					a.syncFuncs[FuncKey(obj)] = true
-				}
+			a.checkStatements(c, fd)
+			for _, body := range funcBodies(fd) {
+				a.checkCloses(c, body)
 			}
 		}
 	}
 }
 
-func (a *ChanLife) checkFunc(c *Context, fd *ast.FuncDecl) {
+// checkStatements applies rules 1, 4 and 5 to every statement of fd, nested
+// literals included.
+func (a *ChanLife) checkStatements(c *Context, fd *ast.FuncDecl) {
 	info := c.Pkg.Info
-	ctxs := funcContexts(fd)
-	uses := make([]chanUse, len(ctxs))
-	for i, fc := range ctxs {
-		uses[i] = collectChanUse(info, fc.Body)
-	}
-
-	// foreignSent: from the closing context's point of view, could a sender
-	// be live on another goroutine? True when a context that can run
-	// concurrently with the closer sends on the channel or passes it onward
-	// (to a function whose sends we cannot see).
-	foreignSent := func(obj types.Object, closer int) bool {
-		for j := range ctxs {
-			if j == closer || (!ctxs[j].Concurrent && !ctxs[closer].Concurrent) {
-				continue
-			}
-			if uses[j].sends[obj] || uses[j].escapes[obj] {
-				return true
-			}
-		}
-		return false
-	}
-
-	for i, fc := range ctxs {
-		a.checkContext(c, fc, func(obj types.Object) bool { return foreignSent(obj, i) })
-	}
-	a.checkBoundedDrained(c, fd, ctxs, uses)
-}
-
-// collectChanUse summarizes one context's channel traffic, skipping nested
-// literals (they summarize themselves).
-func collectChanUse(info *types.Info, body *ast.BlockStmt) chanUse {
-	u := chanUse{sends: map[types.Object]bool{}, escapes: map[types.Object]bool{}, receives: map[types.Object]bool{}}
-	mark := func(m map[types.Object]bool, e ast.Expr) {
-		if obj := chanIdentObj(info, e); obj != nil {
-			m[obj] = true
-		}
-	}
-	shallowWalk(body, func(n ast.Node) bool {
+	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			mark(u.sends, n.Chan)
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				mark(u.receives, n.X)
-			}
-		case *ast.RangeStmt:
-			if isChanType(info.TypeOf(n.X)) {
-				mark(u.receives, n.X)
+			if !sendGuarded(n, stack) {
+				c.Reportf("chanlife", n.Arrow, "channel send outside a select with a done/drain arm; add a receive or default case, or document the drain guarantee with //gk:allow")
 			}
 		case *ast.CallExpr:
-			if isBuiltinNamed(info, n, "close") || isBuiltinNamed(info, n, "len") || isBuiltinNamed(info, n, "cap") {
-				return true
+			fn, ok := callee(info, n).(*types.Func)
+			if !ok {
+				break
 			}
-			for _, arg := range n.Args {
-				mark(u.escapes, arg)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				mark(u.escapes, r)
-			}
-		case *ast.AssignStmt:
-			// Re-binding a channel to another name or storing it in a
-			// structure loses tracking; count it as an escape.
-			for _, r := range n.Rhs {
-				mark(u.escapes, r)
+			switch FuncKey(fn) {
+			case "time.Sleep":
+				c.Reportf("chanlife", n.Pos(), "time.Sleep cannot observe cancellation; back off with a time.Timer in a select with a ctx.Done arm")
+			case "sync.WaitGroup.Add":
+				if inGoLiteral(stack) {
+					c.Reportf("chanlife", n.Pos(), "WaitGroup.Add inside the spawned goroutine races Wait; Add before the go statement, Done inside")
+				}
 			}
 		}
 		return true
 	})
-	return u
 }
 
-// isBuiltinNamed reports whether the call invokes the named builtin.
-func isBuiltinNamed(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
+// sendGuarded reports whether the send is the comm of a select clause whose
+// select has another way out: a receive arm or a default.
+func sendGuarded(send *ast.SendStmt, stack []ast.Node) bool {
+	n := len(stack)
+	if n < 3 {
 		return false
 	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
+	clause, ok := stack[n-1].(*ast.CommClause)
+	if !ok || clause.Comm != send {
+		return false
+	}
+	// The clause's walk parent is the select's BlockStmt.
+	for _, cl := range stack[n-3].(*ast.SelectStmt).Body.List {
+		switch cl.(*ast.CommClause).Comm.(type) {
+		case nil, *ast.ExprStmt, *ast.AssignStmt: // default, or a receive
+			return true
+		}
+	}
+	return false
 }
 
-func (a *ChanLife) checkContext(c *Context, fc funcCtx, foreignSent func(types.Object) bool) {
-	info := c.Pkg.Info
-	g := BuildCFG(info, fc.Body)
+// inGoLiteral reports whether the node under stack sits lexically inside a
+// function literal that a go statement spawns.
+func inGoLiteral(stack []ast.Node) bool {
+	for i := 2; i < len(stack); i++ {
+		if g, ok := stack[i-2].(*ast.GoStmt); ok && g.Call.Fun == stack[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// chanFact is the per-path channel state, both may-facts (union join): the
+// channels some path has closed, and those a registered defer will close at
+// exit, each with the earliest site for the message.
+type chanFact struct {
+	closed, deferred map[types.Object]token.Pos
+}
+
+func (f chanFact) clone() chanFact {
+	out := chanFact{closed: map[types.Object]token.Pos{}, deferred: map[types.Object]token.Pos{}}
+	maps.Copy(out.closed, f.closed)
+	maps.Copy(out.deferred, f.deferred)
+	return out
+}
+
+func chanJoin(a, b chanFact) chanFact {
+	out := a.clone()
+	keepEarliest(out.closed, b.closed)
+	keepEarliest(out.deferred, b.deferred)
+	return out
+}
+
+func keepEarliest(dst, src map[types.Object]token.Pos) {
+	for k, v := range src {
+		if cur, ok := dst[k]; !ok || v < cur {
+			dst[k] = v
+		}
+	}
+}
+
+func chanEqual(a, b chanFact) bool {
+	return maps.Equal(a.closed, b.closed) && maps.Equal(a.deferred, b.deferred)
+}
+
+// checkCloses applies rules 2 and 3 to one function context.
+func (a *ChanLife) checkCloses(c *Context, body *ast.BlockStmt) {
+	g := BuildCFG(c.Pkg.Info, body)
 	transfer := func(bl *Block, in chanFact, report bool) chanFact {
 		out := in.clone()
 		for _, n := range bl.Nodes {
-			a.transferNode(c, info, n, &out, report, foreignSent)
+			a.transferNode(c, n, out, report)
 		}
 		return out
 	}
@@ -286,175 +183,61 @@ func (a *ChanLife) checkContext(c *Context, fc funcCtx, foreignSent func(types.O
 	for _, bl := range g.ReversePostorder() {
 		transfer(bl, in[bl], true)
 	}
-
-	// Deferred closes run at function exit: the ownership rule applies with
-	// the facts that hold when the context returns.
-	exit, ok := in[g.Exit]
-	if !ok {
-		return
-	}
-	objs := make([]types.Object, 0, len(exit.willClose))
-	for obj := range exit.willClose {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return exit.willClose[objs[i]] < exit.willClose[objs[j]] })
-	for _, obj := range objs {
-		if foreignSent(obj) && !exit.synced {
-			c.Reportf("chanlife", exit.willClose[obj], "deferred close of %s runs while senders on other goroutines may be live; wait (WaitGroup or receive) before every return, or move the close to the sending goroutine", obj.Name())
-		}
-	}
 }
 
-func (a *ChanLife) transferNode(c *Context, info *types.Info, n ast.Node, out *chanFact, report bool, foreignSent func(types.Object) bool) {
-	closeArg := func(call *ast.CallExpr) types.Object {
-		if !isBuiltinNamed(info, call, "close") || len(call.Args) != 1 {
-			return nil
-		}
-		return chanIdentObj(info, call.Args[0])
+// closedChan returns the channel a close(ch) call closes, or nil for any
+// other call (or a channel that is not a plain identifier).
+func closedChan(info *types.Info, call *ast.CallExpr) types.Object {
+	if b, ok := callee(info, call).(*types.Builtin); !ok || b.Name() != "close" {
+		return nil
 	}
+	return chanIdentObj(info, call.Args[0])
+}
+
+func (a *ChanLife) transferNode(c *Context, n ast.Node, out chanFact, report bool) {
+	info := c.Pkg.Info
 	switch n := n.(type) {
+	case *ast.RangeStmt, *ast.SelectStmt:
+		return // structural markers; their bodies have their own blocks
 	case *ast.DeferStmt:
-		if obj := closeArg(n.Call); obj != nil {
+		if obj := closedChan(info, n.Call); obj != nil {
 			if report {
-				if pos, ok := out.willClose[obj]; ok {
+				if pos, ok := out.deferred[obj]; ok {
 					c.Reportf("chanlife", n.Call.Pos(), "%s already has a deferred close (registered at %s); both will run and the second panics", obj.Name(), c.Fset.Position(pos))
 				} else if pos, ok := out.closed[obj]; ok {
 					c.Reportf("chanlife", n.Call.Pos(), "%s may already be closed (at %s) when this deferred close runs", obj.Name(), c.Fset.Position(pos))
 				}
 			}
-			if out.willClose == nil {
-				out.willClose = map[types.Object]token.Pos{}
+			if _, ok := out.deferred[obj]; !ok {
+				out.deferred[obj] = n.Call.Pos()
 			}
-			if _, ok := out.willClose[obj]; !ok {
-				out.willClose[obj] = n.Call.Pos()
-			}
-		}
-		return
-	case *ast.RangeStmt:
-		if isChanType(info.TypeOf(n.X)) {
-			out.synced = true
-		}
-		return
-	case *ast.SelectStmt:
-		// A select whose every communicating arm is a receive is a
-		// happens-before edge once it completes; a default or a send arm
-		// can complete without one.
-		syncs := !selectHasDefault(n) && len(n.Body.List) > 0
-		for _, cl := range n.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok {
-				if _, isSend := cc.Comm.(*ast.SendStmt); isSend {
-					syncs = false
-				}
-			}
-		}
-		if syncs {
-			out.synced = true
 		}
 		return
 	}
 	shallowWalk(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.CallExpr:
-			if obj := closeArg(m); obj != nil {
-				if report {
-					if pos, ok := out.closed[obj]; ok {
-						c.Reportf("chanlife", m.Pos(), "%s may already be closed (at %s); a second close panics", obj.Name(), c.Fset.Position(pos))
-					} else if pos, ok := out.willClose[obj]; ok {
-						c.Reportf("chanlife", m.Pos(), "%s has a deferred close pending (registered at %s); closing it here makes the deferred close a double close", obj.Name(), c.Fset.Position(pos))
-					}
-					if foreignSent(obj) && !out.synced {
-						c.Reportf("chanlife", m.Pos(), "close of %s on the receive side without a preceding happens-before edge (WaitGroup.Wait or a receive); senders on other goroutines may still be live", obj.Name())
-					}
-				}
-				if out.closed == nil {
-					out.closed = map[types.Object]token.Pos{}
-				}
-				if _, ok := out.closed[obj]; !ok {
-					out.closed[obj] = m.Pos()
-				}
-				return true
+			obj := closedChan(info, m)
+			if obj == nil {
+				break
 			}
-			if isSyncWait(info, m) {
-				out.synced = true
-				return true
+			if report {
+				if pos, ok := out.closed[obj]; ok {
+					c.Reportf("chanlife", m.Pos(), "%s may already be closed (at %s); a second close panics", obj.Name(), c.Fset.Position(pos))
+				} else if pos, ok := out.deferred[obj]; ok {
+					c.Reportf("chanlife", m.Pos(), "%s has a deferred close pending (registered at %s); closing it here makes the deferred close a double close", obj.Name(), c.Fset.Position(pos))
+				}
 			}
-			if fn, ok := callee(info, m).(*types.Func); ok && a.syncFuncs[FuncKey(fn)] {
-				out.synced = true
+			if _, ok := out.closed[obj]; !ok {
+				out.closed[obj] = m.Pos()
 			}
 		case *ast.SendStmt:
-			if report {
-				if obj := chanIdentObj(info, m.Chan); obj != nil {
-					if pos, ok := out.closed[obj]; ok {
-						c.Reportf("chanlife", m.Arrow, "send on %s is reachable after its close at %s; send-on-closed panics", obj.Name(), c.Fset.Position(pos))
-					}
+			if obj := chanIdentObj(info, m.Chan); report && obj != nil {
+				if pos, ok := out.closed[obj]; ok {
+					c.Reportf("chanlife", m.Arrow, "send on %s is reachable after its close at %s; send-on-closed panics", obj.Name(), c.Fset.Position(pos))
 				}
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW {
-				out.synced = true
 			}
 		}
 		return true
 	})
-}
-
-// checkBoundedDrained verifies the bounded-buffer pattern end to end: a
-// channel made locally with an explicit capacity and fed by bare sends must
-// also be drained (received, ranged, or a select receive arm) or handed off
-// somewhere in the function. The capacity argument that licenses the bare
-// send is void if nothing ever takes from the channel.
-func (a *ChanLife) checkBoundedDrained(c *Context, fd *ast.FuncDecl, ctxs []funcCtx, uses []chanUse) {
-	info := c.Pkg.Info
-	type mk struct {
-		pos      token.Pos
-		buffered bool
-	}
-	makes := map[types.Object]mk{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := info.Defs[id]
-			if obj == nil || !isChanType(obj.Type()) {
-				continue
-			}
-			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !ok || !isBuiltinNamed(info, call, "make") {
-				continue
-			}
-			buffered := false
-			if len(call.Args) == 2 {
-				if tv, ok := info.Types[call.Args[1]]; !ok || tv.Value == nil || tv.Value.String() != "0" {
-					buffered = true
-				}
-			}
-			makes[obj] = mk{pos: as.Pos(), buffered: buffered}
-		}
-		return true
-	})
-	var objs []types.Object
-	for obj := range makes {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return makes[objs[i]].pos < makes[objs[j]].pos })
-	for _, obj := range objs {
-		m := makes[obj]
-		if !m.buffered {
-			continue
-		}
-		sent, drained := false, false
-		for i := range ctxs {
-			sent = sent || uses[i].sends[obj]
-			drained = drained || uses[i].receives[obj] || uses[i].escapes[obj]
-		}
-		if sent && !drained {
-			c.Reportf("chanlife", m.pos, "bounded channel %s is sent to but never drained or handed off; its capacity argument cannot hold — add the receive side or remove the channel", obj.Name())
-		}
-	}
 }

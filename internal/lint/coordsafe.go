@@ -53,6 +53,8 @@ func NewCoordSafe() *CoordSafe {
 // Name implements Analyzer.
 func (a *CoordSafe) Name() string { return "coordsafe" }
 
+func (a *CoordSafe) scopeKeys() scopeKeys { return scopeKeys{pkgs: sortedKeys(a.NarrowPkgs)} }
+
 // Check implements Analyzer.
 func (a *CoordSafe) Check(c *Context) {
 	for _, f := range c.Pkg.Files {

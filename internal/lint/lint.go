@@ -1,36 +1,38 @@
 // Package lint implements gklint, the repo's static-analysis suite. It
 // machine-checks the invariants the performance and correctness claims rest
 // on — invariants that runtime tests can only spot-check at a few call
-// sites:
+// sites. Six analyzers; three judge one statement at a time:
 //
 //   - noalloc: functions annotated //gk:noalloc must not contain allocating
-//     constructs. This is the static complement of the AllocsPerRun guards:
-//     the runtime guards prove three call sites allocation-free, the
-//     analyzer proves every call site of every annotated function.
+//     constructs (defer, go and escaping closures among them) and call only
+//     annotated module functions, so the guarantee closes over its own call
+//     cone. This is the static complement of the AllocsPerRun guards: the
+//     runtime guards prove three call sites allocation-free, the analyzer
+//     proves every call site of every annotated function.
 //   - coordsafe: the multi-contig coordinate discipline of PR 5 — no direct
 //     reads of Reference offset internals, no narrowing casts of position
 //     values, no arithmetic mixing contig-relative Pos with global offsets —
 //     outside the whitelisted mapper.Reference accessors.
-//   - streamsafe: the multi-producer streaming discipline — goroutine
-//     channel sends happen under a select with a done/drain arm (or on a
-//     locally bounded buffered channel), and WaitGroup.Add never runs inside
-//     the goroutine it accounts for.
 //   - errcheck: no silently discarded error returns.
 //
-// Four further analyzers are flow-sensitive, built on a shared CFG and
-// forward-dataflow engine (cfg.go):
+// Three are flow-sensitive, built on a shared CFG and forward-dataflow
+// engine (cfg.go):
 //
 //   - lockcheck: every Lock released on every path out, no double-lock of
 //     the same receiver, and (in the streaming packages) no lock held across
 //     a blocking operation.
-//   - chanlife: streaming channels closed exactly once by the goroutine that
-//     owns the sends, never sent on after a reachable close, and bounded
-//     resubmit-style buffers actually drained.
+//   - chanlife: in the packages that start goroutines or own channels, a
+//     send sits under a select with a receive or default arm, a channel is
+//     closed at most once per path and never sent on after a reachable
+//     close, WaitGroup.Add runs before the go it accounts for, and nothing
+//     calls time.Sleep.
 //   - wrapcheck: fault-path errors stay inside the declared sentinel
 //     taxonomy — constructed errors wrap a sentinel with %w or build a
 //     declared fault type, and errors.Is/As targets are declared sentinels.
-//   - deferhot: no defer or escaping closure allocation inside loops of
-//     functions reachable from the //gk:noalloc roots.
+//
+// A rule is here because production code has a subject for it, and
+// TestAnalyzersCatchMutationsOfRealCode proves each one live at its
+// production scope by breaking that subject; docs/lint.md has the table.
 //
 // Diagnostics are positional (file:line:col: analyzer: message) and
 // suppressible only by a //gk:allow <analyzer>: <reason> comment on the
@@ -97,26 +99,27 @@ type Config struct {
 	Analyzers []Analyzer
 	// CheckRegistry cross-checks the //gk:noalloc annotations found in the
 	// source against the canonical NoAllocRegistry, in both directions, so
-	// the static analyzer and the runtime AllocsPerRun guards cannot drift.
+	// the static analyzer and the runtime AllocsPerRun guards cannot drift,
+	// and requires every analyzer scope key (a package path, a sentinel, a
+	// fault type, a sink) to name something in the loaded module. Both only
+	// make sense on a whole-module run.
 	CheckRegistry bool
 	// ReportUnusedAllows flags //gk:allow comments that suppressed nothing —
 	// stale suppressions hide future regressions.
 	ReportUnusedAllows bool
 }
 
-// DefaultAnalyzers returns the eight repo analyzers with their production
-// scopes: the four syntactic passes of PR 6 and the four flow-sensitive
-// passes built on the CFG engine.
+// DefaultAnalyzers returns the six repo analyzers with their production
+// scopes: the syntactic noalloc, coordsafe and errcheck, and lockcheck,
+// chanlife and wrapcheck on the CFG engine.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		NewNoAlloc(),
 		NewCoordSafe(),
-		NewStreamSafe(),
 		NewErrCheck(),
 		NewLockCheck(),
 		NewChanLife(),
 		NewWrapCheck(),
-		NewDeferHot(),
 	}
 }
 
@@ -144,6 +147,7 @@ func Run(m *Module, cfg Config) []Diagnostic {
 
 	if cfg.CheckRegistry {
 		raw = append(raw, checkRegistry(m, noalloc)...)
+		raw = append(raw, checkScopeKeys(m, cfg.Analyzers)...)
 	}
 
 	allows, allowDiags := collectAllows(m, names)
@@ -160,7 +164,7 @@ func Run(m *Module, cfg Config) []Diagnostic {
 		out = append(out, allows.unused()...)
 	}
 
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Position.Filename != b.Position.Filename {
 			return a.Position.Filename < b.Position.Filename
@@ -262,6 +266,83 @@ func checkRegistry(m *Module, ann map[string]token.Pos) []Diagnostic {
 				Analyzer: "noalloc",
 				Message:  fmt.Sprintf("registry entry %s has no //gk:noalloc annotation in the source", key),
 			})
+		}
+	}
+	return out
+}
+
+// scopeKeys are the string keys of an analyzer's production configuration,
+// by the kind of thing each must name. A key that names nothing — after a
+// rename, say — switches its rule off with the tree still reading clean, so
+// a whole-module run resolves every one (checkScopeKeys).
+type scopeKeys struct {
+	pkgs    []string // import paths
+	errVars []string // package-level error variables, "pkgpath.Name"
+	types   []string // named types, "pkgpath.Name"
+	funcs   []string // FuncKeys
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// checkScopeKeys reports every scope key of every analyzer that resolves to
+// nothing in the loaded module.
+func checkScopeKeys(m *Module, analyzers []Analyzer) []Diagnostic {
+	pkgs, errVars, typs, funcs := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, pkg := range m.Packages {
+		pkgs[pkg.Path] = true
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				if isErrorValue(obj.Type()) {
+					errVars[pkg.Path+"."+name] = true
+				}
+			case *types.Func:
+				funcs[FuncKey(obj)] = true
+			case *types.TypeName:
+				typs[pkg.Path+"."+name] = true
+				if named, ok := obj.Type().(*types.Named); ok {
+					for i := 0; i < named.NumMethods(); i++ {
+						funcs[FuncKey(named.Method(i))] = true
+					}
+				}
+			}
+		}
+	}
+	var out []Diagnostic
+	for _, a := range analyzers {
+		s, ok := a.(interface{ scopeKeys() scopeKeys })
+		if !ok {
+			continue
+		}
+		k := s.scopeKeys()
+		for _, kind := range []struct {
+			what  string
+			keys  []string
+			known map[string]bool
+		}{
+			{"package", k.pkgs, pkgs},
+			{"package-level error variable", k.errVars, errVars},
+			{"named type", k.types, typs},
+			{"function", k.funcs, funcs},
+		} {
+			for _, key := range kind.keys {
+				if !kind.known[key] {
+					out = append(out, Diagnostic{
+						Position: token.Position{Filename: "internal/lint/" + a.Name() + ".go"},
+						Analyzer: "lint",
+						Message:  fmt.Sprintf("%s scope key %q names no %s of the loaded module, so the rule it scopes is switched off; fix the key", a.Name(), key, kind.what),
+					})
+				}
+			}
 		}
 	}
 	return out

@@ -118,15 +118,6 @@ func TestCoordSafeGolden(t *testing.T) {
 	})
 }
 
-func TestStreamSafeGolden(t *testing.T) {
-	a := NewStreamSafe()
-	a.Packages = map[string]bool{"streamsafe": true}
-	runGolden(t, "streamsafe", Config{
-		Analyzers:          []Analyzer{a},
-		ReportUnusedAllows: true,
-	})
-}
-
 func TestErrCheckGolden(t *testing.T) {
 	runGolden(t, "errcheck", Config{
 		Analyzers:          []Analyzer{NewErrCheck()},
@@ -171,13 +162,6 @@ func TestWrapCheckGolden(t *testing.T) {
 	})
 }
 
-func TestDeferHotGolden(t *testing.T) {
-	runGolden(t, "deferhot", Config{
-		Analyzers:          []Analyzer{NewDeferHot()},
-		ReportUnusedAllows: true,
-	})
-}
-
 // TestAllowAuditGolden pins the suppression auditor's edge cases: an allow
 // above a statement spanning several lines, two suppressions for different
 // analyzers sharing one comment, and the malformed-allow diagnostics
@@ -189,38 +173,47 @@ func TestAllowAuditGolden(t *testing.T) {
 	})
 }
 
-// TestNewAnalyzersNotVacuous re-runs each flow-sensitive analyzer over its
-// golden package and requires a minimum number of findings — a seeded-bug
-// guard against an analyzer going silently inert (wrong package scope,
-// wrong registry key, a CFG that never reports).
-func TestNewAnalyzersNotVacuous(t *testing.T) {
-	lock := NewLockCheck()
-	lock.StreamPackages = map[string]bool{"lockcheck": true}
-	chanl := NewChanLife()
-	chanl.Packages = map[string]bool{"chanlife": true}
-	cases := []struct {
-		name string
-		a    Analyzer
-		min  int
-	}{
-		{"lockcheck", lock, 7},
-		{"chanlife", chanl, 6},
-		{"wrapcheck", testWrapCheck(), 8},
-		{"deferhot", NewDeferHot(), 3},
+// TestStaleScopeKeyIsAFinding misspells each kind of scope key once — a
+// package path on every analyzer that has one, a sentinel, a fault type, a
+// sink — and requires the whole-module check to name it: a key that resolves
+// to nothing would otherwise switch its rule off with gklint still exiting 0.
+func TestStaleScopeKeyIsAFinding(t *testing.T) {
+	m, err := LoadDir(filepath.Join("testdata", "src", "wrapcheck"), "wrapcheck")
+	if err != nil {
+		t.Fatalf("loading wrapcheck testdata: %v", err)
 	}
-	for _, tc := range cases {
-		m, err := LoadDir(filepath.Join("testdata", "src", tc.name), tc.name)
-		if err != nil {
-			t.Fatalf("loading %s: %v", tc.name, err)
+	if diags := checkScopeKeys(m, []Analyzer{testWrapCheck()}); len(diags) != 0 {
+		t.Fatalf("every key of the testdata taxonomy resolves, yet: %v", diags)
+	}
+	stale := map[string]bool{"wrapchek": true}
+	wrap := func(edit func(*WrapCheck)) Analyzer {
+		a := testWrapCheck()
+		edit(a)
+		return a
+	}
+	for _, tc := range []struct {
+		a         Analyzer
+		key, kind string
+	}{
+		{&ChanLife{Packages: stale}, "wrapchek", "package"},
+		{&LockCheck{StreamPackages: stale}, "wrapchek", "package"},
+		{&CoordSafe{NarrowPkgs: stale}, "wrapchek", "package"},
+		{wrap(func(a *WrapCheck) { a.Packages = stale }), "wrapchek", "package"},
+		{wrap(func(a *WrapCheck) { a.Sentinels["wrapcheck.ErrBoon"] = true }), "wrapcheck.ErrBoon", "package-level error variable"},
+		// A real name of the wrong kind is as stale as a typo.
+		{wrap(func(a *WrapCheck) { a.Sentinels["wrapcheck.Fault"] = true }), "wrapcheck.Fault", "package-level error variable"},
+		{wrap(func(a *WrapCheck) { a.FaultTypes["wrapcheck.Fautl"] = true }), "wrapcheck.Fautl", "named type"},
+		{wrap(func(a *WrapCheck) { a.Sinks["wrapcheck.engine.setError"] = 0 }), "wrapcheck.engine.setError", "function"},
+	} {
+		diags := checkScopeKeys(m, []Analyzer{tc.a})
+		if len(diags) != 1 {
+			t.Errorf("%s with stale %s key %q: %d finding(s), want one: %v", tc.a.Name(), tc.kind, tc.key, len(diags), diags)
+			continue
 		}
-		n := 0
-		for _, d := range Run(m, Config{Analyzers: []Analyzer{tc.a}}) {
-			if d.Analyzer == tc.name {
-				n++
-			}
-		}
-		if n < tc.min {
-			t.Errorf("%s: %d finding(s) on its seeded golden package, want at least %d — the analyzer may be vacuously clean", tc.name, n, tc.min)
+		d := diags[0]
+		if d.Analyzer != "lint" || !strings.Contains(d.Message, tc.a.Name()) ||
+			!strings.Contains(d.Message, strconv.Quote(tc.key)) || !strings.Contains(d.Message, "no "+tc.kind+" ") {
+			t.Errorf("%s with stale %s key %q: finding does not name it: %s", tc.a.Name(), tc.kind, tc.key, d)
 		}
 	}
 }

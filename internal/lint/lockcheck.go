@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // LockCheck enforces the mutex discipline on the CFG:
@@ -47,6 +46,8 @@ func NewLockCheck() *LockCheck {
 
 // Name implements Analyzer.
 func (a *LockCheck) Name() string { return "lockcheck" }
+
+func (a *LockCheck) scopeKeys() scopeKeys { return scopeKeys{pkgs: sortedKeys(a.StreamPackages)} }
 
 // lockHeld is one held lock's state on some path.
 type lockHeld struct {
@@ -174,12 +175,7 @@ func (r *lockReporter) blocking(f lockFact, opPos token.Pos, what string) {
 	if r == nil {
 		return
 	}
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(f) {
 		h := f[k]
 		if r.reported[h.pos] {
 			continue
@@ -207,17 +203,17 @@ func (a *LockCheck) Check(c *Context) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			for _, fc := range funcContexts(fd) {
-				a.checkContext(c, stream, fc)
+			for _, body := range funcBodies(fd) {
+				a.checkContext(c, stream, body)
 			}
 		}
 	}
 }
 
-func (a *LockCheck) checkContext(c *Context, stream bool, fc funcCtx) {
+func (a *LockCheck) checkContext(c *Context, stream bool, body *ast.BlockStmt) {
 	info := c.Pkg.Info
-	g := BuildCFG(info, fc.Body)
-	comms := selectComms(fc.Body)
+	g := BuildCFG(info, body)
+	comms := selectComms(body)
 	transfer := func(bl *Block, in lockFact, rep *lockReporter) lockFact {
 		out := in.clone()
 		for _, n := range bl.Nodes {
@@ -242,12 +238,7 @@ func (a *LockCheck) checkContext(c *Context, stream bool, fc funcCtx) {
 	if !ok {
 		return // no normal path out (infinite loop or unconditional panic)
 	}
-	keys := make([]string, 0, len(exit))
-	for k := range exit {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(exit) {
 		h := exit[k]
 		if h.deferred {
 			continue

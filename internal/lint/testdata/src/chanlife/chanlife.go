@@ -1,58 +1,27 @@
-// Package chanlife is gklint analyzer testdata: channels are closed at most
-// once per path, never sent on after a close, closed on the receive side
-// only behind a happens-before edge, and bounded local buffers must actually
-// be drained.
+// Package chanlife is gklint analyzer testdata. This file holds the path
+// rules: a channel is closed at most once per path, deferred closes counted,
+// and never sent on after a close. sends.go holds the per-statement rules.
 package chanlife
 
-import "sync"
-
-func ownerCloses() {
+func ownerCloses(done chan struct{}) {
 	ch := make(chan int)
 	go func() {
-		defer close(ch) // clean: the sending goroutine owns the close
+		defer close(ch) // clean: the sending goroutine closes, once
 		for i := 0; i < 3; i++ {
-			ch <- i
+			select {
+			case ch <- i:
+			case <-done:
+				return
+			}
 		}
 	}()
 	for range ch {
 	}
 }
 
-func goodReceiverCloses(ch chan int, n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case ch <- 1:
-			default:
-			}
-		}()
-	}
-	wg.Wait()
-	close(ch) // clean: Wait happens-before the close on every path
-}
-
-func badReceiverCloses(ch chan int, n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case ch <- 1:
-			default:
-			}
-		}()
-	}
-	close(ch) // want "close of ch on the receive side"
-	wg.Wait()
-}
-
 func badSendAfterClose(ch chan int) {
 	close(ch)
-	ch <- 1 // want "reachable after its close"
+	ch <- 1 // want "reachable after its close" "channel send outside a select"
 }
 
 func badDoubleClose(ch chan int) {
@@ -76,27 +45,6 @@ func badDeferredThenExplicit(ch chan int) {
 func badTwoDeferredCloses(ch chan int) {
 	defer close(ch)
 	defer close(ch) // want "already has a deferred close"
-}
-
-func badBoundedUndrained(n int) {
-	resubmit := make(chan int, 4) // want "sent to but never drained"
-	for i := 0; i < n; i++ {
-		select {
-		case resubmit <- i:
-		default:
-		}
-	}
-}
-
-func goodBoundedDrained(n int) {
-	resubmit := make(chan int, 4) // clean: the dispatcher keeps receiving
-	for i := 0; i < n; i++ {
-		select {
-		case resubmit <- i:
-		default:
-		}
-		<-resubmit
-	}
 }
 
 func allowedFlagGuardedClose(events chan int, done chan struct{}) {

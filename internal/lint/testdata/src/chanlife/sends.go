@@ -1,9 +1,9 @@
-// Package streamsafe is gklint analyzer testdata: sends must sit under a
-// select with a done/drain arm or target a locally bounded buffered
-// channel, WaitGroup.Add must not run inside the goroutine it accounts
-// for, and retry/backoff loops must wait with a cancellable timer, never
+// This file holds chanlife's per-statement rules: a send sits under a
+// select with a done/drain arm (a locally made buffered channel is no
+// excuse), WaitGroup.Add does not run inside the goroutine it accounts
+// for, and retry/backoff loops wait with a cancellable timer, never
 // time.Sleep.
-package streamsafe
+package chanlife
 
 import (
 	"context"
@@ -31,13 +31,13 @@ func defaultSend(ch chan int) {
 func bufferedLocal() {
 	ch := make(chan int, 4)
 	go func() {
-		ch <- 1 // clean: locally bounded buffered channel
+		ch <- 1 // want "channel send outside a select"
 	}()
 	<-ch
 }
 
 func allowedDrain(ch chan int) {
-	ch <- 1 //gk:allow streamsafe: testdata drain guarantee
+	ch <- 1 //gk:allow chanlife: testdata drain guarantee
 }
 
 func badBareSend(ch chan int) {
@@ -95,5 +95,5 @@ func cleanRetryBackoff(ctx context.Context, d time.Duration) bool {
 }
 
 func allowedSleep() {
-	time.Sleep(time.Millisecond) //gk:allow streamsafe: testdata pacing guarantee
+	time.Sleep(time.Millisecond) //gk:allow chanlife: testdata pacing guarantee
 }

@@ -90,6 +90,15 @@ func NewWrapCheck() *WrapCheck {
 // Name implements Analyzer.
 func (a *WrapCheck) Name() string { return "wrapcheck" }
 
+func (a *WrapCheck) scopeKeys() scopeKeys {
+	return scopeKeys{
+		pkgs:    sortedKeys(a.Packages),
+		errVars: sortedKeys(a.Sentinels),
+		types:   sortedKeys(a.FaultTypes),
+		funcs:   sortedKeys(a.Sinks),
+	}
+}
+
 // Error provenance classes, ordered so the join is max().
 type provClass int
 
@@ -156,8 +165,8 @@ func (a *WrapCheck) Check(c *Context) {
 			if !ok || fd.Body == nil || !a.faultPath(info, fd) {
 				continue
 			}
-			for _, fc := range funcContexts(fd) {
-				a.checkContext(c, fc)
+			for _, body := range funcBodies(fd) {
+				a.checkContext(c, body)
 			}
 		}
 	}
@@ -275,9 +284,9 @@ func (a *WrapCheck) faultPath(info *types.Info, fd *ast.FuncDecl) bool {
 	return found
 }
 
-func (a *WrapCheck) checkContext(c *Context, fc funcCtx) {
+func (a *WrapCheck) checkContext(c *Context, body *ast.BlockStmt) {
 	info := c.Pkg.Info
-	g := BuildCFG(info, fc.Body)
+	g := BuildCFG(info, body)
 	transfer := func(bl *Block, in provFact, report bool) provFact {
 		out := in.clone()
 		for _, n := range bl.Nodes {
